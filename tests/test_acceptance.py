@@ -367,3 +367,27 @@ def test_acceptance_9_serialization_golden():
     mod = parse_extension(ext_doc, ctx5)
     assert mod.same_as(cyclotomic_modulus(ctx5, 1))
     _announce(9, "golden-file serialization round trips")
+
+
+@pytest.mark.parametrize("p,h1,h2", [(2, 1, 2), (3, 1, 1)])
+def test_acceptance_9_lt2_rebuild_goldens(p, h1, h2):
+    """A rebuild reproduces the group law, [p]_F and the two-block
+    reconstruction from [p]_F byte for byte, profile headers included."""
+    D = p ** (h1 + h2)
+    ctx = PrecisionContext(p, lt2_min_precision(h1, h2, p, D), D)
+    res = lt2_build(LubinTate2Params(h1, h2, ctx))
+    u = res.mul_p.series
+    ident = [[1, 0], [0, 1]]
+    built = {
+        "group": serialize(res.group),
+        "mulp": serialize(u, kind="endo"),
+        "gfj": serialize(group_from_jacobian(u, ident, ident), kind="tuple"),
+    }
+    for part, doc in built.items():
+        name = f"lt2_p{p}_h{h1}{h2}_{part}.doc"
+        golden = (GOLDEN / name).read_text()
+        assert doc == golden, f"{name} drifted from its golden bytes"
+        kind = {"group": None, "mulp": "endo", "gfj": "tuple"}[part]
+        back = parse(golden)
+        assert (serialize(back, kind=kind) if kind else serialize(back)) \
+            == golden
