@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from .errors import (
     MixedContext,
     NonCommutingTarget,
+    NotInvertible,
     PrecisionExhausted,
     SingularStep,
     VerificationFailure,
@@ -30,6 +31,8 @@ from .series import (
     TupleSeries,
     apply_matrix,
     linear_part_matrix,
+    mat_det,
+    mat_inverse,
     mat_mul,
     tuple_compose,
 )
@@ -89,19 +92,6 @@ def _monomials_of_degree(m_vars: int, degree: int):
             yield (first,) + rest
 
 
-def _diag_factor(lams, exps, i):
-    """lambda^I - lambda_i for a diagonal linear part."""
-    prod = None
-    for lam, e in zip(lams, exps):
-        if e == 0:
-            continue
-        term = lam ** e
-        prod = term if prod is None else prod * term
-    if prod is None:
-        prod = PadicScalar.exact(lams[0].ctx, 1)
-    return prod - lams[i % len(lams)]
-
-
 class _DegreeSolver:
     """Solves D(Lambda_in X) - Lambda_out D(X) = r on homogeneous space.
 
@@ -120,22 +110,27 @@ class _DegreeSolver:
         if self.diagonal:
             self.lams_in = [lam_in[j][j] for j in range(num_vars)]
             self.lams_out = [lam_out[i][i] for i in range(dim)]
+            self._lam_powers = {}     # (variable, exponent) -> lambda_j^e
         self._inverse_cache = {}
+
+    def _factor_valuations(self, degree: int):
+        """Valuations of the diagonal factors at one degree; None if one
+        of them is zero."""
+        vals = []
+        for exps in _monomials_of_degree(self.num_vars, degree):
+            for i in range(self.dim):
+                f = self.lams_in_factor(exps, i)
+                if f.is_zero:
+                    return None
+                vals.append(f.valuation())
+        return vals
 
     def det_valuation(self, degree: int):
         """Valuation of the operator determinant; INFINITE when singular."""
-        total = 0
         if self.diagonal:
-            for exps in _monomials_of_degree(self.num_vars, degree):
-                for i in range(self.dim):
-                    f = self.lams_in_factor(exps, i)
-                    if f.is_zero:
-                        return INFINITE
-                    total += f.valuation()
-            return total
-        mat = self._operator_matrix(degree)
-        from .series import mat_det
-        det = mat_det(mat)
+            vals = self._factor_valuations(degree)
+            return INFINITE if vals is None else sum(vals)
+        det = mat_det(self._operator_matrix(degree))
         if det.is_zero:
             return INFINITE
         return det.valuation()
@@ -148,18 +143,10 @@ class _DegreeSolver:
         and the loss is the most negative entry valuation.
         """
         if self.diagonal:
-            worst = 0
-            for exps in _monomials_of_degree(self.num_vars, degree):
-                for i in range(self.dim):
-                    f = self.lams_in_factor(exps, i)
-                    if f.is_zero:
-                        return INFINITE
-                    worst = max(worst, f.valuation())
-            return worst
+            vals = self._factor_valuations(degree)
+            return INFINITE if vals is None else max([0, *vals])
         inv = self._inverse_cache.get(degree)
         if inv is None:
-            from .errors import NotInvertible
-            from .series import mat_inverse
             try:
                 inv = mat_inverse(self._operator_matrix(degree))
             except NotInvertible:
@@ -173,11 +160,15 @@ class _DegreeSolver:
         return worst
 
     def lams_in_factor(self, exps, i):
+        """lambda_in^I - lambda_out_i, each power lambda_j^e taken once."""
+        powers = self._lam_powers
         prod = None
-        for lam, e in zip(self.lams_in, exps):
+        for j, e in enumerate(exps):
             if e == 0:
                 continue
-            term = lam ** e
+            term = powers.get((j, e))
+            if term is None:
+                term = powers[(j, e)] = self.lams_in[j] ** e
             prod = term if prod is None else prod * term
         if prod is None:
             prod = PadicScalar.exact(self.ctx, 1)
@@ -238,8 +229,6 @@ class _DegreeSolver:
                 vec[index[(i, tuple(exps))]] = c
         inv = self._inverse_cache.get(degree)
         if inv is None:
-            from .errors import NotInvertible
-            from .series import mat_inverse
             try:
                 inv = mat_inverse(self._operator_matrix(degree))
             except NotInvertible:

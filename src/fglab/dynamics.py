@@ -14,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DivergentPoint, ImpreciseValuation, MixedContext
+from .errors import (
+    DivergentPoint,
+    DivisionByZero,
+    ImpreciseValuation,
+    MixedContext,
+    PrecisionExhausted,
+)
 from .padic import INFINITE, ExtScalar, ExtensionModulus, PointTuple
 from .series import MultiSeries, TupleSeries, linear_part_matrix, mat_det, ms_eval
 
@@ -301,7 +307,7 @@ def _newton_lift(coeffs, dcoeffs, x: ExtScalar, max_steps: int):
             return None
         try:
             step = gx / gpx
-        except Exception:
+        except (DivisionByZero, PrecisionExhausted, ImpreciseValuation):
             return None
         x = x - step
     return x if _poly_eval(coeffs, x).is_zero else None

@@ -100,11 +100,23 @@ def _parse_fraction(tok: str, lineno: int) -> Fraction:
         raise ParseError(lineno, f"bad rational {tok!r}") from None
 
 
+def _parse_int(tok: str, lineno: int, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(lineno, f"{what} must be an integer, got {tok!r}") \
+            from None
+
+
 def _expect_field(line, lineno, name):
     prefix = name + ":"
     if not line.startswith(prefix):
         raise ParseError(lineno, f"expected {name!r} field, got {line!r}")
     return line[len(prefix):].strip()
+
+
+def _int_field(line, lineno, name) -> int:
+    return _parse_int(_expect_field(line, lineno, name), lineno, name)
 
 
 def parse(text: str):
@@ -126,15 +138,17 @@ def parse(text: str):
     if kind not in _KINDS:
         raise ParseError(ln, f"unknown kind {kind!r}")
     line, ln = r.next()
-    p = int(_expect_field(line, ln, "p"))
+    p = _int_field(line, ln, "p")
     line, ln = r.next()
-    absprec = int(_expect_field(line, ln, "abs-precision"))
+    absprec = _int_field(line, ln, "abs-precision")
     line, ln = r.next()
-    degcap = int(_expect_field(line, ln, "degree-cap"))
+    degcap = _int_field(line, ln, "degree-cap")
     line, ln = r.next()
-    num_vars = int(_expect_field(line, ln, "num-vars"))
+    num_vars = _int_field(line, ln, "num-vars")
     line, ln = r.next()
-    ncomp = int(_expect_field(line, ln, "components"))
+    ncomp = _int_field(line, ln, "components")
+    if ncomp < 1:
+        raise ParseError(ln, "a document needs at least one component")
     try:
         ctx = PrecisionContext(p, absprec, degcap)
     except ValueError as exc:
@@ -146,9 +160,9 @@ def parse(text: str):
     line, ln = r.next()
     while not line.startswith("component"):
         if line.startswith("dimension:"):
-            dimension = int(_expect_field(line, ln, "dimension"))
+            dimension = _int_field(line, ln, "dimension")
         elif line.startswith("certified-degree:"):
-            cert_degree = int(_expect_field(line, ln, "certified-degree"))
+            cert_degree = _int_field(line, ln, "certified-degree")
         elif line.startswith("axioms:"):
             axioms = tuple(_expect_field(line, ln, "axioms").split())
         elif line.startswith("commutative:"):
@@ -159,7 +173,8 @@ def parse(text: str):
     comps = []
     for idx in range(ncomp):
         parts = line.split()
-        if len(parts) < 4 or parts[0] != "component" or int(parts[1]) != idx \
+        if len(parts) < 4 or parts[0] != "component" \
+                or _parse_int(parts[1], ln, "component index") != idx \
                 or parts[2] != "profile":
             raise ParseError(ln, f"expected 'component {idx} profile ...'")
         if parts[3] == "exact":
@@ -167,8 +182,10 @@ def parse(text: str):
         else:
             if len(parts) != 6:
                 raise ParseError(ln, "profile needs p0, slope, flat")
-            profile = Profile(int(parts[3]), _parse_fraction(parts[4], ln),
-                              int(parts[5]))
+            slope = _parse_fraction(parts[4], ln)
+            profile = Profile(_parse_int(parts[3], ln, "profile p0"),
+                              slope.numerator, slope.denominator,
+                              _parse_int(parts[5], ln, "profile flat"))
         entries = {}
         vmin = 0
         while True:

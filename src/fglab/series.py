@@ -20,6 +20,12 @@ slope.  Every profile update below is conservative: a bound is never
 reported higher than what the contributing scalars justify.  Scalar-level
 arithmetic keeps sharper per-element tracking; this layer trades that for
 a multiplication loop on plain machine integers.
+
+Slopes are exact rationals, held as reduced integer pairs n/d with d > 0:
+floor(slope * x) is n * x // d, and two slopes compare by cross
+multiplication.  The same holds for each series' summary (smallest
+valuation, rho, smallest degree), which one pass over the coefficients
+computes and caches; the profile bookkeeping never builds a Fraction.
 """
 
 from __future__ import annotations
@@ -43,9 +49,6 @@ from .padic import (
     _vp,
 )
 
-_ZERO = Fraction(0)
-
-
 class Exponent(tuple):
     """A multi-index; total_degree is the sum of the entries."""
 
@@ -55,54 +58,47 @@ class Exponent(tuple):
 
 
 class Profile:
-    """Concave two-line certified-precision profile over total degree."""
+    """Concave two-line certified-precision profile over total degree.
 
-    __slots__ = ("p0", "slope", "flat")
+    The slope is the rational sn/sd in lowest terms with sd > 0.
+    """
 
-    def __init__(self, p0: int, slope: Fraction, flat: int):
+    __slots__ = ("p0", "sn", "sd", "flat")
+
+    def __init__(self, p0: int, sn: int, sd: int, flat: int):
         self.p0 = p0
-        self.slope = slope
+        self.sn = sn
+        self.sd = sd
         self.flat = flat
 
     @classmethod
-    def line(cls, p0: int, slope, horizon: int) -> "Profile":
-        slope = Fraction(slope)
-        return cls(p0, slope, p0 + math.floor(slope * horizon))
-
-    @classmethod
     def const(cls, value: int) -> "Profile":
-        return cls(value, _ZERO, value)
+        return cls(value, 0, 1, value)
+
+    @property
+    def slope(self) -> Fraction:
+        return Fraction(self.sn, self.sd)
 
     def at(self, d: int) -> int:
-        if self.slope == 0:
-            return max(self.flat, self.p0)
-        return max(self.flat, self.p0 + math.floor(self.slope * d))
-
-    def shifted(self, k: int) -> "Profile":
-        return Profile(self.p0 + k, self.slope, self.flat + k)
+        return max(self.flat, self.p0 + self.sn * d // self.sd)
 
     def min_with(self, other: "Profile") -> "Profile":
-        return Profile(min(self.p0, other.p0),
-                       min(self.slope, other.slope),
+        sn, sd = _slope_min(self.sn, self.sd, other.sn, other.sd)
+        return Profile(min(self.p0, other.p0), sn, sd,
                        min(self.flat, other.flat))
 
     def __repr__(self):
         return f"Profile(p0={self.p0}, slope={self.slope}, flat={self.flat})"
 
 
-def _combine_channels(channels, horizon: int) -> Profile:
-    """Combine channels, each a list of lower-bound lines (p0, slope).
+def _slope_min(an: int, ad: int, bn: int, bd: int):
+    """The smaller of the slopes an/ad and bn/bd (denominators positive)."""
+    return (bn, bd) if bn * ad < an * bd else (an, ad)
 
-    Within a channel every variant line is a valid lower bound, so their
-    pointwise max is; across channels (independent error sources) the min
-    applies.  The summary keeps the exact combined values at degree 0 and
-    at the horizon, plus the globally safe slope.
-    """
-    p0 = min(max(v0 for v0, _ in ch) for ch in channels)
-    flat = min(max(v0 + math.floor(s * horizon) for v0, s in ch)
-               for ch in channels)
-    slope = min(s for ch in channels for _, s in ch)
-    return Profile(p0, slope, flat)
+
+def _reduced(n: int, d: int):
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
 def _scaled_from_fraction(q: Fraction, shift: int, modexp: int, p: int) -> int:
@@ -115,8 +111,7 @@ def _scaled_from_fraction(q: Fraction, shift: int, modexp: int, p: int) -> int:
 class MultiSeries:
     """Sparse truncated power series in ``num_vars`` variables."""
 
-    __slots__ = ("ctx", "num_vars", "shift", "profile", "coeffs",
-                 "_vmin_cache", "_rho_cache")
+    __slots__ = ("ctx", "num_vars", "shift", "profile", "coeffs", "_summ")
 
     def __init__(self, ctx, num_vars, shift, profile, coeffs):
         self.ctx = ctx
@@ -124,8 +119,7 @@ class MultiSeries:
         self.shift = shift
         self.profile = profile    # Profile, or None for the exact zero series
         self.coeffs = coeffs      # dict[packed key, scaled int]
-        self._vmin_cache = None
-        self._rho_cache = None
+        self._summ = None         # cached _summary(); reset on any rewrite
 
     # -- packing helpers -----------------------------------------------------
 
@@ -216,14 +210,14 @@ class MultiSeries:
             return cls(ctx, num_vars, 0, Profile.const(anchor), {})
         N = ctx.abs_precision
         p0 = N if anchor is None else min(N, anchor)
-        slope = _ZERO
+        sn, sd = 0, 1
         flat = p0 if anchor is not None else None
         for exps, q, absprec in entries:
             d = sum(exps)
             if d:
-                slope = min(slope, Fraction(absprec - p0, d))
+                sn, sd = _slope_min(sn, sd, absprec - p0, d)
             flat = absprec if flat is None else min(flat, absprec)
-        profile = Profile(p0, slope, flat)
+        profile = Profile(p0, *_reduced(sn, sd), flat)
         shift = max(0, -vmin)
         modexp = max(p0, flat) + shift   # flat may exceed p0 when all v > 0
         coeffs = {}
@@ -266,6 +260,7 @@ class MultiSeries:
                 if c:
                     out[k] = c
             self.coeffs = out
+            self._summ = None
             if not out:
                 return MultiSeries(self.ctx, self.num_vars, 0, self.profile,
                                    {})
@@ -276,6 +271,7 @@ class MultiSeries:
                 pj = p ** j
                 self.coeffs = {k: c // pj for k, c in self.coeffs.items()}
                 self.shift -= j
+                self._summ = None
         return self
 
     # -- inspection -------------------------------------------------------------
@@ -285,49 +281,57 @@ class MultiSeries:
         """Zero at the certified profile (empty support)."""
         return not self.coeffs
 
-    @property
-    def vmin(self):
-        """Smallest coefficient valuation (0 for empty series)."""
-        if self._vmin_cache is None:
-            p = self.ctx.p
-            self._vmin_cache = min(
-                (_vp(c, p) - self.shift for c in self.coeffs.values()),
-                default=0)
-        return self._vmin_cache
+    def _summary(self):
+        """(vmin, vhat, rho numerator, rho denominator, mindeg), cached.
+
+        One pass takes one valuation per coefficient.  vmin is the smallest
+        coefficient valuation, vhat = min(0, valuation of the constant
+        term), rho = min(0, v(coeff)/degree over positive-degree terms) in
+        lowest terms, mindeg the smallest degree in the support; each is 0
+        for the empty series (and vhat when there is no constant term).
+        """
+        summ = self._summ
+        if summ is not None:
+            return summ
+        coeffs = self.coeffs
+        if not coeffs:
+            summ = self._summ = (0, 0, 0, 1, 0)
+            return summ
+        p = self.ctx.p
+        ds = self.degshift
+        shift = self.shift
+        vmin = mindeg = None
+        vhat, rn, rd = 0, 0, 1
+        for key, c in coeffs.items():
+            v = _vp(c, p) - shift
+            d = key >> ds
+            if vmin is None or v < vmin:
+                vmin = v
+            if mindeg is None or d < mindeg:
+                mindeg = d
+            if v < 0:
+                if not d:
+                    vhat = v
+                elif v * rd < rn * d:
+                    rn, rd = v, d
+        summ = self._summ = (vmin, vhat, *_reduced(rn, rd), mindeg)
+        return summ
 
     @property
-    def rho(self):
+    def vmin(self) -> int:
+        """Smallest coefficient valuation (0 for empty series)."""
+        return self._summary()[0]
+
+    @property
+    def rho(self) -> Fraction:
         """min over positive-degree terms of v(coeff)/degree, capped at 0."""
-        if self._rho_cache is None:
-            p = self.ctx.p
-            best = _ZERO
-            ds = self.degshift
-            for key, c in self.coeffs.items():
-                d = key >> ds
-                if d == 0:
-                    continue
-                r = Fraction(_vp(c, p) - self.shift, d)
-                if r < best:
-                    best = r
-            self._rho_cache = best
-        return self._rho_cache
+        _, _, rn, rd, _ = self._summary()
+        return Fraction(rn, rd)
 
     @property
     def mindeg(self) -> int:
         """Smallest total degree in the support (0 for the empty series)."""
-        ds = self.degshift
-        return min((k >> ds for k in self.coeffs), default=0)
-
-    def _const_valuation(self):
-        c = self.coeffs.get(0)
-        if c is None:
-            return None
-        return _vp(c, self.ctx.p) - self.shift
-
-    def _const_vhat(self) -> int:
-        """min(0, valuation of constant term); 0 when absent."""
-        v0 = self._const_valuation()
-        return 0 if v0 is None else min(0, v0)
+        return self._summary()[4]
 
     def support(self) -> list:
         """Exponent tuples in canonical (degree, lex) order."""
@@ -504,37 +508,38 @@ class MultiSeries:
             return self
         N = self.ctx.abs_precision
         D = self.ctx.degree_cap
+        p = self.ctx.p
+        vmin, vhat, rn, rd, _ = self._summary()
         if isinstance(s, PadicScalar):
             self.ctx.require_same(s.ctx)
             if s.is_exact_zero:
                 return MultiSeries.zero(self.ctx, self.num_vars)
             if s.v is None:
-                vhat = self._const_vhat()
-                lbD = min(vhat, math.floor(D * self.rho))
-                prof = Profile(s.rel + vhat, self.rho, s.rel + lbD)
+                lbD = min(vhat, rn * D // rd)
+                prof = Profile(s.rel + vhat, rn, rd, s.rel + lbD)
                 return MultiSeries(self.ctx, self.num_vars, 0, prof,
                                    {})._normalized()
             q = s.lift()
+            vq = _vp(q.numerator, p) - _vp(q.denominator, p)
             s_abs = s.known_precision
         else:
             q = Fraction(s)
             if q == 0:
                 return MultiSeries.zero(self.ctx, self.num_vars)
-            vq0 = _vp(q.numerator, self.ctx.p) - _vp(q.denominator, self.ctx.p)
-            s_abs = vq0 + N
-        p = self.ctx.p
-        vq = _vp(q.numerator, p) - _vp(q.denominator, p)
-        vhat = self._const_vhat()
-        rho = self.rho
-        vmin = self.vmin
+            vq = _vp(q.numerator, p) - _vp(q.denominator, p)
+            s_abs = vq + N
+        # Three channels, each the max of its lower-bound lines, combined by
+        # min at degree 0 and at D: (1) the series' own profile, shifted by
+        # v(s); (2) s's uncertainty on the data and (3) the relative-digit
+        # cap N, both the lines (vhat, rho) and (vmin, 0), offset by s_abs
+        # and by v(s) + N.
         pr = self.profile
-        channels = [
-            [(pr.p0 + vq, pr.slope), (pr.flat + vq, _ZERO)],
-            [(s_abs + vhat, rho), (s_abs + vmin, _ZERO)],
-            [(vhat + vq + N, rho), (vmin + vq + N, _ZERO)],
-        ]
-        profile = _combine_channels(channels, D)
-        target_shift = max(0, -(self.vmin + vq))
+        offset = min(s_abs, vq + N)
+        profile = Profile(
+            min(pr.at(0) + vq, offset + max(vhat, vmin)),
+            *_slope_min(pr.sn, pr.sd, rn, rd),
+            min(pr.at(D) + vq, offset + max(vhat + rn * D // rd, vmin)))
+        target_shift = max(0, -(vmin + vq))
         # headroom covers every per-degree modulus (flat may exceed p0)
         mod = p ** max(1, profile.p0 + target_shift,
                        profile.flat + target_shift)
@@ -588,9 +593,9 @@ class MultiSeries:
                 continue
             out[key - dec] = c * e
         profile = self.profile
-        if profile is not None and profile.slope != 0:
-            profile = Profile(profile.p0 + math.floor(profile.slope),
-                              profile.slope, profile.flat)
+        if profile is not None and profile.sn:
+            profile = Profile(profile.p0 + profile.sn // profile.sd,
+                              profile.sn, profile.sd, profile.flat)
         return MultiSeries(self.ctx, self.num_vars, self.shift, profile,
                            out)._normalized()
 
@@ -630,7 +635,7 @@ class MultiSeries:
         pa, pb = self.profile, other.profile
         prof_same = (pa is None and pb is None) or (
             pa is not None and pb is not None and pa.p0 == pb.p0
-            and pa.slope == pb.slope and pa.flat == pb.flat)
+            and pa.sn == pb.sn and pa.sd == pb.sd and pa.flat == pb.flat)
         return (self.ctx == other.ctx and self.num_vars == other.num_vars
                 and self.shift == other.shift and prof_same
                 and self.coeffs == other.coeffs)
@@ -650,37 +655,42 @@ def _mul_profile(a: MultiSeries, b: MultiSeries, cap: int) -> Profile:
 
     Channel 1: a's uncertainty times b's data; channel 2 symmetric;
     channel 3: the relative-digit cap N on top of the data valuations.
-    Each channel yields a sloped line and a flat bound (its value at the
-    cap); within a channel the max of the two is sound, across channels
-    the min.
+    Each channel is a few lower-bound lines (offset, slope); within a
+    channel their pointwise max is sound, across channels (independent
+    error sources) the min.  The result keeps the exact combined values at
+    degree 0 (p0) and at the cap (flat), and the smallest slope of any line.
     """
-    if a.profile is None and b.profile is None:
+    pa, pb = a.profile, b.profile
+    if pa is None and pb is None:
         return None
     N = a.ctx.abs_precision
-    vha, vhb = a._const_vhat(), b._const_vhat()
-    ra, rb = a.rho, b.rho
+    vma, vha, ran, rad, mda = a._summary()
+    vmb, vhb, rbn, rbd, mdb = b._summary()
     # the other factor's minimum degree caps how much room denominators have
-    room_a = max(0, cap - b.mindeg)
-    room_b = max(0, cap - a.mindeg)
-    lb_a = max(a.vmin, min(vha, math.floor(room_a * ra)))
-    lb_b = max(b.vmin, min(vhb, math.floor(room_b * rb)))
-    channels = []
-    if a.profile is not None:
-        pa = a.profile
-        channels.append([(pa.p0 + vhb, min(pa.slope, rb)),
-                         (pa.p0 + b.vmin, pa.slope),
-                         (pa.flat + lb_b, _ZERO)])
-    if b.profile is not None:
-        pb = b.profile
-        channels.append([(pb.p0 + vha, min(pb.slope, ra)),
-                         (pb.p0 + a.vmin, pb.slope),
-                         (pb.flat + lb_a, _ZERO)])
-    joint = min(vha + vhb, vha + math.floor(room_b * rb),
-                vhb + math.floor(room_a * ra), math.floor(cap * min(ra, rb)))
-    channels.append([(vha + vhb + N, min(ra, rb)),
-                     (a.vmin + b.vmin + N, _ZERO),
-                     (joint + N, _ZERO)])
-    return _combine_channels(channels, cap)
+    fa = ran * max(0, cap - mdb) // rad     # floor(room_a * rho_a)
+    fb = rbn * max(0, cap - mda) // rbd
+    # channel 3: lines (vha + vhb, min(ra, rb)), (vma + vmb, 0), (joint, 0)
+    sn, sd = _slope_min(ran, rad, rbn, rbd)
+    joint = min(vha + vhb, vha + fb, vhb + fa, sn * cap // sd)
+    p0 = N + max(vha + vhb, vma + vmb, joint)
+    flat = N + max(vha + vhb + sn * cap // sd, vma + vmb, joint)
+    if pa is not None:
+        # lines (pa.p0 + vhb, min(pa, rb)), (pa.p0 + vmb, pa), (edge, 0)
+        edge = pa.flat + max(vmb, min(vhb, fb))
+        mn, md = _slope_min(pa.sn, pa.sd, rbn, rbd)
+        p0 = min(p0, max(pa.p0 + vhb, pa.p0 + vmb, edge))
+        flat = min(flat, max(pa.p0 + vhb + mn * cap // md,
+                             pa.p0 + vmb + pa.sn * cap // pa.sd, edge))
+        sn, sd = _slope_min(sn, sd, pa.sn, pa.sd)
+    if pb is not None:
+        # lines (pb.p0 + vha, min(pb, ra)), (pb.p0 + vma, pb), (edge, 0)
+        edge = pb.flat + max(vma, min(vha, fa))
+        mn, md = _slope_min(pb.sn, pb.sd, ran, rad)
+        p0 = min(p0, max(pb.p0 + vha, pb.p0 + vma, edge))
+        flat = min(flat, max(pb.p0 + vha + mn * cap // md,
+                             pb.p0 + vma + pb.sn * cap // pb.sd, edge))
+        sn, sd = _slope_min(sn, sd, pb.sn, pb.sd)
+    return Profile(p0, sn, sd, flat)
 
 
 class TupleSeries:
@@ -825,16 +835,21 @@ def tuple_compose(f, g, cap=None):
     D = ctx.degree_cap if cap is None else min(cap, ctx.degree_cap)
     target_vars = gs[0].num_vars
     caches = [_PowerCache(comp, D) for comp in gs]
-    rho_g = min((comp.rho for comp in gs), default=_ZERO)
-    vmin_g = min((comp.vmin for comp in gs), default=0)
-    amp = max(math.floor(D * rho_g), D * min(0, vmin_g))
+    summaries = [comp._summary() for comp in gs]
+    rn, rd = 0, 1                  # rho_g: the smallest inner rho
+    for _, _, n, d, _ in summaries:
+        rn, rd = _slope_min(rn, rd, n, d)
+    vmin_g = min((sm[0] for sm in summaries), default=0)
+    amp = max(rn * D // rd, D * min(0, vmin_g))
     out = []
     for ft in fs:
         res = _compose_one(ft, caches, D, target_vars)
         if ft.profile is not None:
-            # f's unstored tail at degree k, amplified by inner monomials
+            # f's unstored tail at degree k, amplified by inner monomials;
+            # its slope is pf.slope + rho_g
             pf = ft.profile
-            tail = Profile(pf.p0, pf.slope + rho_g, pf.flat + amp)
+            tail = Profile(pf.p0, *_reduced(pf.sn * rd + rn * pf.sd,
+                                            pf.sd * rd), pf.flat + amp)
             res = res._with_profile(tail)
         out.append(res)
     return out[0] if single else TupleSeries(out)
@@ -924,12 +939,6 @@ def mat_mul(a, b):
             row.append(acc)
         out.append(row)
     return out
-
-
-def mat_identity(ctx, d):
-    one = PadicScalar.exact(ctx, 1)
-    zero = PadicScalar.zero(ctx)
-    return [[one if i == j else zero for j in range(d)] for i in range(d)]
 
 
 def mat_det(rows) -> PadicScalar:

@@ -9,8 +9,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
-from fglab.padic import ExtensionModulus, PrecisionContext
+from fglab.padic import ExtensionModulus, PadicScalar, PrecisionContext
+
+# Property tests replay the same examples on every run and carry no
+# per-example deadline (timings on a shared host are too noisy for one).
+settings.register_profile("fglab", derandomize=True, deadline=None)
+settings.load_profile("fglab")
 
 
 def cyclotomic_modulus(ctx: PrecisionContext, k: int) -> ExtensionModulus:
@@ -89,6 +95,95 @@ def assert_series_matches(ms, expected: dict):
         got = ms.coefficient(exps)
         assert got.same_at_working_precision(want), \
             f"coefficient at {exps}: absent, want {want}"
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference for the series precision bookkeeping
+# ---------------------------------------------------------------------------
+
+def ref_valuation(q, p: int) -> int:
+    """p-adic valuation of a nonzero rational, by repeated division."""
+    q = Fraction(q)
+    v = 0
+    while q.numerator % p == 0:
+        q /= p
+        v += 1
+    while q.denominator % p == 0:
+        q *= p
+        v -= 1
+    return v
+
+
+def ref_summary(ms):
+    """(vmin, vhat, rho, mindeg) of a series, read off its terms().
+
+    vmin: smallest coefficient valuation; vhat: min(0, valuation of the
+    constant term); rho: min(0, v/degree over positive-degree terms);
+    mindeg: smallest degree present.  Each is 0 for an empty series.
+    """
+    pairs = [(sum(e), c.valuation()) for e, c in ms.terms()]
+    return (min((v for _, v in pairs), default=0),
+            min([0] + [v for d, v in pairs if d == 0]),
+            min([Fraction(0)] + [Fraction(v, d) for d, v in pairs if d]),
+            min((d for d, _ in pairs), default=0))
+
+
+def ref_profile_at(p0: int, slope, flat: int, d: int) -> int:
+    return max(flat, p0 + math.floor(Fraction(slope) * d))
+
+
+def _ref_combine(channels, horizon):
+    """Max of the lines within a channel, min across channels, kept at
+    degree 0 and at the horizon; the slope is the smallest of all."""
+    p0 = min(max(v0 for v0, _ in ch) for ch in channels)
+    flat = min(max(v0 + math.floor(s * horizon) for v0, s in ch)
+               for ch in channels)
+    slope = min(s for ch in channels for _, s in ch)
+    return p0, Fraction(slope), flat
+
+
+def ref_mul_profile(a, b, cap):
+    """(p0, slope, flat) of the product a*b truncated at cap."""
+    if a.profile is None and b.profile is None:
+        return None
+    N = a.ctx.abs_precision
+    vma, vha, ra, mda = ref_summary(a)
+    vmb, vhb, rb, mdb = ref_summary(b)
+    room_a = max(0, cap - mdb)
+    room_b = max(0, cap - mda)
+    lb_a = max(vma, min(vha, math.floor(room_a * ra)))
+    lb_b = max(vmb, min(vhb, math.floor(room_b * rb)))
+    channels = []
+    if a.profile is not None:
+        pa = a.profile
+        channels.append([(pa.p0 + vhb, min(pa.slope, rb)),
+                         (pa.p0 + vmb, pa.slope), (pa.flat + lb_b, 0)])
+    if b.profile is not None:
+        pb = b.profile
+        channels.append([(pb.p0 + vha, min(pb.slope, ra)),
+                         (pb.p0 + vma, pb.slope), (pb.flat + lb_a, 0)])
+    joint = min(vha + vhb, vha + math.floor(room_b * rb),
+                vhb + math.floor(room_a * ra), math.floor(cap * min(ra, rb)))
+    channels.append([(vha + vhb + N, min(ra, rb)), (vma + vmb + N, 0),
+                     (joint + N, 0)])
+    return _ref_combine(channels, cap)
+
+
+def ref_scale_profile(ms, s):
+    """(p0, slope, flat) of ms.scale(s) for a nonzero scalar s."""
+    N, D = ms.ctx.abs_precision, ms.ctx.degree_cap
+    vmin, vhat, rho, _ = ref_summary(ms)
+    if isinstance(s, PadicScalar):
+        vq, s_abs = s.valuation(), s.v + s.rel
+    else:
+        vq = ref_valuation(s, ms.ctx.p)
+        s_abs = vq + N
+    pr = ms.profile
+    return _ref_combine([
+        [(pr.p0 + vq, pr.slope), (pr.flat + vq, 0)],
+        [(s_abs + vhat, rho), (s_abs + vmin, 0)],
+        [(vhat + vq + N, rho), (vmin + vq + N, 0)],
+    ], D)
 
 
 @pytest.fixture

@@ -185,6 +185,20 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 13
 
 
+def test_non_integer_document_fields_exit_13(tmp_path, capsys):
+    ctx = PrecisionContext(5, 12, 8)
+    f = MultiSeries.from_terms(ctx, 2, {(0, 0): 5, (1, 0): 1, (1, 2): 1})
+    doc = serialize(f)
+    for old, new in (("p: 5", "p: five"),
+                     ("component 0 profile", "component x profile")):
+        bad = tmp_path / "bad.doc"
+        bad.write_text(doc.replace(old, new, 1))
+        code, out, err = run(capsys, "copolygon", "--in", str(bad),
+                             "--xi", "1,1", "--format", "machine")
+        assert code == 13 and out == ""
+        assert err.startswith("fglab: line ")
+
+
 def test_build_lt2_with_explicit_degree(tmp_path, capsys):
     group = tmp_path / "g8.doc"
     code, out, _ = run(capsys, "build-lt2", "--p", "2", "--h1", "1",

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fglab.errors import DivergentPoint
+from fglab.errors import DivergentPoint, DivisionByZero
 from fglab.padic import (
     ExtensionModulus,
     ExtScalar,
@@ -22,6 +22,7 @@ from fglab.formal_group import (
 )
 from fglab.dynamics import (
     Copolygon,
+    _newton_lift,
     copolygon_build_eval,
     intersection_probe,
     orbit_analyze,
@@ -307,3 +308,26 @@ def test_intersection_with_twisted_law():
     assert rep.count_first == 5
     assert "distinct laws" in rep.verdict
     assert len(rep.shared) >= 1        # origin is always shared
+
+
+@pytest.mark.parametrize("raised,propagates", [
+    (DivisionByZero("divisor is zero at working precision"), False),
+    (RuntimeError("a defect, not a precision limit"), True),
+])
+def test_newton_lift_catches_only_typed_division_errors(
+        ctx5, monkeypatch, raised, propagates):
+    mod = ExtensionModulus.base(ctx5)
+    # G(x) = x^2 + x - 6 and G'(x) = 2x + 1, both nonzero at x = 1
+    coeffs = [ExtScalar.from_poly(mod, [c]) for c in (-6, 1, 1)]
+    dcoeffs = [ExtScalar.from_poly(mod, [c]) for c in (1, 2)]
+    x = ExtScalar.from_poly(mod, [1])
+
+    def divide(self, other):
+        raise raised
+
+    monkeypatch.setattr(ExtScalar, "__truediv__", divide)
+    if propagates:
+        with pytest.raises(RuntimeError):
+            _newton_lift(coeffs, dcoeffs, x, 3)
+    else:
+        assert _newton_lift(coeffs, dcoeffs, x, 3) is None

@@ -99,6 +99,27 @@ def test_parse_rejects_non_unit_digits(ctx5):
         parse(broken)
 
 
+@pytest.mark.parametrize("old,new", [
+    ("p: 5", "p: five"),
+    ("abs-precision: 12", "abs-precision: twelve"),
+    ("degree-cap: 8", "degree-cap: 8.0"),
+    ("num-vars: 2", "num-vars: two"),
+    ("components: 1", "components: one"),
+    ("components: 1", "components: 0"),
+    ("dimension: 1", "dimension: 1x"),
+    ("certified-degree: 8", "certified-degree: eight"),
+    ("component 0 profile", "component x profile"),
+    ("component 0 profile 12 0 12", "component 0 profile twelve 0 12"),
+    ("component 0 profile 12 0 12", "component 0 profile 12 0 1.5"),
+])
+def test_parse_rejects_non_integer_fields(ctx5, old, new):
+    doc = serialize(multiplicative_law(ctx5))
+    assert old in doc
+    with pytest.raises(ParseError) as err:
+        parse(doc.replace(old, new, 1))
+    assert err.value.line > 0
+
+
 def test_extension_round_trip(ctx5):
     mod = cyclotomic_modulus(ctx5, 1)
     doc = serialize_extension(mod)
