@@ -10,6 +10,12 @@ because finite-precision arguments can only ever certify the latter.
 Extensions are user-supplied monic moduli over Z_p tagged ``eisenstein``
 (totally ramified, v(t) = 1/e) or ``unramified`` (residue degree f); no
 factorization or automatic extension discovery happens here.
+
+One integer kernel carries the scalar rules for both classes: the
+module-level functions ``_build``, ``_zero_at``, ``_add``, ``_mul`` and
+``_neg`` work on plain ``(v, unit, rel)`` triples.  ``PadicScalar``'s
+operators coerce, call the kernel and wrap the triple; ``ExtScalar`` runs
+its coefficient loops on triples and wraps only its d output coefficients.
 """
 
 from __future__ import annotations
@@ -71,8 +77,87 @@ class PrecisionContext:
             raise ValueError("degree_cap must be >= 2")
 
     def require_same(self, other: "PrecisionContext"):
-        if self != other:
+        if self is not other and self != other:
             raise MixedContext(f"contexts differ: {self} vs {other}")
+
+
+# ---------------------------------------------------------------------------
+# scalar kernel
+# ---------------------------------------------------------------------------
+# The rules of PadicScalar arithmetic on (v, unit, rel) triples, in the three
+# states of PadicScalar: (None, 0, None) is the exact zero, (None, 0, k) is
+# zero modulo p^k, and (v, unit, rel) is p^v * unit known modulo p^(v + rel).
+# Only the exact zero has rel None.  p is the prime and N the cap on rel.
+
+_EXACT_ZERO = (None, 0, None)
+
+
+def _build(p, N, v, unit, rel):
+    """Normalized nonzero triple; raises if no certified digit remains."""
+    if rel > N:
+        rel = N
+    if rel < 1:
+        raise PrecisionExhausted(
+            f"result at valuation {v} retains {rel} certified digits")
+    if v + rel < 1:
+        raise PrecisionExhausted(
+            f"known precision p^{v + rel} dropped below p^1")
+    return (v, unit % p ** rel, rel)
+
+
+def _zero_at(N, prec):
+    """Zero modulo p^prec with nothing certified beyond."""
+    if prec < 1:
+        raise PrecisionExhausted(
+            f"zero certified only modulo p^{prec}: no digits remain")
+    return (None, 0, prec if prec < N else N)
+
+
+def _add(p, N, a, b):
+    av, au, ar = a
+    if ar is None:
+        return b
+    bv, bu, br = b
+    if br is None:
+        return a
+    ka = ar if av is None else av + ar
+    kb = br if bv is None else bv + br
+    absprec = ka if ka < kb else kb
+    # a zero, or a digit at or beyond absprec, adds nothing modulo p^absprec
+    va = absprec if av is None else av
+    vb = absprec if bv is None else bv
+    vmin = min(va, vb, absprec)
+    if vmin >= absprec:
+        return _zero_at(N, absprec)
+    r = au * p ** (va - vmin) if va < absprec else 0
+    if vb < absprec:
+        r += bu * p ** (vb - vmin)
+    r %= p ** (absprec - vmin)
+    if r == 0:
+        return _zero_at(N, absprec)
+    v = vmin
+    while r % p == 0:
+        r //= p
+        v += 1
+    return _build(p, N, v, r, absprec - v)
+
+
+def _neg(p, a):
+    v, u, rel = a
+    if v is None:
+        return a
+    return (v, -u % p ** rel, rel)
+
+
+def _mul(p, N, a, b):
+    av, au, ar = a
+    bv, bu, br = b
+    if ar is None or br is None:
+        return _EXACT_ZERO
+    if av is None or bv is None:
+        return _zero_at(N, (ar if av is None else av)
+                        + (br if bv is None else bv))
+    return _build(p, N, av + bv, au * bu, ar if ar < br else br)
 
 
 class PadicScalar:
@@ -128,22 +213,12 @@ class PadicScalar:
     @classmethod
     def zero_at(cls, ctx: PrecisionContext, prec: int) -> "PadicScalar":
         """Zero modulo p^prec with nothing certified beyond."""
-        if prec < 1:
-            raise PrecisionExhausted(
-                f"zero certified only modulo p^{prec}: no digits remain")
-        return cls(ctx, None, 0, min(prec, ctx.abs_precision))
+        return cls(ctx, *_zero_at(ctx.abs_precision, prec))
 
     @classmethod
     def _build(cls, ctx, v, unit, rel) -> "PadicScalar":
         """Normalized nonzero scalar; raises if no certified digit remains."""
-        rel = min(rel, ctx.abs_precision)
-        if rel < 1:
-            raise PrecisionExhausted(
-                f"result at valuation {v} retains {rel} certified digits")
-        if v + rel < 1:
-            raise PrecisionExhausted(
-                f"known precision p^{v + rel} dropped below p^1")
-        return cls(ctx, v, unit % (ctx.p ** rel), rel)
+        return cls(ctx, *_build(ctx.p, ctx.abs_precision, v, unit, rel))
 
     # -- predicates and accessors -----------------------------------------
 
@@ -229,62 +304,45 @@ class PadicScalar:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        a = self
-        if a.is_exact_zero:
-            return b
-        if b.is_exact_zero:
-            return a
-        absprec = min(a.known_precision, b.known_precision)
-        va = a.v if a.v is not None else absprec
-        vb = b.v if b.v is not None else absprec
-        vmin = min(va, vb, absprec)
-        if vmin >= absprec:
-            return PadicScalar.zero_at(a.ctx, absprec)
-        p = a.ctx.p
-        span = absprec - vmin
-        mod = p ** span
-        ra = (a.unit * p ** (va - vmin)) % mod if a.v is not None else 0
-        rb = (b.unit * p ** (vb - vmin)) % mod if b.v is not None else 0
-        r = (ra + rb) % mod
-        if r == 0:
-            return PadicScalar.zero_at(a.ctx, absprec)
-        w = _vp(r, p)
-        v = vmin + w
-        if v >= absprec:
-            return PadicScalar.zero_at(a.ctx, absprec)
-        return PadicScalar._build(a.ctx, v, r // p ** w, absprec - v)
+        ctx = self.ctx
+        return PadicScalar(ctx, *_add(ctx.p, ctx.abs_precision,
+                                      (self.v, self.unit, self.rel),
+                                      (b.v, b.unit, b.rel)))
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.v is None:
             return self
-        return PadicScalar(self.ctx, self.v,
-                           (-self.unit) % self.ctx.p ** self.rel, self.rel)
+        return PadicScalar(self.ctx, *_neg(self.ctx.p,
+                                           (self.v, self.unit, self.rel)))
 
     def __sub__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        return self + (-b)
+        ctx = self.ctx
+        return PadicScalar(ctx, *_add(ctx.p, ctx.abs_precision,
+                                      (self.v, self.unit, self.rel),
+                                      _neg(ctx.p, (b.v, b.unit, b.rel))))
 
     def __rsub__(self, other):
-        return (-self) + other
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
+        ctx = self.ctx
+        return PadicScalar(ctx, *_add(ctx.p, ctx.abs_precision,
+                                      _neg(ctx.p, (self.v, self.unit, self.rel)),
+                                      (b.v, b.unit, b.rel)))
 
     def __mul__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        a = self
-        if a.is_exact_zero or b.is_exact_zero:
-            return PadicScalar.zero(a.ctx)
-        if a.v is None or b.v is None:
-            bound_a = a.v if a.v is not None else a.rel
-            bound_b = b.v if b.v is not None else b.rel
-            return PadicScalar.zero_at(a.ctx, bound_a + bound_b)
-        rel = min(a.rel, b.rel)
-        return PadicScalar._build(a.ctx, a.v + b.v,
-                                  a.unit * b.unit % a.ctx.p ** rel, rel)
+        ctx = self.ctx
+        return PadicScalar(ctx, *_mul(ctx.p, ctx.abs_precision,
+                                      (self.v, self.unit, self.rel),
+                                      (b.v, b.unit, b.rel)))
 
     __rmul__ = __mul__
 
@@ -499,7 +557,7 @@ class ExtensionModulus:
     """A validated monic modulus e(t) over Z_p defining O = Z_p[t]/(e(t))."""
 
     __slots__ = ("ctx", "coeffs", "tag", "degree", "ram_index", "res_degree",
-                 "_int_coeffs")
+                 "_neg_low")
 
     def __init__(self, ctx: PrecisionContext, coeffs, tag: str):
         self.ctx = ctx
@@ -535,7 +593,8 @@ class ExtensionModulus:
             self.res_degree = self.degree
         else:
             raise BadModulus(f"unknown tag {tag!r}")
-        self._int_coeffs = None
+        # -c_i as kernel triples: reducing t^d subtracts c_i t^i, i < d
+        self._neg_low = tuple(_neg(ctx.p, (c.v, c.unit, c.rel)) for c in low)
 
     @classmethod
     def base(cls, ctx: PrecisionContext) -> "ExtensionModulus":
@@ -543,6 +602,8 @@ class ExtensionModulus:
         return cls(ctx, [-1, 1], "unramified")
 
     def same_as(self, other: "ExtensionModulus") -> bool:
+        if self is other:
+            return True
         if self.ctx != other.ctx or self.degree != other.degree:
             return False
         return all(a.same_at_working_precision(b)
@@ -573,19 +634,14 @@ class ExtScalar:
     def from_poly(cls, modulus: ExtensionModulus, coeffs) -> "ExtScalar":
         """Reduce an arbitrary polynomial in t modulo the modulus."""
         ctx = modulus.ctx
-        work = [PadicScalar.exact(ctx, c) if not isinstance(c, PadicScalar)
-                else c for c in coeffs]
-        d = modulus.degree
-        while len(work) > d:
-            top = work.pop()
-            if top.is_exact_zero:
-                continue
-            shift = len(work) - d
-            for i in range(d):
-                work[shift + i] = work[shift + i] - top * modulus.coeffs[i]
-        while len(work) < d:
-            work.append(PadicScalar.zero(ctx))
-        return cls(modulus, work)
+        work = []
+        for c in coeffs:
+            if isinstance(c, PadicScalar):
+                ctx.require_same(c.ctx)
+            else:
+                c = PadicScalar.exact(ctx, c)
+            work.append((c.v, c.unit, c.rel))
+        return cls(modulus, _reduce(modulus, work))
 
     @classmethod
     def zero(cls, modulus) -> "ExtScalar":
@@ -689,8 +745,12 @@ class ExtScalar:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        return ExtScalar(self.modulus,
-                         [x + y for x, y in zip(self.coeffs, b.coeffs)])
+        ctx = self.modulus.ctx
+        p, N = ctx.p, ctx.abs_precision
+        return ExtScalar(self.modulus, [
+            PadicScalar(ctx, *_add(p, N, (x.v, x.unit, x.rel),
+                                   (y.v, y.unit, y.rel)))
+            for x, y in zip(self.coeffs, b.coeffs)])
 
     __radd__ = __add__
 
@@ -701,31 +761,44 @@ class ExtScalar:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        return self + (-b)
+        ctx = self.modulus.ctx
+        p, N = ctx.p, ctx.abs_precision
+        return ExtScalar(self.modulus, [
+            PadicScalar(ctx, *_add(p, N, (x.v, x.unit, x.rel),
+                                   _neg(p, (y.v, y.unit, y.rel))))
+            for x, y in zip(self.coeffs, b.coeffs)])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        mod = self.modulus
+        ctx = mod.ctx
+        p, N = ctx.p, ctx.abs_precision
         if isinstance(other, (int, Fraction, PadicScalar)) and \
                 not isinstance(other, ExtScalar):
-            s = other if isinstance(other, PadicScalar) \
-                else PadicScalar.exact(self.ctx, other)
-            return ExtScalar(self.modulus, [c * s for c in self.coeffs])
+            if isinstance(other, PadicScalar):
+                ctx.require_same(other.ctx)
+                s = other
+            else:
+                s = PadicScalar.exact(ctx, other)
+            ts = (s.v, s.unit, s.rel)
+            return ExtScalar(mod, [
+                PadicScalar(ctx, *_mul(p, N, (c.v, c.unit, c.rel), ts))
+                for c in self.coeffs])
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        d = self.modulus.degree
-        zero = PadicScalar.zero(self.ctx)
-        conv = [zero] * (2 * d - 1)
+        conv = [_EXACT_ZERO] * (2 * mod.degree - 1)
+        tb = [(c.v, c.unit, c.rel) for c in b.coeffs]
         for i, a in enumerate(self.coeffs):
-            if a.is_exact_zero:
+            if a.rel is None:
                 continue
-            for j, bb in enumerate(b.coeffs):
-                if bb.is_exact_zero:
-                    continue
-                conv[i + j] = conv[i + j] + a * bb
-        return ExtScalar.from_poly(self.modulus, conv)
+            ta = (a.v, a.unit, a.rel)
+            for j, y in enumerate(tb):
+                if y[2] is not None:
+                    conv[i + j] = _add(p, N, conv[i + j], _mul(p, N, ta, y))
+        return ExtScalar(mod, _reduce(mod, conv))
 
     __rmul__ = __mul__
 
@@ -857,6 +930,25 @@ class ExtScalar:
         parts = [f"({c!r})*t^{i}" for i, c in enumerate(self.coeffs)
                  if not c.is_zero]
         return " + ".join(parts) if parts else "0"
+
+
+def _reduce(modulus: ExtensionModulus, work: list) -> list:
+    """Reduce a list of kernel triples modulo the modulus, in place, and
+    wrap the d remaining coefficients as PadicScalars."""
+    ctx = modulus.ctx
+    p, N = ctx.p, ctx.abs_precision
+    d = modulus.degree
+    neg_low = modulus._neg_low
+    while len(work) > d:
+        top = work.pop()
+        if top[2] is None:
+            continue
+        shift = len(work) - d
+        for i in range(d):
+            k = shift + i
+            work[k] = _add(p, N, work[k], _mul(p, N, top, neg_low[i]))
+    work.extend([_EXACT_ZERO] * (d - len(work)))
+    return [PadicScalar(ctx, v, u, rel) for v, u, rel in work]
 
 
 def _poly_divmod_mod_p(a, b, p):
