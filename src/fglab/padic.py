@@ -114,6 +114,7 @@ def _zero_at(N, prec):
 
 
 def _add(p, N, a, b):
+    """a + b, known modulo the weaker of the two precisions."""
     av, au, ar = a
     if ar is None:
         return b
@@ -126,11 +127,16 @@ def _add(p, N, a, b):
     # a zero, or a digit at or beyond absprec, adds nothing modulo p^absprec
     va = absprec if av is None else av
     vb = absprec if bv is None else bv
-    vmin = min(va, vb, absprec)
+    vmin = va if va < vb else vb
     if vmin >= absprec:
         return _zero_at(N, absprec)
-    r = au * p ** (va - vmin) if va < absprec else 0
-    if vb < absprec:
+    if va == vmin:
+        r = au
+    else:
+        r = au * p ** (va - vmin) if va < absprec else 0
+    if vb == vmin:
+        r += bu
+    elif vb < absprec:
         r += bu * p ** (vb - vmin)
     r %= p ** (absprec - vmin)
     if r == 0:
@@ -139,10 +145,14 @@ def _add(p, N, a, b):
     while r % p == 0:
         r //= p
         v += 1
-    return _build(p, N, v, r, absprec - v)
+    rel = absprec - v
+    if absprec < 1 or rel > N:      # r < p^rel already: _build only checks
+        return _build(p, N, v, r, rel)
+    return (v, r, rel)
 
 
 def _neg(p, a):
+    """-a, at the precision of a."""
     v, u, rel = a
     if v is None:
         return a
@@ -150,6 +160,7 @@ def _neg(p, a):
 
 
 def _mul(p, N, a, b):
+    """a * b, at the smaller relative precision of the two."""
     av, au, ar = a
     bv, bu, br = b
     if ar is None or br is None:
@@ -157,7 +168,13 @@ def _mul(p, N, a, b):
     if av is None or bv is None:
         return _zero_at(N, (ar if av is None else av)
                         + (br if bv is None else bv))
-    return _build(p, N, av + bv, au * bu, ar if ar < br else br)
+    rel = ar if ar < br else br
+    if rel > N:
+        rel = N
+    v = av + bv
+    if rel < 1 or v + rel < 1:      # no digit left: _build raises
+        return _build(p, N, v, au * bu, rel)
+    return (v, au * bu % p ** rel, rel)
 
 
 class PadicScalar:
