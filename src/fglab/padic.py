@@ -867,7 +867,11 @@ class ExtScalar:
             if err.is_zero:
                 break
             y = y + y * err
-        return y
+        else:
+            err = one - self * y
+        # y's own precision comes from arithmetic, not from convergence:
+        # 1/x - y = err/x with x a unit, so y is true only to v(err)
+        return y.cap_precision(err.valuation_lower_bound())
 
     def inverse(self) -> "ExtScalar":
         if self.is_zero:

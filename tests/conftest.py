@@ -19,16 +19,102 @@ settings.register_profile("fglab", derandomize=True, deadline=None)
 settings.load_profile("fglab")
 
 
-def cyclotomic_modulus(ctx: PrecisionContext, k: int) -> ExtensionModulus:
-    """Phi_(p^k)(1 + t): Eisenstein of degree p^(k-1) (p - 1)."""
-    p = ctx.p
+def cyclotomic_coeffs(p: int, k: int) -> list:
+    """Integer coefficients of Phi_(p^k)(1 + t), constant term first."""
     pk1 = p ** (k - 1)
     coeffs = [0] * (pk1 * (p - 1) + 1)
     for i in range(p):
         e = i * pk1
         for j in range(e + 1):
             coeffs[j] += math.comb(e, j)
-    return ExtensionModulus(ctx, coeffs, "eisenstein")
+    return coeffs
+
+
+def cyclotomic_modulus(ctx: PrecisionContext, k: int) -> ExtensionModulus:
+    """Phi_(p^k)(1 + t): Eisenstein of degree p^(k-1) (p - 1)."""
+    return ExtensionModulus(ctx, cyclotomic_coeffs(ctx.p, k), "eisenstein")
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracle for Q[t]/(e(t)) (independent of the extension layer)
+# ---------------------------------------------------------------------------
+# An element is a list of d Fractions, constant term first; e is a monic
+# integer polynomial of degree d, constant term first, irreducible over Q.
+
+def qt_reduce(a: list, e: list) -> list:
+    d = len(e) - 1
+    a = [Fraction(c) for c in a] + [Fraction(0)] * max(0, d - len(a))
+    for top in range(len(a) - 1, d - 1, -1):
+        c = a[top]
+        if c:
+            for i in range(d + 1):
+                a[top - d + i] -= c * e[i]
+    return a[:d]
+
+
+def qt_add(a: list, b: list) -> list:
+    return [x + y for x, y in zip(a, b)]
+
+
+def qt_sub(a: list, b: list) -> list:
+    return [x - y for x, y in zip(a, b)]
+
+
+def qt_mul(a: list, b: list, e: list) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return qt_reduce(out, e)
+
+
+def qt_inverse(a: list, e: list) -> list:
+    """Solve a * s = 1 by Gaussian elimination on the matrix of t^j * a;
+    None when a is zero."""
+    d = len(e) - 1
+    cols, col = [], list(a)
+    for _ in range(d):
+        cols.append(col)
+        col = qt_reduce([Fraction(0)] + col, e)
+    rows = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))]
+            for i in range(d)]
+    for c in range(d):
+        piv = next((r for r in range(c, d) if rows[r][c]), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = 1 / rows[c][c]
+        rows[c] = [x * inv for x in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [rows[i][d] for i in range(d)]
+
+
+def ext_representative(x, p: int) -> list:
+    """The stored representative p^v * unit of each coefficient, read off
+    the (v, unit, rel) fields."""
+    return [Fraction(0) if c.v is None else Fraction(c.unit) * Fraction(p) ** c.v
+            for c in x.coeffs]
+
+
+def assert_ext_certified(x, exact: list, p: int):
+    """Every certified digit of x agrees with the exact value: each stored
+    coefficient matches its exact counterpart modulo the precision the
+    coefficient claims."""
+    for i, (got, want) in enumerate(zip(ext_representative(x, p), exact)):
+        c = x.coeffs[i]
+        if c.v is None and c.rel is None:
+            known = math.inf
+        elif c.v is None:
+            known = c.rel
+        else:
+            known = c.v + c.rel
+        diff = want - got
+        assert diff == 0 or ref_valuation(diff, p) >= known, \
+            f"coefficient {i}: claims {c!r}, exact value {want}"
 
 
 # ---------------------------------------------------------------------------
