@@ -494,28 +494,39 @@ def _poly_mul_mod_p(a, b, p):
     return out
 
 
-def _poly_rem_mod_p(a, m, p):
+def _poly_divmod_mod_p(a, b, p):
+    """Quotient and remainder (trailing zeros stripped) modulo p."""
     a = [c % p for c in a]
-    dm = len(m) - 1
-    inv = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm and any(a):
+    b = [c % p for c in b]
+    while b and b[-1] == 0:
+        b.pop()
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(1, len(a) - db)
+    while True:
         while a and a[-1] == 0:
             a.pop()
-        if len(a) - 1 < dm:
+        if len(a) - 1 < db or not any(a):
             break
         c = a[-1] * inv % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return a
+        shift = len(a) - 1 - db
+        q[shift] = c
+        for i, bi in enumerate(b):
+            a[shift + i] = (a[shift + i] - c * bi) % p
+    return q, a
+
+
+def _poly_sub_mod_p(a, b, p):
+    n = max(len(a), len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
+    return [(x - y) % p for x, y in zip(a, b)]
 
 
 def _poly_gcd_mod_p(a, b, p):
     a, b = [c % p for c in a], [c % p for c in b]
     while any(b):
-        a, b = b, _poly_rem_mod_p(a, b, p)
+        a, b = b, _poly_divmod_mod_p(a, b, p)[1]
         while a and a[-1] == 0:
             a.pop()
         while b and b[-1] == 0:
@@ -525,11 +536,12 @@ def _poly_gcd_mod_p(a, b, p):
 
 def _poly_powmod_mod_p(base, e, m, p):
     result = [1]
-    base = _poly_rem_mod_p(base, m, p)
+    base = _poly_divmod_mod_p(base, m, p)[1]
     while e:
         if e & 1:
-            result = _poly_rem_mod_p(_poly_mul_mod_p(result, base, p), m, p)
-        base = _poly_rem_mod_p(_poly_mul_mod_p(base, base, p), m, p)
+            result = _poly_divmod_mod_p(
+                _poly_mul_mod_p(result, base, p), m, p)[1]
+        base = _poly_divmod_mod_p(_poly_mul_mod_p(base, base, p), m, p)[1]
         e >>= 1
     return result
 
@@ -540,7 +552,7 @@ def _irreducible_mod_p(coeffs, p) -> bool:
     if n < 1:
         return False
     m = [c % p for c in coeffs]
-    x = _poly_rem_mod_p([0, 1], m, p)
+    x = _poly_divmod_mod_p([0, 1], m, p)[1]
     # x^(p^n) == x mod (m, p)
     t = x
     for _ in range(n):
@@ -970,34 +982,6 @@ def _reduce(modulus: ExtensionModulus, work: list) -> list:
             work[k] = _add(p, N, work[k], _mul(p, N, top, neg_low[i]))
     work.extend([_EXACT_ZERO] * (d - len(work)))
     return [PadicScalar(ctx, v, u, rel) for v, u, rel in work]
-
-
-def _poly_divmod_mod_p(a, b, p):
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while b and b[-1] == 0:
-        b.pop()
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(1, len(a) - db)
-    while True:
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db or not any(a):
-            break
-        c = a[-1] * inv % p
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-    return q, a
-
-
-def _poly_sub_mod_p(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return [(x - y) % p for x, y in zip(a, b)]
 
 
 def _t_inverse(modulus: ExtensionModulus) -> ExtScalar:
