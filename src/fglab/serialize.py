@@ -183,6 +183,8 @@ def parse(text: str):
             if len(parts) != 6:
                 raise ParseError(ln, "profile needs p0, slope, flat")
             slope = _parse_fraction(parts[4], ln)
+            if slope > 0:
+                raise ParseError(ln, "profile slope must not be positive")
             profile = Profile(_parse_int(parts[3], ln, "profile p0"),
                               slope.numerator, slope.denominator,
                               _parse_int(parts[5], ln, "profile flat"))
@@ -212,6 +214,13 @@ def parse(text: str):
                 unit = unit * p + d
             if unit % p == 0:
                 raise ParseError(ln, "unit part divisible by p")
+            # the writer emits min(prof(d) - v, N) digits, as coefficient()
+            # certifies them; any other count claims digits nobody checked
+            want = absprec if profile is None \
+                else min(profile.at(sum(exps)) - v, absprec)
+            if len(digits) != want:
+                raise ParseError(ln, f"{len(digits)} digits where the profile "
+                                     f"certifies {want}")
             entries[exps] = (v, unit, len(digits))
             vmin = min(vmin, v)
         shift = max(0, -vmin)

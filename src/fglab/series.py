@@ -533,12 +533,18 @@ class MultiSeries:
         # v(s); (2) s's uncertainty on the data and (3) the relative-digit
         # cap N, both the lines (vhat, rho) and (vmin, 0), offset by s_abs
         # and by v(s) + N.
+        # An exact series (profile None, as a parsed ``profile exact``
+        # document gives) has no channel (1), as in ``add``.
         pr = self.profile
         offset = min(s_abs, vq + N)
-        profile = Profile(
-            min(pr.at(0) + vq, offset + max(vhat, vmin)),
-            *_slope_min(pr.sn, pr.sd, rn, rd),
-            min(pr.at(D) + vq, offset + max(vhat + rn * D // rd, vmin)))
+        p0 = offset + max(vhat, vmin)
+        sn, sd = rn, rd
+        flat = offset + max(vhat + rn * D // rd, vmin)
+        if pr is not None:
+            p0 = min(pr.at(0) + vq, p0)
+            sn, sd = _slope_min(pr.sn, pr.sd, rn, rd)
+            flat = min(pr.at(D) + vq, flat)
+        profile = Profile(p0, sn, sd, flat)
         target_shift = max(0, -(vmin + vq))
         # headroom covers every per-degree modulus (flat may exceed p0)
         mod = p ** max(1, profile.p0 + target_shift,

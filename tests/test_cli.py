@@ -231,3 +231,15 @@ def test_report_written_to_file(tmp_path, capsys):
                        "--format", "machine", "--out", str(out_path))
     assert code == 0 and out == ""
     assert json.loads(out_path.read_text())["height"] == "1"
+
+
+def test_digit_count_mismatch_exits_13(tmp_path, capsys):
+    ctx = PrecisionContext(5, 12, 8)
+    doc = serialize(MultiSeries.from_terms(ctx, 2, {(1, 0): 1, (1, 2): 1}))
+    bad = tmp_path / "bad.doc"
+    bad.write_text(doc.replace("| 0 | 1 0 0", "| 0 | 1 0", 1))
+    assert bad.read_text() != doc
+    code, out, err = run(capsys, "copolygon", "--in", str(bad),
+                         "--xi", "1,1", "--format", "machine")
+    assert code == 13 and out == ""
+    assert err.startswith("fglab: line ")

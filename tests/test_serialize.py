@@ -132,3 +132,38 @@ def test_extension_base_round_trip(ctx5):
     mod = ExtensionModulus.base(ctx5)
     back = parse_extension(serialize_extension(mod), ctx5)
     assert back.same_as(mod)
+
+
+def test_parse_rejects_digit_count_other_than_the_profile_gives(ctx5):
+    doc = serialize(multiplicative_law(ctx5))
+    lines = doc.splitlines()
+    i = next(k for k, ln in enumerate(lines) if ln.count("|") == 2)
+    head, _, digits = lines[i].rpartition("| ")
+    for bad in (digits.split()[:-1], digits.split() + ["1"]):
+        broken = lines[:i] + [head + "| " + " ".join(bad)] + lines[i + 1:]
+        with pytest.raises(ParseError) as err:
+            parse("\n".join(broken) + "\n")
+        assert err.value.line == i + 1
+
+
+def test_parse_rejects_positive_profile_slope():
+    # a slope of 1/2 would certify 16 digits at degree 8 with N = 12
+    ctx = PrecisionContext(5, 12, 8)
+    doc = serialize(MultiSeries.from_terms(ctx, 1, {(1,): 1}))
+    assert "profile 12 0 12" in doc
+    with pytest.raises(ParseError, match="slope"):
+        parse(doc.replace("profile 12 0 12", "profile 12 1/2 12"))
+
+
+def test_exact_profile_document_scales():
+    ctx = PrecisionContext(5, 12, 8)
+    terms = {(1, 0): 1, (0, 1): 3, (1, 1): 7, (2, 3): 124}
+    doc = serialize(MultiSeries.from_terms(ctx, 2, terms))
+    exact = parse(doc.replace("profile 12 0 12", "profile exact"))
+    assert exact.profile is None and exact.coeffs
+    for s in (3, Fraction(2, 5), 25):
+        out = exact.scale(s)
+        for exps, c in terms.items():
+            assert out.coefficient(exps).same_at_working_precision(c * s)
+    assert serialize(parse(serialize(exact.scale(3)))) == \
+        serialize(exact.scale(3))
