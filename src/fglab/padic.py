@@ -12,10 +12,12 @@ Extensions are user-supplied monic moduli over Z_p tagged ``eisenstein``
 factorization or automatic extension discovery happens here.
 
 One integer kernel carries the scalar rules for both classes: the
-module-level functions ``_build``, ``_zero_at``, ``_add``, ``_mul`` and
-``_neg`` work on plain ``(v, unit, rel)`` triples.  ``PadicScalar``'s
-operators coerce, call the kernel and wrap the triple; ``ExtScalar`` runs
-its coefficient loops on triples and wraps only its d output coefficients.
+module-level functions ``_build``, ``_zero_at``, ``_mul_add`` (with its
+special cases ``_mul`` and ``_add``) and ``_neg`` work on plain
+``(v, unit, rel)`` triples.  ``PadicScalar``'s operators coerce, call the
+kernel and wrap the triple; ``ExtScalar`` runs its coefficient loops on
+triples, one ``_mul_add`` per product term, and wraps only its d output
+coefficients.
 """
 
 from __future__ import annotations
@@ -113,31 +115,49 @@ def _zero_at(N, prec):
     return (None, 0, prec if prec < N else N)
 
 
-def _add(p, N, a, b):
-    """a + b, known modulo the weaker of the two precisions."""
+def _mul_add(p, N, c, a, b):
+    """c + a * b: the product rule, then the addition rule.
+
+    The sum is known modulo the weaker of the two precisions, the product
+    at the smaller relative precision of its factors.
+    """
     av, au, ar = a
-    if ar is None:
-        return b
     bv, bu, br = b
-    if br is None:
-        return a
-    ka = ar if av is None else av + ar
-    kb = br if bv is None else bv + br
-    absprec = ka if ka < kb else kb
+    if ar is None or br is None:
+        return c
+    if av is None or bv is None:
+        wv, wu, wr = _zero_at(N, (ar if av is None else av)
+                              + (br if bv is None else bv))
+        wk = wr
+    else:
+        wr = ar if ar < br else br
+        if wr > N:
+            wr = N
+        wv = av + bv
+        if wr < 1 or wv + wr < 1:       # no digit left: _build raises
+            return _build(p, N, wv, au * bu, wr)
+        # digits of au * bu beyond p^wr drop out of the sum's modulus
+        wu = au * bu
+        wk = wv + wr
+    cv, cu, cr = c
+    if cr is None:
+        return (wv, wu % p ** wr, wr) if wv is not None else (wv, wu, wr)
+    ck = cr if cv is None else cv + cr
+    absprec = ck if ck < wk else wk
     # a zero, or a digit at or beyond absprec, adds nothing modulo p^absprec
-    va = absprec if av is None else av
-    vb = absprec if bv is None else bv
+    va = absprec if cv is None else cv
+    vb = absprec if wv is None else wv
     vmin = va if va < vb else vb
     if vmin >= absprec:
         return _zero_at(N, absprec)
     if va == vmin:
-        r = au
+        r = cu
     else:
-        r = au * p ** (va - vmin) if va < absprec else 0
+        r = cu * p ** (va - vmin) if va < absprec else 0
     if vb == vmin:
-        r += bu
+        r += wu
     elif vb < absprec:
-        r += bu * p ** (vb - vmin)
+        r += wu * p ** (vb - vmin)
     r %= p ** (absprec - vmin)
     if r == 0:
         return _zero_at(N, absprec)
@@ -151,30 +171,22 @@ def _add(p, N, a, b):
     return (v, r, rel)
 
 
+def _mul(p, N, a, b):
+    """a * b."""
+    return _mul_add(p, N, _EXACT_ZERO, a, b)
+
+
+def _add(p, N, a, b):
+    """a + b, as a + b * 1 (b * 1 is b, its rel never exceeding N)."""
+    return _mul_add(p, N, a, b, (0, 1, N))
+
+
 def _neg(p, a):
     """-a, at the precision of a."""
     v, u, rel = a
     if v is None:
         return a
     return (v, -u % p ** rel, rel)
-
-
-def _mul(p, N, a, b):
-    """a * b, at the smaller relative precision of the two."""
-    av, au, ar = a
-    bv, bu, br = b
-    if ar is None or br is None:
-        return _EXACT_ZERO
-    if av is None or bv is None:
-        return _zero_at(N, (ar if av is None else av)
-                        + (br if bv is None else bv))
-    rel = ar if ar < br else br
-    if rel > N:
-        rel = N
-    v = av + bv
-    if rel < 1 or v + rel < 1:      # no digit left: _build raises
-        return _build(p, N, v, au * bu, rel)
-    return (v, au * bu % p ** rel, rel)
 
 
 class PadicScalar:
@@ -826,7 +838,7 @@ class ExtScalar:
             ta = (a.v, a.unit, a.rel)
             for j, y in enumerate(tb):
                 if y[2] is not None:
-                    conv[i + j] = _add(p, N, conv[i + j], _mul(p, N, ta, y))
+                    conv[i + j] = _mul_add(p, N, conv[i + j], ta, y)
         return ExtScalar(mod, _reduce(mod, conv))
 
     __rmul__ = __mul__
@@ -979,7 +991,7 @@ def _reduce(modulus: ExtensionModulus, work: list) -> list:
         shift = len(work) - d
         for i in range(d):
             k = shift + i
-            work[k] = _add(p, N, work[k], _mul(p, N, top, neg_low[i]))
+            work[k] = _mul_add(p, N, work[k], top, neg_low[i])
     work.extend([_EXACT_ZERO] * (d - len(work)))
     return [PadicScalar(ctx, v, u, rel) for v, u, rel in work]
 
