@@ -721,56 +721,58 @@ class ExtScalar:
         pairwise distinct fractional parts, so the minimum is exact; for an
         unramified modulus the residue field argument makes min exact.
         """
-        e = self.modulus.ram_index
+        e, step = self._scale()
         best = None
         uncertain = []
         for i, c in enumerate(self.coeffs):
-            off = Fraction(i, e) if self.modulus.tag == "eisenstein" else 0
-            if c.is_exact_zero:
+            if c.rel is None:
                 continue
             if c.v is None:
-                uncertain.append(Fraction(c.rel) + off)
+                uncertain.append(c.rel * e + i * step)
             else:
-                cand = Fraction(c.v) + off
+                cand = c.v * e + i * step
                 if best is None or cand < best:
                     best = cand
         if best is None:
             if not uncertain:
                 return INFINITE
             raise ImpreciseValuation(
-                f"zero modulo precision floor {min(uncertain)}")
+                f"zero modulo precision floor {Fraction(min(uncertain), e)}")
         for bound in uncertain:
             if bound <= best:
                 raise ImpreciseValuation(
-                    f"uncertain coefficient bound {bound} <= minimum {best}")
-        return best
+                    f"uncertain coefficient bound {Fraction(bound, e)} "
+                    f"<= minimum {Fraction(best, e)}")
+        return Fraction(best, e)
+
+    def _scale(self):
+        """(e, step): coefficient i of valuation w has valuation
+        (w e + i step) / e."""
+        mod = self.modulus
+        return mod.ram_index, 1 if mod.tag == "eisenstein" else 0
 
     def valuation_lower_bound(self):
-        e = self.modulus.ram_index
-        best = INFINITE
+        e, step = self._scale()
+        best = None
         for i, c in enumerate(self.coeffs):
-            off = Fraction(i, e) if self.modulus.tag == "eisenstein" else 0
-            lb = c.valuation_lower_bound()
-            if lb is INFINITE:
+            if c.rel is None:
                 continue
-            cand = Fraction(lb) + off
-            if cand < best:
+            cand = (c.rel if c.v is None else c.v) * e + i * step
+            if best is None or cand < best:
                 best = cand
-        return best
+        return INFINITE if best is None else Fraction(best, e)
 
     def precision_floor(self):
         """Certified valuation floor of the representation's uncertainty."""
-        e = self.modulus.ram_index
-        best = INFINITE
+        e, step = self._scale()
+        best = None
         for i, c in enumerate(self.coeffs):
-            kp = c.known_precision
-            if kp is INFINITE:
+            if c.rel is None:
                 continue
-            off = Fraction(i, e) if self.modulus.tag == "eisenstein" else 0
-            cand = Fraction(kp) + off
-            if cand < best:
+            cand = (c.rel if c.v is None else c.v + c.rel) * e + i * step
+            if best is None or cand < best:
                 best = cand
-        return best
+        return INFINITE if best is None else Fraction(best, e)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -945,11 +947,13 @@ class ExtScalar:
         Raises PrecisionExhausted when the cap leaves some coefficient with
         no certified digit at all: the element would carry a false claim.
         """
-        e = self.modulus.ram_index
+        e, step = self._scale()
+        t = Fraction(tau)
         out = []
         for i, c in enumerate(self.coeffs):
-            off = Fraction(i, e) if self.modulus.tag == "eisenstein" else 0
-            cap = math.ceil(Fraction(tau) - off)
+            # ceil(tau - i step / e)
+            cap = -((i * step * t.denominator - t.numerator * e)
+                    // (t.denominator * e))
             if cap < 1:
                 raise PrecisionExhausted(
                     f"cap at valuation {tau} leaves coefficient {i} uncertified")
