@@ -7,12 +7,10 @@ level-2 cyclotomic field at p=3, ``ms_eval`` of fixed 2-variable polynomials
 at points of the p=5 base field and the e=4 and e=20 cyclotomic fields, and
 one inverse and one quotient in each of those fields.
 
-To rewrite the golden after a change argued sound (and logged), run
-``PYTHONPATH=src:tests python tests/test_ext_goldens.py --write``.
+A change argued sound (and logged) rewrites the golden with ``render()``.
 """
 
 import math
-import sys
 from pathlib import Path
 
 from fglab.dynamics import torsion_probe_dim1
@@ -89,9 +87,3 @@ def test_extension_arithmetic_goldens():
     assert render() == GOLDEN.read_text(), \
         f"{GOLDEN.name} drifted from its golden bytes"
 
-
-if __name__ == "__main__":
-    if sys.argv[1:] == ["--write"]:
-        GOLDEN.write_text(render())
-    else:
-        sys.stdout.write(render())
