@@ -78,9 +78,12 @@ def block_embed(t: TupleSeries, total_vars: int, offset: int) -> TupleSeries:
     return t.map_variables(total_vars, [offset + i for i in range(d)])
 
 
-def group_add(F: TupleSeries, s: TupleSeries, t: TupleSeries) -> TupleSeries:
-    """F(s, t) for tuples s, t over a common variable set."""
-    return tuple_compose(F, TupleSeries(list(s.components) + list(t.components)))
+def group_add(F: TupleSeries, s: TupleSeries, t: TupleSeries,
+              cap=None) -> TupleSeries:
+    """F(s, t) for tuples s, t over a common variable set, truncated at
+    ``cap`` (default: the context's degree cap)."""
+    return tuple_compose(
+        F, TupleSeries(list(s.components) + list(t.components)), cap=cap)
 
 
 def _first_difference(a: TupleSeries, b: TupleSeries):
@@ -174,17 +177,12 @@ def _solve_negation(F: TupleSeries) -> TupleSeries:
     D = ctx.degree_cap
     iota = -TupleSeries.identity(ctx, d)
     for m in range(1, D):
-        resid = group_add_capped(F, TupleSeries.identity(ctx, d), iota, m + 1)
+        resid = group_add(F, TupleSeries.identity(ctx, d), iota, cap=m + 1)
         r = TupleSeries([c.homogeneous_part(m + 1) for c in resid.components])
         if r.is_zero:
             continue
         iota = iota - r
     return iota
-
-
-def group_add_capped(F, s, t, cap) -> TupleSeries:
-    return tuple_compose(
-        F, TupleSeries(list(s.components) + list(t.components)), cap=cap)
 
 
 def fg_negation(F: FormalGroupLaw) -> TupleSeries:

@@ -902,6 +902,10 @@ class ExtScalar:
     def inverse(self) -> "ExtScalar":
         if self.is_zero:
             raise DivisionByZero("inverse of zero at working precision")
+        if all(c.is_exact_zero for c in self.coeffs[1:]):
+            # a base-field element: its inverse stays in the base field,
+            # so the upper coefficients stay exact zeros
+            return ExtScalar.from_base(self.modulus, self.coeffs[0].inverse())
         val = self.valuation()
         mod = self.modulus
         e = mod.ram_index
@@ -946,7 +950,10 @@ class ExtScalar:
 
         Raises PrecisionExhausted when the cap leaves some coefficient with
         no certified digit at all: the element would carry a false claim.
+        An infinite tau forgets nothing.
         """
+        if tau == INFINITE:
+            return self
         e, step = self._scale()
         t = Fraction(tau)
         out = []

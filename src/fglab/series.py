@@ -265,13 +265,13 @@ class MultiSeries:
                 return MultiSeries(self.ctx, self.num_vars, 0, self.profile,
                                    {})
         if self.shift > 0:
-            g = min(_vp(c, p) for c in self.coeffs.values())
-            j = min(self.shift, g)
+            # the summary's valuation pass also gives the smallest valuation
+            # of the stored integers; its v = w - shift survives the rescale
+            j = min(self.shift, self._summary()[0] + self.shift)
             if j > 0:
                 pj = p ** j
                 self.coeffs = {k: c // pj for k, c in self.coeffs.items()}
                 self.shift -= j
-                self._summ = None
         return self
 
     # -- inspection -------------------------------------------------------------
@@ -823,6 +823,17 @@ def tuple_compose(f, g, cap=None):
     ``f`` is a TupleSeries (or a single MultiSeries) in m variables, ``g``
     a TupleSeries with m components over some other variable set; every
     component of g must have certified-zero constant term.
+
+    Each component of f is evaluated by a multivariate Horner scheme that
+    nests f's variables by the density of their inner components: the g_i
+    with the most stored terms is outermost, the sparsest innermost (a
+    stable order, so ties keep index order).  The innermost level is paid
+    once per monomial of f, the outermost once per distinct exponent, so
+    the dense products run a few times instead of once per exponent
+    prefix.  The order only changes how the same terms are grouped: every
+    step is a certified ``mul`` or ``+``, each sound on its own, so any
+    order certifies only true digits; the profiles it reaches can differ
+    slightly from those of another order.
     """
     single = isinstance(f, MultiSeries)
     fs = [f] if single else list(f.components)
@@ -868,9 +879,11 @@ def _compose_one(f: MultiSeries, caches, cap, target_vars) -> MultiSeries:
         return MultiSeries(ctx, target_vars, 0, f.profile, {})
     items = [(f.unpack(k), c) for k, c in f.coeffs.items()]
     m = f.num_vars
+    # densest inner component outermost (stable: ties keep index order)
+    order = sorted(range(m), key=lambda i: -len(caches[i].base.coeffs))
 
-    def rec(entries, var):
-        if var == m:
+    def rec(entries, level):
+        if level == m:
             # a single fully-consumed monomial: its coefficient as a
             # constant certified at its own degree's precision
             deg = sum(entries[0][0])
@@ -878,12 +891,13 @@ def _compose_one(f: MultiSeries, caches, cap, target_vars) -> MultiSeries:
                                 Profile.const(f.prof(deg)),
                                 {0: sum(c for _, c in entries)})
             return total._normalized()
+        var = order[level]
         groups = {}
         for exps, c in entries:
             groups.setdefault(exps[var], []).append((exps, c))
         acc = None
         for e in sorted(groups, reverse=True):
-            part = rec(groups[e], var + 1)
+            part = rec(groups[e], level + 1)
             if e and not part.is_zero:
                 part = part.mul(caches[var].get(e), cap=cap)
             acc = part if acc is None else acc + part

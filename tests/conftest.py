@@ -183,6 +183,27 @@ def assert_series_matches(ms, expected: dict):
             f"coefficient at {exps}: absent, want {want}"
 
 
+def assert_series_certified(ms, exact: dict, cap: int):
+    """Every digit ms certifies through degree cap agrees with exact.
+
+    A stored coefficient (read off the raw integer and shift) and an absent
+    monomial (zero) must match the exact coefficient modulo p^prof(d)
+    wherever prof(d) >= 1.
+    """
+    p = ms.ctx.p
+    stored = {ms.unpack(k): Fraction(c, p ** ms.shift)
+              for k, c in ms.coeffs.items()}
+    for exps in set(stored) | set(exact):
+        d = sum(exps)
+        pf = ms.prof(d)
+        if d > cap or pf < 1:
+            continue
+        diff = exact.get(exps, 0) - stored.get(exps, 0)
+        assert diff == 0 or ref_valuation(diff, p) >= pf, \
+            f"coefficient at {exps}: claims {stored.get(exps, 0)} " \
+            f"mod {p}^{pf}, exact value {exact.get(exps, 0)}"
+
+
 # ---------------------------------------------------------------------------
 # Fraction reference for the series precision bookkeeping
 # ---------------------------------------------------------------------------

@@ -12,11 +12,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fglab.errors import FglabError
-from fglab.padic import ExtensionModulus, ExtScalar, PrecisionContext
+from fglab.padic import (
+    INFINITE,
+    ExtensionModulus,
+    ExtScalar,
+    PadicScalar,
+    PrecisionContext,
+)
 
 from conftest import (
     assert_ext_certified,
     cyclotomic_coeffs,
+    cyclotomic_modulus,
     ext_representative,
     qt_add,
     qt_inverse,
@@ -98,3 +105,26 @@ def test_inverse_certifies_only_true_digits():
     y = x.inverse()
     assert_ext_certified(y, exact, 2)
     assert y.coeffs[1].v == 0 and y.coeffs[1].rel == 3
+
+
+def test_cap_precision_at_infinity_keeps_the_element():
+    """An infinite cap forgets nothing."""
+    mod = ExtensionModulus.base(PrecisionContext(5, 6, 4))
+    x = ExtScalar.from_poly(mod, [3])
+    assert x.cap_precision(INFINITE) == x
+    zero = ExtScalar.zero(cyclotomic_modulus(PrecisionContext(3, 8, 4), 2))
+    assert zero.cap_precision(zero.precision_floor()) == zero
+
+
+def test_inverse_of_a_base_field_element_stays_in_the_base_field():
+    """1/(1 + O(3^14)) in Q_3(zeta_9): the upper coefficients are exact
+    zeros, not O(3^14)."""
+    ctx = PrecisionContext(3, 14, 8)
+    mod = cyclotomic_modulus(ctx, 2)
+    for c in (1, 7, 9, Fraction(2, 27)):
+        x = ExtScalar.from_base(mod, c)
+        y = x.inverse()
+        assert all(u.is_exact_zero for u in y.coeffs[1:]), y
+        exact = qt_inverse(ext_representative(x, 3), cyclotomic_coeffs(3, 2))
+        assert_ext_certified(y, exact, 3)
+    assert y.coeffs[0] == PadicScalar.exact(ctx, Fraction(27, 2))

@@ -318,3 +318,33 @@ def test_mul_maps_commute_on_lt2():
         tuple_compose(m3, m2))
     m6 = fg_multiplication_map(res.group, 6).series
     assert tuple_compose(m2, m3).same_at_working_precision(m6)
+
+
+def test_associativity_sides_cost_the_same_products(monkeypatch):
+    """F(X, F(Y,Z)) makes no more product terms than F(F(X,Y), Z) on the
+    (2,1,2) Lubin-Tate law: the composition nests its Horner scheme by
+    inner density, so the dense F(Y,Z) components are multiplied once per
+    exponent, not once per exponent prefix of F.  The count (output terms
+    over all MultiSeries.mul calls) does not depend on the machine."""
+    p, h1, h2 = 2, 1, 2
+    D = p ** (h1 + h2)
+    ctx = PrecisionContext(p, lt2_min_precision(h1, h2, p, D), D)
+    F = lt2_build(LubinTate2Params(h1, h2, ctx)).group.law
+    terms = [0]
+    mul = MultiSeries.mul
+
+    def counting_mul(self, other, cap=None):
+        out = mul(self, other, cap)
+        terms[0] += len(out.coeffs)
+        return out
+
+    monkeypatch.setattr(MultiSeries, "mul", counting_mul)
+    FXY = F.map_variables(6, [0, 1, 2, 3])
+    FYZ = F.map_variables(6, [2, 3, 4, 5])
+    X3 = TupleSeries.identity(ctx, 2, num_vars=6, offset=0)
+    Z3 = TupleSeries.identity(ctx, 2, num_vars=6, offset=4)
+    left = group_add(F, FXY, Z3)
+    left_terms, terms[0] = terms[0], 0
+    right = group_add(F, X3, FYZ)
+    assert terms[0] <= left_terms
+    assert left.same_at_working_precision(right)

@@ -4,14 +4,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fglab.errors import (
     DivergentPoint,
+    FglabError,
     MixedContext,
     NonzeroConstantTerm,
     NotInvertible,
 )
-from fglab.padic import ExtScalar, PadicScalar, PointTuple, PrecisionContext
+from fglab.padic import (
+    INFINITE,
+    ExtScalar,
+    PadicScalar,
+    PointTuple,
+    PrecisionContext,
+)
 from fglab.series import (
     MultiSeries,
     TupleSeries,
@@ -25,6 +34,7 @@ from fglab.series import (
 )
 
 from conftest import (
+    assert_series_certified,
     assert_series_matches,
     cyclotomic_modulus,
     poly_compose,
@@ -113,6 +123,106 @@ def test_compose_matches_fraction_oracle(ctx5):
                 [series_to_fractions(g[0]), series_to_fractions(g[1])],
                 ctx5.degree_cap)
             assert_series_matches(got[t], oracle)
+
+
+def _drawn_exps(data, num_vars, D, const_ok):
+    """A monomial of degree <= D (positive unless const_ok), or None."""
+    exps = tuple(data.draw(st.lists(st.integers(0, 2), min_size=num_vars,
+                                    max_size=num_vars)))
+    if sum(exps) > D or (sum(exps) == 0 and not const_ok):
+        return None
+    return exps
+
+
+def _drawn_terms(data, p, num_vars, size, lowest, D, const_ok):
+    """Up to ``size`` monomials with coefficients u p^k, lowest <= k <= 2
+    (k < 0: a p-power denominator)."""
+    terms = {}
+    for _ in range(size):
+        exps = _drawn_exps(data, num_vars, D, const_ok)
+        if exps is not None:
+            u = data.draw(st.integers(-60, 60).filter(bool))
+            terms[exps] = Fraction(u) * Fraction(p) ** data.draw(
+                st.integers(lowest, 2))
+    return terms
+
+
+def _drawn_inner(data, p, n, D):
+    """A single monomial, or a dense component: a linear term plus up to
+    seven more monomials."""
+    j = data.draw(st.integers(0, n - 1))
+    e = data.draw(st.integers(1, 2))
+    lead = tuple(e if i == j else 0 for i in range(n))
+    u = data.draw(st.integers(-60, 60).filter(bool))
+    terms = {lead: Fraction(u) * Fraction(p) ** data.draw(st.integers(-1, 2))}
+    if data.draw(st.booleans()):
+        terms[tuple(int(i == j) for i in range(n))] = Fraction(1)
+        terms.update(_drawn_terms(data, p, n, data.draw(st.integers(2, 7)),
+                                  -1, D, False))
+    return terms
+
+
+def _drawn_value(data, ms, const_ok):
+    """Fractions that every claim of ms allows: each stored coefficient and
+    up to three absent monomials, moved by r p^prof(d), |r| <= 2."""
+    p = ms.ctx.p
+    D = ms.ctx.degree_cap
+    value = {ms.unpack(k): Fraction(c, p ** ms.shift)
+             for k, c in ms.coeffs.items()}
+    extra = [_drawn_exps(data, ms.num_vars, D, const_ok) for _ in range(3)]
+    for exps in sorted(set(value) | {e for e in extra if e is not None}):
+        pf = ms.prof(sum(exps))
+        if pf != INFINITE:
+            value[exps] = value.get(exps, 0) \
+                + data.draw(st.integers(-2, 2)) * Fraction(p) ** pf
+    return {e: c for e, c in value.items() if c}
+
+
+@settings(max_examples=200)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5]), m=st.integers(1, 4),
+       n=st.integers(1, 4), N=st.integers(3, 10), D=st.integers(2, 6))
+def test_compose_certifies_only_true_digits(data, p, m, n, N, D):
+    """Every digit tuple_compose certifies, stored or absent, agrees with
+    the exact composition of any inputs their own claims allow.
+
+    Outer coefficients carry p-power denominators; inner components mix
+    single monomials with dense ones, so the Horner nesting order varies.
+    The exact inputs move each stored and some absent coefficients within
+    their certified precision.  A typed FglabError is an acceptable
+    outcome.
+    """
+    ctx = PrecisionContext(p, N, D)
+    cap = data.draw(st.integers(1, D))
+    outer = [_drawn_terms(data, p, m, data.draw(st.integers(1, 8)), -2, D,
+                          True)
+             for _ in range(data.draw(st.integers(1, 2)))]
+    inners = [_drawn_inner(data, p, n, D) for _ in range(m)]
+    try:
+        f = TupleSeries([MultiSeries.from_terms(ctx, m, t) for t in outer])
+        g = TupleSeries([MultiSeries.from_terms(ctx, n, t) for t in inners])
+        got = tuple_compose(f, g, cap=cap)
+    except FglabError:
+        return
+    g_exact = [_drawn_value(data, gi, False) for gi in g]
+    assume(all(g_exact))
+    for fi, out in zip(f, got):
+        exact = poly_compose(_drawn_value(data, fi, True), g_exact, cap)
+        assert_series_certified(out, exact, cap)
+
+
+def test_compose_tail_amplified_by_negative_inner_valuation():
+    """f = x1 + O(3^6) stores nothing in x2, but an unstored 3^6 x2^2 is
+    allowed; with x2 -> y/3 it becomes 3^4 y^2, so degree 2 of f(y, y/3)
+    is certified to 3^4 at most."""
+    ctx = PrecisionContext(3, 6, 4)
+    f = MultiSeries.from_terms(ctx, 2, {(1, 0): 1})
+    inners = [{(1,): Fraction(1)}, {(1,): Fraction(1, 3)}]
+    g = TupleSeries([MultiSeries.from_terms(ctx, 1, t) for t in inners])
+    out = tuple_compose(f, g)
+    exact = poly_compose({(1, 0): Fraction(1), (0, 2): Fraction(3 ** 6)},
+                         inners, 4)
+    assert_series_certified(out, exact, 4)
+    assert out.prof(2) <= 4
 
 
 def test_compose_associative_up_to_truncation(ctx5):
