@@ -55,7 +55,6 @@ from .padic import (
     PointTuple,
     PrecisionContext,
     ext_construct,
-    field_arith,
     teichmuller,
 )
 from .series import (
@@ -82,7 +81,7 @@ __all__ = [
     "TupleSeries", "additive_law", "coeff_extract", "commutant_reconstruct",
     "compositional_inverse", "copolygon_build_eval", "endo_verify",
     "ext_construct", "fg_multiplication_map", "fg_negation", "fg_validate",
-    "field_arith", "group_from_jacobian", "height_and_kernel_count",
+    "group_from_jacobian", "height_and_kernel_count",
     "intersection_probe", "jacobian", "lt2_build", "lt2_min_precision",
     "ms_eval", "multiplicative_law", "orbit_analyze", "parse",
     "parse_extension", "serialize", "serialize_extension",

@@ -4,7 +4,9 @@ All diagnostics go to stderr, data to stdout or --out files.  Failures map
 to documented exit codes so scripts can dispatch without scraping text:
 
     0   success
-    1   usage or unclassified error
+    1   usage or unclassified error (BadArgument: a flag value outside its
+        domain, or a file that cannot be read or written)
+    2   malformed command line (argparse prints the usage)
     10  AxiomViolation
     11  SingularStep
     12  PrecisionExhausted
@@ -32,6 +34,7 @@ from .dynamics import (
 )
 from .errors import (
     AxiomViolation,
+    BadArgument,
     DivergentPoint,
     FglabError,
     NotEndomorphism,
@@ -73,8 +76,11 @@ def _emit(text: str, out: str | None):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise BadArgument(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _report(data: dict, fmt: str, out: str | None):
@@ -89,8 +95,13 @@ def _report(data: dict, fmt: str, out: str | None):
 
 
 def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise BadArgument(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(0, f"{path} is not a text document") from None
 
 
 def _load_tuple(path: str) -> TupleSeries:
@@ -111,17 +122,26 @@ def _load_group(path: str) -> FormalGroupLaw:
     raise ParseError(0, "document does not describe a group law")
 
 
-def _parse_matrix(spec: str):
+def _rationals(spec: str, flag: str) -> list:
+    """The comma- or space-separated rationals of one flag value."""
+    try:
+        return [Fraction(tok) for tok in spec.replace(",", " ").split()]
+    except (ValueError, ZeroDivisionError):
+        raise BadArgument(f"{flag}: {spec!r} is not a list of rationals") \
+            from None
+
+
+def _parse_matrix(spec: str, flag: str):
     rows = []
     for chunk in spec.split(";"):
-        rows.append([Fraction(tok) for tok in chunk.replace(",", " ").split()])
+        rows.append(_rationals(chunk, flag))
     return rows
 
 
 def _parse_point(spec: str, modulus) -> PointTuple:
     coords = []
     for chunk in spec.split(";"):
-        coeffs = [Fraction(tok) for tok in chunk.replace(",", " ").split()]
+        coeffs = _rationals(chunk, "--point")
         coords.append(ExtScalar.from_poly(modulus, coeffs or [0]))
     return PointTuple(coords)
 
@@ -278,15 +298,17 @@ def _dispatch(args) -> int:
 
     if cmd == "mul-map":
         law = _load_group(args.infile)
-        a = Fraction(args.a)
-        mult = int(a) if a.denominator == 1 else a
+        a = _rationals(args.a, "--a")
+        if len(a) != 1:
+            raise BadArgument(f"--a: {args.a!r} is not one rational")
+        mult = int(a[0]) if a[0].denominator == 1 else a[0]
         endo = fg_multiplication_map(law, mult)
         _emit(serialize(endo.series, kind="endo"), args.out)
         return 0
 
     if cmd == "reconstruct":
         u = _load_tuple(args.u)
-        trace = commutant_reconstruct(u, _parse_matrix(args.j0))
+        trace = commutant_reconstruct(u, _parse_matrix(args.j0, "--j0"))
         _emit(serialize(trace.series, kind="tuple"), args.out)
         steps = "; ".join(
             f"deg {d}: det-val {_fmt_val(v)}, correction-val "
@@ -299,8 +321,8 @@ def _dispatch(args) -> int:
         u = _load_tuple(args.u)
         d = u.dim
         ident = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        bx = _parse_matrix(args.bx) if args.bx else ident
-        by = _parse_matrix(args.by) if args.by else ident
+        bx = _parse_matrix(args.bx, "--bx") if args.bx else ident
+        by = _parse_matrix(args.by, "--by") if args.by else ident
         H = group_from_jacobian(u, bx, by)
         _emit(serialize(H, kind="tuple"), args.out)
         return 0
@@ -317,10 +339,10 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "copolygon":
-        f = parse(_read(args.infile))
-        if isinstance(f, TupleSeries):
-            f = f.components[0]
-        xi = [Fraction(t) for t in args.xi.replace(",", " ").split()]
+        f = _load_tuple(args.infile)[0]
+        xi = _rationals(args.xi, "--xi")
+        if len(xi) != 2:
+            raise BadArgument("--xi: expected a rational pair 'a,b'")
         value, achieving = copolygon_build_eval(f, xi)
         _report({
             "value": str(value),
@@ -329,9 +351,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "bound-check":
-        f = parse(_read(args.infile))
-        if isinstance(f, TupleSeries):
-            f = f.components[0]
+        f = _load_tuple(args.infile)[0]
         modulus = parse_extension(_read(args.extension), f.ctx)
         theta = _parse_point(args.point, modulus)
         rep = valuation_bound_check(f, theta)

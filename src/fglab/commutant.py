@@ -30,6 +30,7 @@ from .series import (
     MultiSeries,
     TupleSeries,
     apply_matrix,
+    lift_by_degree,
     linear_part_matrix,
     mat_det,
     mat_inverse,
@@ -145,19 +146,25 @@ class _DegreeSolver:
         if self.diagonal:
             vals = self._factor_valuations(degree)
             return INFINITE if vals is None else max([0, *vals])
-        inv = self._inverse_cache.get(degree)
+        inv = self._inverse(degree)
         if inv is None:
-            try:
-                inv = mat_inverse(self._operator_matrix(degree))
-            except NotInvertible:
-                return INFINITE
-            self._inverse_cache[degree] = inv
+            return INFINITE
         worst = 0
         for row in inv:
             for x in row:
                 if not x.is_zero:
                     worst = max(worst, -min(0, x.valuation()))
         return worst
+
+    def _inverse(self, degree: int):
+        """Inverse of the operator matrix, cached; None when singular."""
+        if degree not in self._inverse_cache:
+            try:
+                inv = mat_inverse(self._operator_matrix(degree))
+            except NotInvertible:
+                inv = None
+            self._inverse_cache[degree] = inv
+        return self._inverse_cache[degree]
 
     def lams_in_factor(self, exps, i):
         """lambda_in^I - lambda_out_i, each power lambda_j^e taken once."""
@@ -183,10 +190,9 @@ class _DegreeSolver:
         ctx = self.ctx
         zero = PadicScalar.zero(ctx)
         cols = []
-        lam_rows = [TupleSeries([
+        lam_tuple = TupleSeries([
             _linear_form(ctx, self.num_vars, self.lam_in, j)
-            for j in range(self.num_vars)])]
-        lam_tuple = lam_rows[0]
+            for j in range(self.num_vars)])
         for i in range(self.dim):
             for mono in monos:
                 basis = TupleSeries(
@@ -227,13 +233,9 @@ class _DegreeSolver:
         for i in range(self.dim):
             for exps, c in rhs.components[i].terms():
                 vec[index[(i, tuple(exps))]] = c
-        inv = self._inverse_cache.get(degree)
+        inv = self._inverse(degree)
         if inv is None:
-            try:
-                inv = mat_inverse(self._operator_matrix(degree))
-            except NotInvertible:
-                raise SingularStep(degree) from None
-            self._inverse_cache[degree] = inv
+            raise SingularStep(degree)
         sol = [None] * len(order)
         for r in range(len(order)):
             acc = PadicScalar.zero(ctx)
@@ -266,23 +268,28 @@ def _linear_form(ctx, num_vars, mat, row):
     return acc if acc is not None else MultiSeries.zero(ctx, num_vars)
 
 
-def stability_classify(u: TupleSeries, degree: int | None = None,
-                       root_order_bound: int | None = None) -> StabilityVerdict:
+def _linear_part(u: TupleSeries):
+    """J0(u) of a d-in-d series u with u(0) = 0."""
+    if not u.constant_is_zero():
+        raise MixedContext("u(0) must be 0")
+    if u.num_vars != u.dim:
+        raise MixedContext("u must be d-in-d")
+    return linear_part_matrix(u)
+
+
+def stability_classify(u: TupleSeries) -> StabilityVerdict:
     """Operational stability test for the reconstruction recursion.
 
     Stable means: J0(u) is nonzero and the per-degree difference operator
     is invertible at every degree up to the cap -- exactly what the
     recursion needs.  Root-of-unity linear parts are reported as such.
     """
-    if not u.constant_is_zero():
-        raise MixedContext("u(0) must be 0")
+    lam = _linear_part(u)
     ctx = u.ctx
-    D = ctx.degree_cap if degree is None else min(degree, ctx.degree_cap)
-    lam = linear_part_matrix(u)
+    D = ctx.degree_cap
     if _matrix_is_zero(lam):
         return StabilityVerdict(False, reason="zero-jacobian")
-    bound = root_order_bound if root_order_bound is not None \
-        else max(D, ctx.p ** min(4, u.dim * 2))
+    bound = max(D, ctx.p ** min(4, u.dim * 2))
     power = lam
     order = None
     for k in range(1, bound + 1):
@@ -321,24 +328,45 @@ def _matrices_commute(a, b) -> bool:
                for x, y in zip(ra, rb))
 
 
-def _budget_check(solver, D, ctx):
-    """Accumulated per-degree solve losses must fit inside the precision."""
+def _lift_commuting(u: TupleSeries, start: TupleSeries, right: TupleSeries,
+                    solver: _DegreeSolver):
+    """Lift ``start`` degree by degree until u o h = h o right.
+
+    First the per-degree solve losses must fit inside the precision; last
+    the commutation is checked at the degree cap.  Returns h and the
+    (degree, correction) pairs of the lift.
+    """
+    ctx = u.ctx
     total = 0
-    for m in range(1, D):
-        loss = solver.solve_loss(m + 1)
+    for k in range(2, ctx.degree_cap + 1):
+        loss = solver.solve_loss(k)
         if loss is INFINITE:
-            raise SingularStep(m + 1)
+            raise SingularStep(k)
         total += loss
     if total >= ctx.abs_precision - 1:
         raise PrecisionExhausted(
             f"difference-operator solves consume {total} digits; "
             f"abs_precision {ctx.abs_precision} cannot absorb that")
-    return total
+    corrections = []
+
+    def correct(k, r):
+        delta = solver.solve(k, r)
+        corrections.append((k, delta))
+        return delta
+
+    h = lift_by_degree(
+        start, lambda h, k: (tuple_compose(u, h, cap=k)
+                             - tuple_compose(h, right, cap=k)),
+        correct, ctx.degree_cap)
+    if not tuple_compose(u, h).same_at_working_precision(
+            tuple_compose(h, right)):
+        raise VerificationFailure(
+            "reconstructed series fails the commutation check; "
+            "this signals precision exhaustion")
+    return h, corrections
 
 
-def commutant_reconstruct(u: TupleSeries, j0_target,
-                          degree: int | None = None,
-                          verify: bool = True) -> ReconstructionTrace:
+def commutant_reconstruct(u: TupleSeries, j0_target) -> ReconstructionTrace:
     """The unique h with h(0)=0, J0(h) = target, and u o h = h o u.
 
     Built degree-by-degree; raises SingularStep at the first degree where
@@ -347,14 +375,9 @@ def commutant_reconstruct(u: TupleSeries, j0_target,
     unsolvable, and VerificationFailure if the post-hoc commutation check
     fails.
     """
-    if not u.constant_is_zero():
-        raise MixedContext("u(0) must be 0")
+    lam = _linear_part(u)
     d = u.dim
-    if u.num_vars != d:
-        raise MixedContext("u must be d-in-d")
     ctx = u.ctx
-    D = ctx.degree_cap if degree is None else min(degree, ctx.degree_cap)
-    lam = linear_part_matrix(u)
     target = _normalize_matrix(ctx, j0_target, d)
     identity_like = _is_diagonal(lam) and all(
         lam[i][i].same_at_working_precision(lam[0][0]) for i in range(d))
@@ -362,74 +385,37 @@ def commutant_reconstruct(u: TupleSeries, j0_target,
         raise NonCommutingTarget(
             "Jacobian target must commute with J0(u) when J0(u) is not scalar")
     solver = _DegreeSolver(ctx, lam, lam, d, d)
-    _budget_check(solver, D, ctx)
-    h = apply_matrix(target, TupleSeries.identity(ctx, d))
-    trace = ReconstructionTrace(series=h)
-    for m in range(1, D):
-        resid = tuple_compose(u, h, cap=m + 1) - tuple_compose(h, u, cap=m + 1)
-        r = TupleSeries([c.homogeneous_part(m + 1) for c in resid.components])
-        detv = solver.det_valuation(m + 1)
-        if r.is_zero:
-            trace.steps.append((m + 1, detv, None))
-            continue
-        delta = solver.solve(m + 1, r)
-        h = h + delta
-        corr_norm = min((c.vmin for c in delta.components
-                         if not c.is_zero), default=None)
-        trace.steps.append((m + 1, detv, corr_norm))
-    if verify:
-        lhs = tuple_compose(u, h)
-        rhs = tuple_compose(h, u)
-        if not lhs.same_at_working_precision(rhs):
-            raise VerificationFailure(
-                "reconstructed series fails the commutation check; "
-                "this signals precision exhaustion")
-    trace.series = h
-    return trace
+    h, corrections = _lift_commuting(
+        u, apply_matrix(target, TupleSeries.identity(ctx, d)), u, solver)
+    steps = [(k, solver.det_valuation(k),
+              min((c.vmin for c in delta.components if not c.is_zero),
+                  default=None))
+             for k, delta in corrections]
+    return ReconstructionTrace(series=h, steps=steps)
 
 
-def group_from_jacobian(u: TupleSeries, block_x, block_y,
-                        degree: int | None = None,
-                        verify: bool = True) -> TupleSeries:
+def group_from_jacobian(u: TupleSeries, block_x, block_y) -> TupleSeries:
     """The two-block series H with given partial Jacobians commuting with u.
 
     H has d components in 2d variables and satisfies
     u(H(X1, X2)) = H(u(X1), u(X2)) mod deg D+1; with identity blocks this
     reconstructs the group law F from its stable endomorphism u alone.
     """
-    if not u.constant_is_zero():
-        raise MixedContext("u(0) must be 0")
+    lam = _linear_part(u)
     d = u.dim
-    if u.num_vars != d:
-        raise MixedContext("u must be d-in-d")
     ctx = u.ctx
-    D = ctx.degree_cap if degree is None else min(degree, ctx.degree_cap)
-    lam = linear_part_matrix(u)
     bx = _normalize_matrix(ctx, block_x, d)
     by = _normalize_matrix(ctx, block_y, d)
     zero = PadicScalar.zero(ctx)
     lam2 = [[lam[i % d][j % d] if (i < d) == (j < d) else zero
              for j in range(2 * d)] for i in range(2 * d)]
     solver = _DegreeSolver(ctx, lam2, lam, 2 * d, d)
-    _budget_check(solver, D, ctx)
     ident_x = TupleSeries.identity(ctx, d, num_vars=2 * d, offset=0)
     ident_y = TupleSeries.identity(ctx, d, num_vars=2 * d, offset=d)
-    H = apply_matrix(bx, ident_x) + apply_matrix(by, ident_y)
     u_blocks = TupleSeries(
         list(u.map_variables(2 * d, list(range(d))).components)
         + list(u.map_variables(2 * d, list(range(d, 2 * d))).components))
-    for m in range(1, D):
-        left = tuple_compose(u, H, cap=m + 1)
-        right = tuple_compose(H, u_blocks, cap=m + 1)
-        resid = left - right
-        r = TupleSeries([c.homogeneous_part(m + 1) for c in resid.components])
-        if r.is_zero:
-            continue
-        H = H + solver.solve(m + 1, r)
-    if verify:
-        lhs = tuple_compose(u, H)
-        rhs = tuple_compose(H, u_blocks)
-        if not lhs.same_at_working_precision(rhs):
-            raise VerificationFailure(
-                "two-block reconstruction fails the commutation check")
+    H, _ = _lift_commuting(
+        u, apply_matrix(bx, ident_x) + apply_matrix(by, ident_y), u_blocks,
+        solver)
     return H

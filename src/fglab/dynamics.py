@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
+    BadArgument,
     DivergentPoint,
     DivisionByZero,
     ImpreciseValuation,
@@ -42,7 +43,7 @@ class Copolygon:
         if f.num_vars != 2:
             raise MixedContext("copolygons are defined for 2-variable series")
         if f.is_zero:
-            raise ValueError("copolygon of the zero series")
+            raise BadArgument("copolygon of the zero series")
         planes = []
         for exps, c in f.terms():
             planes.append((exps[0], exps[1], Fraction(c.valuation())))
@@ -84,6 +85,8 @@ def valuation_bound_check(f: MultiSeries, theta: PointTuple,
     """Check v(f(theta)) >= V_f(v(theta_1), v(theta_2)) with exact rationals."""
     if f.num_vars != 2:
         raise MixedContext("bound check needs a 2-variable series")
+    if len(theta) != 2:
+        raise MixedContext("point arity does not match variable count")
     v1 = theta[0].valuation()
     v2 = theta[1].valuation()
     V, _ = Copolygon.from_series(f).evaluate(
@@ -259,12 +262,6 @@ def _fmt_val(x: ExtScalar) -> str:
     return "inf" if v is INFINITE else str(v)
 
 
-def _series_eval_ext(series: MultiSeries, x: ExtScalar,
-                     polynomial: bool = False) -> ExtScalar:
-    return ms_eval(series, PointTuple([x]), require_positive=False,
-                   polynomial=polynomial).value
-
-
 def _poly_coeffs_ext(G: MultiSeries, modulus: ExtensionModulus):
     """Coefficient list of a 1-variable series as extension elements."""
     deg = G.degree()
@@ -363,7 +360,6 @@ def _find_small_root(coeffs, modulus, digits, pi, vpi, cap_level,
 def torsion_probe_dim1(G: MultiSeries, level: int,
                        modulus: ExtensionModulus,
                        expected=None,
-                       max_level: int | None = None,
                        polynomial: bool = False) -> TorsionLevelSet:
     """Roots of [p^level]_F with positive valuation in a declared extension.
 
@@ -384,8 +380,7 @@ def torsion_probe_dim1(G: MultiSeries, level: int,
     else:
         digits = [ExtScalar.from_poly(modulus, list(rep))
                   for rep in _residue_reps(ctx.p, modulus.res_degree)]
-    cap_level = max_level if max_level is not None \
-        else e * (ctx.abs_precision - 1)
+    cap_level = e * (ctx.abs_precision - 1)
     vpi = Fraction(1, e) if modulus.tag == "eisenstein" else Fraction(1)
     newton_steps = 2 * (ctx.abs_precision * e).bit_length() + 4
 

@@ -9,6 +9,10 @@ class FglabError(Exception):
     """Base class for all library errors."""
 
 
+class BadArgument(FglabError, ValueError):
+    """An argument value lies outside the operation's domain."""
+
+
 class MixedContext(FglabError):
     """Operands disagree on prime, precision, degree cap, or modulus."""
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import (
     AxiomViolation,
+    BadArgument,
     MixedContext,
     NotEndomorphism,
     PrecisionExhausted,
@@ -28,6 +29,7 @@ from .series import (
     MultiSeries,
     Profile,
     TupleSeries,
+    lift_by_degree,
     tuple_compose,
 )
 
@@ -96,7 +98,7 @@ def _first_difference(a: TupleSeries, b: TupleSeries):
     return None
 
 
-def fg_validate(candidate: TupleSeries, check_commutative: bool = True) -> FormalGroupLaw:
+def fg_validate(candidate: TupleSeries) -> FormalGroupLaw:
     """Check the group-law axioms and return a certified law.
 
     Verifies, modulo degree D+1: the linear part X + Y, the unit laws
@@ -155,11 +157,9 @@ def fg_validate(candidate: TupleSeries, check_commutative: bool = True) -> Forma
     if w is not None:
         raise AxiomViolation("inverse", sum(w[1]), w)
 
-    commutative = None
-    if check_commutative:
-        perm = list(range(d, 2 * d)) + list(range(d))
-        swapped = candidate.map_variables(2 * d, perm)
-        commutative = _first_difference(candidate, swapped) is None
+    perm = list(range(d, 2 * d)) + list(range(d))
+    swapped = candidate.map_variables(2 * d, perm)
+    commutative = _first_difference(candidate, swapped) is None
 
     cert = AxiomCertificate(
         degree=D,
@@ -172,17 +172,10 @@ def fg_validate(candidate: TupleSeries, check_commutative: bool = True) -> Forma
 
 def _solve_negation(F: TupleSeries) -> TupleSeries:
     """The unique iota with F(X, iota(X)) = 0, solved degree by degree."""
-    ctx = F.ctx
-    d = F.dim
-    D = ctx.degree_cap
-    iota = -TupleSeries.identity(ctx, d)
-    for m in range(1, D):
-        resid = group_add(F, TupleSeries.identity(ctx, d), iota, cap=m + 1)
-        r = TupleSeries([c.homogeneous_part(m + 1) for c in resid.components])
-        if r.is_zero:
-            continue
-        iota = iota - r
-    return iota
+    ident = TupleSeries.identity(F.ctx, F.dim)
+    return lift_by_degree(-ident,
+                          lambda iota, k: group_add(F, ident, iota, cap=k),
+                          lambda k, r: -r, F.ctx.degree_cap)
 
 
 def fg_negation(F: FormalGroupLaw) -> TupleSeries:
@@ -208,7 +201,7 @@ def fg_multiplication_map(F: FormalGroupLaw, a) -> EndoSeries:
     if isinstance(a, Fraction):
         av = _vp(a.denominator, F.ctx.p)
         if av:
-            raise ValueError("multiplier must lie in Z_p")
+            raise BadArgument("multiplier must lie in Z_p")
         a = PadicScalar.exact(F.ctx, a)
     if not isinstance(a, PadicScalar):
         raise TypeError("multiplier must be int, Fraction, or PadicScalar")
@@ -216,7 +209,7 @@ def fg_multiplication_map(F: FormalGroupLaw, a) -> EndoSeries:
     if a.is_zero:
         return EndoSeries(TupleSeries.zero(F.ctx, F.dimension, F.dimension), F)
     if a.valuation() < 0:
-        raise ValueError("multiplier must lie in Z_p")
+        raise BadArgument("multiplier must lie in Z_p")
     p = F.ctx.p
     D = F.ctx.degree_cap
     known = int(min(a.known_precision, a.ctx.abs_precision))
@@ -374,11 +367,11 @@ class LubinTate2Params:
 
     def __post_init__(self):
         if self.h1 < 1 or self.h2 < 1:
-            raise ValueError("h1, h2 must be positive")
+            raise BadArgument("h1, h2 must be positive")
         if math.gcd(self.h1, self.h2) != 1:
-            raise ValueError("gcd(h1, h2) must be 1")
+            raise BadArgument("gcd(h1, h2) must be 1")
         if self.ctx.degree_cap < self.ctx.p ** min(self.h1, self.h2):
-            raise ValueError(
+            raise BadArgument(
                 "degree cap too small to expose the first logarithm term "
                 f"(need >= p^min(h1,h2) = {self.ctx.p ** min(self.h1, self.h2)})")
 
@@ -549,7 +542,7 @@ def height_and_kernel_count(F: FormalGroupLaw, level: int = 1,
     the image subring.  Anything else is UnsupportedShape.
     """
     if level < 1:
-        raise ValueError("level must be >= 1")
+        raise BadArgument("level must be >= 1")
     d = F.dimension
     p = F.ctx.p
     series = mul_p if mul_p is not None else \

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    BadArgument,
     BadModulus,
     DivisionByZero,
     ImpreciseValuation,
@@ -72,11 +73,11 @@ class PrecisionContext:
 
     def __post_init__(self):
         if not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+            raise BadArgument(f"p = {self.p} is not prime")
         if self.abs_precision < 1:
-            raise ValueError("abs_precision must be >= 1")
+            raise BadArgument("abs_precision must be >= 1")
         if self.degree_cap < 2:
-            raise ValueError("degree_cap must be >= 2")
+            raise BadArgument("degree_cap must be >= 2")
 
     def require_same(self, other: "PrecisionContext"):
         if self is not other and self != other:
@@ -461,15 +462,6 @@ class PadicScalar:
         if self.v is None:
             return f"O({p}^{self.rel})"
         return f"{self.unit}*{p}^{self.v} + O({p}^{self.v + self.rel})"
-
-
-def field_arith(a, b, op: str):
-    """Dispatch add/sub/mul/div on scalars or extension elements."""
-    table = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
-             "mul": lambda x, y: x * y, "div": lambda x, y: x / y}
-    if op not in table:
-        raise ValueError(f"unknown op {op!r}")
-    return table[op](a, b)
 
 
 def teichmuller(r: int, ctx: PrecisionContext) -> PadicScalar:

@@ -990,7 +990,7 @@ def mat_det(rows) -> PadicScalar:
         inv = pivot.inverse()
         for r in range(col + 1, n):
             f = m[r][col] * inv
-            if f.is_zero:
+            if f.is_exact_zero:
                 continue
             for c in range(col, n):
                 m[r][c] = m[r][c] - f * m[col][c]
@@ -1024,7 +1024,7 @@ def mat_inverse(rows):
             if r == col:
                 continue
             f = aug[r][col]
-            if f.is_zero:
+            if f.is_exact_zero:
                 continue
             aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
@@ -1051,7 +1051,22 @@ def linear_part_matrix(h: TupleSeries):
 # compositional inverse
 # ---------------------------------------------------------------------------
 
-def compositional_inverse(h: TupleSeries, cap=None) -> TupleSeries:
+def lift_by_degree(x, residual, correct, top: int):
+    """Lift ``x`` one homogeneous degree at a time, k = 2..top.
+
+    At each k, r is the degree-k part of ``residual(x, k)`` and ``x``
+    becomes ``x + correct(k, r)``.  Every degree is lifted, even one whose
+    residual is zero: a residual that is zero only at its certified
+    precision still carries that precision into ``x``.
+    """
+    for k in range(2, top + 1):
+        r = TupleSeries([c.homogeneous_part(k)
+                         for c in residual(x, k).components])
+        x = x + correct(k, r)
+    return x
+
+
+def compositional_inverse(h: TupleSeries) -> TupleSeries:
     """Inverse under composition, built degree-by-degree.
 
     Starts from the inverted linear part and solves each homogeneous
@@ -1063,7 +1078,6 @@ def compositional_inverse(h: TupleSeries, cap=None) -> TupleSeries:
         raise MixedContext("compositional inverse needs a d-in-d tuple")
     if not h.constant_is_zero():
         raise NonzeroConstantTerm("h(0) != 0")
-    D = h.ctx.degree_cap if cap is None else min(cap, h.ctx.degree_cap)
     j0 = linear_part_matrix(h)
     det = mat_det(j0)
     if det.is_zero:
@@ -1073,14 +1087,11 @@ def compositional_inverse(h: TupleSeries, cap=None) -> TupleSeries:
             f"det J0 has valuation {det.valuation()} > 0: not a unit")
     j0inv = mat_inverse(j0)
     ident = TupleSeries.identity(h.ctx, d)
-    f = apply_matrix(j0inv, ident)
-    for n in range(1, D):
-        resid = ident - tuple_compose(h, f, cap=n + 1)
-        r = TupleSeries([c.homogeneous_part(n + 1) for c in resid.components])
-        if r.is_zero:
-            continue
-        f = f + apply_matrix(j0inv, r)
-    return f
+    return lift_by_degree(
+        apply_matrix(j0inv, ident),
+        lambda f, k: ident - tuple_compose(h, f, cap=k),
+        lambda k, r: apply_matrix(j0inv, r),
+        h.ctx.degree_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -1104,8 +1115,7 @@ class EvalResult:
         return PointTuple(self.values)
 
 
-def ms_eval(f, theta: PointTuple, require_positive=True,
-            polynomial=False) -> EvalResult:
+def ms_eval(f, theta: PointTuple, polynomial=False) -> EvalResult:
     """Evaluate a series (or tuple) at a point with positive-valuation coords.
 
     The returned elements are capped at the certified precision
@@ -1120,7 +1130,7 @@ def ms_eval(f, theta: PointTuple, require_positive=True,
     if len(theta) != m:
         raise MixedContext("point arity does not match variable count")
     minv = theta.valuation_lower_bound()
-    if require_positive and not minv > 0:
+    if not minv > 0:
         raise DivergentPoint(f"coordinate valuation {minv} not > 0")
     D = fs[0].ctx.degree_cap
     tail = INFINITE if (minv is INFINITE or polynomial) \

@@ -35,6 +35,27 @@ def cyclotomic_modulus(ctx: PrecisionContext, k: int) -> ExtensionModulus:
     return ExtensionModulus(ctx, cyclotomic_coeffs(ctx.p, k), "eisenstein")
 
 
+def frac_mat_inverse(rows: list) -> list:
+    """Inverse of a square Fraction matrix by Gauss-Jordan elimination;
+    raises ZeroDivisionError when it is singular."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j))
+                                         for j in range(n)]
+           for i, row in enumerate(rows)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if aug[r][c]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [x * inv for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
 # ---------------------------------------------------------------------------
 # Fraction oracle for Q[t]/(e(t)) (independent of the extension layer)
 # ---------------------------------------------------------------------------
@@ -70,27 +91,18 @@ def qt_mul(a: list, b: list, e: list) -> list:
 
 
 def qt_inverse(a: list, e: list) -> list:
-    """Solve a * s = 1 by Gaussian elimination on the matrix of t^j * a;
-    None when a is zero."""
+    """Solve a * s = 1 with the matrix of t^j * a; None when a is zero."""
     d = len(e) - 1
     cols, col = [], list(a)
     for _ in range(d):
         cols.append(col)
         col = qt_reduce([Fraction(0)] + col, e)
-    rows = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))]
-            for i in range(d)]
-    for c in range(d):
-        piv = next((r for r in range(c, d) if rows[r][c]), None)
-        if piv is None:
-            return None
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = 1 / rows[c][c]
-        rows[c] = [x * inv for x in rows[c]]
-        for r in range(d):
-            if r != c and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return [rows[i][d] for i in range(d)]
+    try:
+        inv = frac_mat_inverse([[cols[j][i] for j in range(d)]
+                                for i in range(d)])
+    except ZeroDivisionError:
+        return None
+    return [row[0] for row in inv]
 
 
 def ext_representative(x, p: int) -> list:
@@ -160,6 +172,38 @@ def poly_compose(outer: dict, inners: list, cap: int) -> dict:
                 term = poly_mul(term, inners[i], cap)
         out = poly_add(out, poly_scale(term, c))
     return out
+
+
+def poly_inverse(h: list, cap: int) -> list:
+    """Compositional inverse of a d-in-d tuple of Fraction dicts with an
+    invertible linear part A, through degree cap: start from A^-1 X and
+    add -A^-1 times the degree-k part of h(f) for k = 2..cap."""
+    d = len(h)
+    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    ainv = frac_mat_inverse([[hi.get(e, 0) for e in units] for hi in h])
+    f = [{e: c for e, c in zip(units, row) if c} for row in ainv]
+    for k in range(2, cap + 1):
+        resid = [{e: c for e, c in poly_compose(hi, f, k).items()
+                  if sum(e) == k} for hi in h]
+        for i in range(d):
+            for j in range(d):
+                f[i] = poly_add(f[i], poly_scale(resid[j], -ainv[i][j]))
+    return f
+
+
+def poly_negation(F: list, cap: int) -> list:
+    """iota with F(X, iota(X)) = 0 for a d-dimensional law F given as
+    Fraction dicts in 2d variables, through degree cap: start from -X and
+    subtract the degree-k part of F(X, iota) for k = 2..cap."""
+    d = len(F)
+    X = [{tuple(int(i == j) for i in range(d)): Fraction(1)}
+         for j in range(d)]
+    iota = [poly_scale(x, -1) for x in X]
+    for k in range(2, cap + 1):
+        resid = [{e: c for e, c in poly_compose(Fi, X + iota, k).items()
+                  if sum(e) == k} for Fi in F]
+        iota = [poly_add(t, poly_scale(r, -1)) for t, r in zip(iota, resid)]
+    return iota
 
 
 def series_to_fractions(ms) -> dict:

@@ -1,9 +1,13 @@
 """End-to-end command-line runs, exit codes, machine-readable reports."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from fglab.cli import main
-from fglab.padic import PrecisionContext
+from fglab.formal_group import fg_multiplication_map
+from fglab.padic import ExtensionModulus, PrecisionContext
 from fglab.serialize import parse, serialize, serialize_extension
 from fglab.series import MultiSeries, TupleSeries
 from fglab.formal_group import multiplicative_law, additive_law
@@ -243,3 +247,70 @@ def test_digit_count_mismatch_exits_13(tmp_path, capsys):
                          "--xi", "1,1", "--format", "machine")
     assert code == 13 and out == ""
     assert err.startswith("fglab: line ")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.fixture(scope="module")
+def docs(tmp_path_factory):
+    """Paths keyed by the placeholders below: a p=5 multiplicative law, its
+    [2]_M, a 2-variable series, the base extension, a binary file, a
+    (2,1,1) Lubin-Tate law and two paths that do not exist."""
+    d = tmp_path_factory.mktemp("docs")
+    ctx = PrecisionContext(5, 12, 8)
+    M = multiplicative_law(ctx)
+    paths = {"M5": d / "m5.doc", "U": d / "u.doc", "F": d / "f.doc",
+             "EXT": d / "base.ext", "MISSING": d / "missing.doc",
+             "NOWHERE": d / "missing" / "out.doc", "BINARY": d / "binary.doc",
+             "LAW2": GOLDEN / "lt2_p2_h11_group.doc"}
+    paths["BINARY"].write_bytes(bytes(range(128, 256)))
+    paths["M5"].write_text(serialize(M))
+    paths["U"].write_text(serialize(fg_multiplication_map(M, 2).series,
+                                    kind="endo"))
+    paths["F"].write_text(serialize(MultiSeries.from_terms(
+        ctx, 2, {(1, 0): 1, (1, 2): 1})))
+    paths["EXT"].write_text(serialize_extension(ExtensionModulus.base(ctx)))
+    return {k: str(v) for k, v in paths.items()}
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("reconstruct", "--u", "U", "--j0", "abc"), 1),
+    (("reconstruct", "--u", "U", "--j0", "1/0"), 1),
+    (("mul-map", "--in", "M5", "--a", "x"), 1),
+    (("mul-map", "--in", "M5", "--a", "1/0"), 1),
+    (("mul-map", "--in", "M5", "--a", "1/5"), 1),
+    (("mul-map", "--in", "M5", "--a", "1,2"), 1),
+    (("orbit", "--map", "U", "--extension", "EXT", "--point", "q"), 1),
+    (("copolygon", "--in", "F", "--xi", "a,b"), 1),
+    (("copolygon", "--in", "F", "--xi", "1"), 1),
+    (("copolygon", "--in", "LAW2", "--xi", "1,1"), 1),
+    (("bound-check", "--in", "F", "--extension", "EXT", "--point", "5"), 1),
+    (("group-from-jacobian", "--u", "U", "--bx", "x"), 1),
+    (("stability", "--u", "M5"), 1),
+    (("height", "--group", "M5", "--level", "0"), 1),
+    (("build-lt2", "--p", "4", "--h1", "1", "--h2", "1"), 1),
+    (("build-lt2", "--p", "2", "--h1", "0", "--h2", "1"), 1),
+    (("validate-group", "--in", "MISSING"), 1),
+    (("negation", "--in", "M5", "--out", "NOWHERE"), 1),
+    (("validate-group", "--in", "BINARY"), 13),
+], ids=lambda v: "_".join(v) if isinstance(v, tuple) else str(v))
+def test_bad_flag_values_exit_with_a_code_not_a_traceback(docs, capsys, argv,
+                                                           want):
+    """A flag value outside its domain is a usage error (exit 1), a file
+    that is not text a parse error (exit 13): one ``fglab:`` line on
+    stderr, nothing on stdout, no traceback."""
+    code, out, err = run(capsys, *(docs.get(a, a) for a in argv))
+    assert code == want
+    assert out == ""
+    assert [line for line in err.splitlines()
+            if line.startswith("fglab:")] == err.splitlines()
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_copolygon_reads_a_group_law_document(docs, capsys):
+    code, out, _ = run(capsys, "copolygon", "--in", docs["M5"],
+                       "--xi", "1,1", "--format", "machine")
+    assert code == 0
+    assert json.loads(out)["value"] == "1"

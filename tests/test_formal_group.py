@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +28,16 @@ from fglab.formal_group import (
     multiplicative_law,
 )
 
-from conftest import assert_series_matches
+from fglab.serialize import parse
+
+from conftest import (
+    assert_series_certified,
+    assert_series_matches,
+    poly_negation,
+    series_to_fractions,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def example_2d_law(ctx):
@@ -89,6 +99,20 @@ def test_negation_multiplicative(ctx5):
     iota = fg_negation(M)[0]
     expected = {(k,): Fraction((-1) ** k) for k in range(1, 9)}
     assert_series_matches(iota, expected)
+
+
+def test_negation_certifies_no_more_than_the_law():
+    """The (3,1,1) Lubin-Tate law is certified to 3^7 at degree 2, so
+    F + 3^7 x1^2 is as valid as F; its negation differs from F's at degree
+    2, and the negation may certify at most 7 digits there."""
+    law = parse((GOLDEN / "lt2_p3_h11_group.doc").read_text())
+    assert [c.prof(2) for c in law.law] == [7, 7]
+    iota = fg_negation(law)
+    assert all(c.prof(2) <= 7 for c in iota)
+    moved = [series_to_fractions(c) for c in law.law]
+    moved[0][(2, 0, 0, 0)] = moved[0].get((2, 0, 0, 0), 0) + 3 ** 7
+    for out, exact in zip(iota, poly_negation(moved, 3)):
+        assert_series_certified(out, exact, 3)
 
 
 def test_negation_example_2d(ctx5):

@@ -21,7 +21,6 @@ from fglab.padic import (
     PointTuple,
     PrecisionContext,
     ext_construct,
-    field_arith,
     teichmuller,
 )
 
@@ -58,17 +57,6 @@ def test_division_by_zero(ctx5):
     near_zero = PadicScalar.exact(ctx5, 7) - PadicScalar.exact(ctx5, 7)
     with pytest.raises(DivisionByZero):
         PadicScalar.exact(ctx5, 1) / near_zero
-
-
-def test_field_arith_dispatch(ctx5):
-    a = PadicScalar.exact(ctx5, 6)
-    b = PadicScalar.exact(ctx5, 2)
-    assert field_arith(a, b, "add").same_at_working_precision(8)
-    assert field_arith(a, b, "sub").same_at_working_precision(4)
-    assert field_arith(a, b, "mul").same_at_working_precision(12)
-    assert field_arith(a, b, "div").same_at_working_precision(3)
-    with pytest.raises(ValueError):
-        field_arith(a, b, "pow")
 
 
 def test_mixed_context_rejected():

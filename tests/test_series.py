@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fglab.errors import (
@@ -29,6 +29,7 @@ from fglab.series import (
     jacobian,
     linear_part_matrix,
     mat_det,
+    mat_inverse,
     ms_eval,
     tuple_compose,
 )
@@ -38,6 +39,7 @@ from conftest import (
     assert_series_matches,
     cyclotomic_modulus,
     poly_compose,
+    poly_inverse,
     series_to_fractions,
 )
 
@@ -329,6 +331,115 @@ def test_not_invertible_on_p_valuation_determinant(ctx5):
                      MultiSeries.from_terms(ctx5, 2, {(0, 1): 1})])
     with pytest.raises(NotInvertible):
         compositional_inverse(h)
+
+
+@st.composite
+def _invertible_cases(draw):
+    """(p, N, D, terms, stored_moves, extra_moves) for an inverse oracle.
+
+    terms: d components, each a unit-determinant linear part plus up to
+    four monomials of degree 2..D with coefficients u p^k, -2 <= k <= 2.
+    stored_moves: r values applied in turn to the stored coefficients;
+    extra_moves: (component, exponents, r) on any monomial.  A move adds
+    r p^prof(degree), which every claim of the series allows.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 3))
+    N = draw(st.integers(3, 10))
+    D = draw(st.integers(2, 6))
+    lin = [[draw(st.integers(-p * p, p * p)) for _ in range(d)]
+           for _ in range(d)]
+    assume(_int_det(lin) % p)
+
+    def exps(low):
+        left = draw(st.integers(low, D))
+        e = []
+        for _ in range(d - 1):
+            e.append(draw(st.integers(0, left)))
+            left -= e[-1]
+        return tuple(e + [left])
+
+    terms = []
+    for row in lin:
+        t = {tuple(int(i == j) for i in range(d)): Fraction(c)
+             for j, c in enumerate(row) if c}
+        for _ in range(draw(st.integers(0, 4))):
+            u = draw(st.integers(-60, 60).filter(bool))
+            t[exps(2)] = Fraction(u) * Fraction(p) ** draw(st.integers(-2, 2))
+        terms.append(t)
+    stored = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=6))
+    extra = [(draw(st.integers(0, d - 1)), exps(1), draw(st.integers(-2, 2)))
+             for _ in range(draw(st.integers(0, 3)))]
+    return p, N, D, terms, stored, extra
+
+
+def _int_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j]
+               * _int_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def _moved(ms, stored, extra):
+    """The exact values of ms after the moves (see _invertible_cases)."""
+    p = ms.ctx.p
+    value = {ms.unpack(k): Fraction(c, p ** ms.shift)
+             for k, c in sorted(ms.coeffs.items())}
+    moves = [(e, stored[n % len(stored)]) for n, e in enumerate(value)]
+    for e, r in moves + extra:
+        pf = ms.prof(sum(e))
+        if pf != INFINITE:
+            value[e] = value.get(e, 0) + r * Fraction(p) ** pf
+    return {e: c for e, c in value.items() if c}
+
+
+@settings(max_examples=200)
+@given(case=_invertible_cases())
+# the degree-4 residual is zero, but certified only to 2 and 0 digits; a
+# lift that skipped it claimed x^2 y^2 of the inverse to 2^5
+@example(case=(2, 8, 4, [
+    {(1, 0): -1, (0, 1): 2, (2, 1): 4, (3, 0): Fraction(1, 2), (1, 2): 1},
+    {(1, 0): -4, (0, 1): 3, (1, 2): 3, (0, 3): Fraction(5, 4)}],
+    [0], [(1, (2, 0), 1)]))
+# J0[0][0] is only O(5^8): an elimination step skipped on it claimed y^2
+# of the inverse's second component to 5^8
+@example(case=(5, 8, 2, [
+    {(0, 1): 4}, {(1, 0): 18, (0, 1): 17, (2, 0): Fraction(-4, 25)}],
+    [0], [(0, (1, 0), 1)]))
+def test_inverse_certifies_only_true_digits(case):
+    """Every digit compositional_inverse certifies, stored or absent,
+    agrees with the exact inverse of any input its own claims allow.  A
+    typed FglabError is an acceptable outcome."""
+    p, N, D, terms, stored, extra = case
+    ctx = PrecisionContext(p, N, D)
+    d = len(terms)
+    try:
+        h = TupleSeries([MultiSeries.from_terms(ctx, d, t) for t in terms])
+        got = compositional_inverse(h)
+    except FglabError:
+        return
+    moved = [_moved(hi, stored, [(e, r) for i, e, r in extra if i == n])
+             for n, hi in enumerate(h)]
+    for out, exact in zip(got, poly_inverse(moved, D)):
+        assert_series_certified(out, exact, D)
+
+
+def test_mat_inverse_keeps_an_inexact_zero_factor():
+    """J0[0][0] is O(5^8), not 0: eliminating with it must weaken the
+    inverse's [1][1] entry to O(5^8) instead of leaving an exact 0."""
+    ctx = PrecisionContext(5, 8, 2)
+    h = TupleSeries([
+        MultiSeries.from_terms(ctx, 2, {(0, 1): 4}),
+        MultiSeries.from_terms(ctx, 2, {(1, 0): 18, (0, 1): 17,
+                                        (2, 0): Fraction(-4, 25)})])
+    j0 = linear_part_matrix(h)
+    assert j0[0][0].is_zero and not j0[0][0].is_exact_zero
+    inv = mat_inverse(j0)
+    assert inv[1][1].is_zero and not inv[1][1].is_exact_zero
+    assert inv[1][1].known_precision == 8
+    assert mat_det(j0).same_at_working_precision(-72)
+    assert compositional_inverse(h)[1].prof(2) <= 6
 
 
 def test_coeff_extract_basics(ctx5):
