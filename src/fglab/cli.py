@@ -104,8 +104,7 @@ def _read(path: str) -> str:
         raise ParseError(0, f"{path} is not a text document") from None
 
 
-def _load_tuple(path: str) -> TupleSeries:
-    obj = parse(_read(path))
+def _as_tuple(obj) -> TupleSeries:
     if isinstance(obj, FormalGroupLaw):
         return obj.law
     if isinstance(obj, MultiSeries):
@@ -113,13 +112,29 @@ def _load_tuple(path: str) -> TupleSeries:
     return obj
 
 
+def _load_tuple(path: str) -> TupleSeries:
+    return _as_tuple(parse(_read(path)))
+
+
 def _load_group(path: str) -> FormalGroupLaw:
+    """The group law of any series document, its axioms checked afresh.
+
+    A group-law document's certificate is not believed: the law is
+    validated again (AxiomViolation for a false law), and a stored
+    certificate that disagrees with the fresh one is a ParseError.
+    """
     obj = parse(_read(path))
+    law = fg_validate(_as_tuple(obj))
     if isinstance(obj, FormalGroupLaw):
-        return obj
-    if isinstance(obj, TupleSeries):
-        return fg_validate(obj)
-    raise ParseError(0, "document does not describe a group law")
+        stored, fresh = obj.certificate, law.certificate
+        for name, a, b in (
+                ("dimension", obj.dimension, law.dimension),
+                ("certified-degree", stored.degree, fresh.degree),
+                ("axioms", stored.axioms, fresh.axioms),
+                ("commutative", stored.commutative, fresh.commutative)):
+            if a != b:
+                raise ParseError(0, f"stored {name} disagrees with the law")
+    return law
 
 
 def _rationals(spec: str, flag: str) -> list:
@@ -279,8 +294,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "validate-group":
-        tup = _load_tuple(args.infile)
-        law = fg_validate(tup)
+        law = _load_group(args.infile)
         cert = law.certificate
         _report({
             "dimension": law.dimension,

@@ -333,8 +333,15 @@ def _lift_commuting(u: TupleSeries, start: TupleSeries, right: TupleSeries,
     """Lift ``start`` degree by degree until u o h = h o right.
 
     First the per-degree solve losses must fit inside the precision; last
-    the commutation is checked at the degree cap.  Returns h and the
-    (degree, correction) pairs of the lift.
+    the commutation is checked at the degree cap, both sides composed
+    afresh.  Returns h and the (degree, correction) pairs of the lift.
+
+    Each step changes h only by a homogeneous correction delta_k, so h o
+    right is kept as a running sum: start o right once, plus delta_k o
+    right after each step, all at the full cap.  Since right has no
+    constant term, delta_k o right starts at degree k, and the running sum
+    holds exactly the terms of the current h o right; only its degree-k
+    part enters the residual.  The u o h side is recomposed at cap k.
     """
     ctx = u.ctx
     total = 0
@@ -348,15 +355,17 @@ def _lift_commuting(u: TupleSeries, start: TupleSeries, right: TupleSeries,
             f"difference-operator solves consume {total} digits; "
             f"abs_precision {ctx.abs_precision} cannot absorb that")
     corrections = []
+    h_right = tuple_compose(start, right)
 
     def correct(k, r):
+        nonlocal h_right
         delta = solver.solve(k, r)
         corrections.append((k, delta))
+        h_right = h_right + tuple_compose(delta, right)
         return delta
 
     h = lift_by_degree(
-        start, lambda h, k: (tuple_compose(u, h, cap=k)
-                             - tuple_compose(h, right, cap=k)),
+        start, lambda h, k: tuple_compose(u, h, cap=k) - h_right.truncate(k),
         correct, ctx.degree_cap)
     if not tuple_compose(u, h).same_at_working_precision(
             tuple_compose(h, right)):

@@ -102,8 +102,12 @@ def fg_validate(candidate: TupleSeries) -> FormalGroupLaw:
     """Check the group-law axioms and return a certified law.
 
     Verifies, modulo degree D+1: the linear part X + Y, the unit laws
-    F(X,0) = F(0,X) = X, associativity, and existence of the negation
-    series; raises AxiomViolation naming the first failure.
+    F(X,0) = F(0,X) = X and associativity; raises AxiomViolation naming
+    the first failure.  The certificate also lists ``inverse``, which the
+    linear part implies: with F = X + Y mod degree 2, the degree-k part of
+    F(X, iota(X)) = 0 reads iota_k = -(terms of lower degree), solvable over
+    any ring without a division (the formal implicit function theorem).
+    fg_negation builds iota when it is first asked for and checks it there.
     """
     d = candidate.dim
     if candidate.num_vars != 2 * d:
@@ -149,14 +153,6 @@ def fg_validate(candidate: TupleSeries) -> FormalGroupLaw:
     if w is not None:
         raise AxiomViolation("associativity", sum(w[1]), w)
 
-    # (iv) negation exists: solve and verify
-    iota = _solve_negation(candidate)
-    zero_d = TupleSeries.zero(ctx, d, d)
-    probe = group_add(candidate, TupleSeries.identity(ctx, d), iota)
-    w = _first_difference(probe, zero_d)
-    if w is not None:
-        raise AxiomViolation("inverse", sum(w[1]), w)
-
     perm = list(range(d, 2 * d)) + list(range(d))
     swapped = candidate.map_variables(2 * d, perm)
     commutative = _first_difference(candidate, swapped) is None
@@ -165,9 +161,7 @@ def fg_validate(candidate: TupleSeries) -> FormalGroupLaw:
         degree=D,
         axioms=("linear-part", "unit", "associativity", "inverse"),
         commutative=commutative)
-    law = FormalGroupLaw(d, candidate, cert)
-    law._negation = iota
-    return law
+    return FormalGroupLaw(d, candidate, cert)
 
 
 def _solve_negation(F: TupleSeries) -> TupleSeries:
@@ -179,9 +173,19 @@ def _solve_negation(F: TupleSeries) -> TupleSeries:
 
 
 def fg_negation(F: FormalGroupLaw) -> TupleSeries:
-    """iota(X) with F(X, iota(X)) = 0 mod deg D+1 (cached by fg_validate)."""
+    """iota(X) with F(X, iota(X)) = 0 mod deg D+1, solved once and cached.
+
+    The solved iota is checked against F(X, iota(X)) = 0 before it is
+    cached; a failure raises AxiomViolation("inverse").
+    """
     if F._negation is None:
-        F._negation = _solve_negation(F.law)
+        d = F.dimension
+        iota = _solve_negation(F.law)
+        probe = group_add(F.law, TupleSeries.identity(F.ctx, d), iota)
+        w = _first_difference(probe, TupleSeries.zero(F.ctx, d, d))
+        if w is not None:
+            raise AxiomViolation("inverse", sum(w[1]), w)
+        F._negation = iota
     return F._negation
 
 

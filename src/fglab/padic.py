@@ -452,8 +452,9 @@ class PadicScalar:
             return self.identical(other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.v, self.unit, self.rel))
+    # == against an int or Fraction holds at working precision, which is
+    # not transitive, so no hash can agree with it: the type is unhashable
+    __hash__ = None
 
     def __repr__(self):
         p = self.ctx.p
@@ -971,8 +972,8 @@ class ExtScalar:
             return self.same_at_working_precision(other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash(tuple(hash(c) for c in self.coeffs))
+    # unhashable for the reason PadicScalar is
+    __hash__ = None
 
     def __repr__(self):
         parts = [f"({c!r})*t^{i}" for i, c in enumerate(self.coeffs)

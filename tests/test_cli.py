@@ -314,3 +314,43 @@ def test_copolygon_reads_a_group_law_document(docs, capsys):
                        "--xi", "1,1", "--format", "machine")
     assert code == 0
     assert json.loads(out)["value"] == "1"
+
+
+READERS = (("validate-group", "--in"), ("height", "--group"),
+           ("negation", "--in"), ("mul-map", "--a", "3", "--in"))
+
+
+@pytest.mark.parametrize("reader", READERS, ids=lambda r: r[0])
+def test_readers_refuse_a_false_law_document(docs, tmp_path, capsys,
+                                             reader):
+    """X + 2Y + XY is no group law; its document carries the certificate of
+    X + Y + XY.  Every reader validates the law again: exit 10."""
+    text = Path(docs["M5"]).read_text()
+    false_law = text.replace("0 1 | 0 | 1 ", "0 1 | 0 | 2 ", 1)
+    assert false_law != text
+    path = tmp_path / "false.doc"
+    path.write_text(false_law)
+    code, out, err = run(capsys, *reader, str(path))
+    assert code == 10 and out == ""
+    assert "linear-part" in err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("commutative: yes", "commutative: no"),
+    ("certified-degree: 8", "certified-degree: 9"),
+    ("axioms: linear-part unit associativity inverse",
+     "axioms: linear-part unit associativity"),
+    ("dimension: 1", "dimension: 2"),
+], ids=["commutative", "certified-degree", "axioms", "dimension"])
+@pytest.mark.parametrize("reader", READERS, ids=lambda r: r[0])
+def test_readers_refuse_a_disagreeing_certificate(docs, tmp_path, capsys,
+                                                  reader, old, new):
+    """A true law whose stored certificate disagrees with the one its
+    axioms give is a malformed document: exit 13."""
+    text = Path(docs["M5"]).read_text()
+    assert old in text
+    path = tmp_path / "flipped.doc"
+    path.write_text(text.replace(old, new, 1))
+    code, out, err = run(capsys, *reader, str(path))
+    assert code == 13 and out == ""
+    assert err.startswith("fglab: line 0: stored ")

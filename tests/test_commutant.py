@@ -18,6 +18,7 @@ from fglab.formal_group import (
     lt2_min_precision,
     multiplicative_law,
 )
+import fglab.commutant as cm
 from fglab.commutant import (
     commutant_reconstruct,
     group_from_jacobian,
@@ -190,3 +191,27 @@ def test_non_diagonal_linear_part_general_operator():
     trace2 = commutant_reconstruct(u, [[7, 0], [0, 7]])
     assert trace2.series.same_at_working_precision(
         scaled_identity(ctx, 2, [7, 7]))
+
+
+def test_group_from_jacobian_keeps_h_after_u_as_a_running_sum(monkeypatch):
+    """Inside group_from_jacobian on the (2,1,2) Lubin-Tate [p]_F, every
+    composition below the degree cap is u o h: h o u is kept as a running
+    sum of full-cap compositions, so no h o u is recomposed at a partial
+    cap.  The output still reproduces the law."""
+    p, h1, h2 = 2, 1, 2
+    D = p ** (h1 + h2)
+    ctx = PrecisionContext(p, lt2_min_precision(h1, h2, p, D), D)
+    res = lt2_build(LubinTate2Params(h1, h2, ctx))
+    u = res.mul_p.series
+    outers = []
+
+    def recording_compose(f, g, cap=None):
+        if cap is not None and cap < D:
+            outers.append(f)
+        return tuple_compose(f, g, cap=cap)
+
+    monkeypatch.setattr(cm, "tuple_compose", recording_compose)
+    H = group_from_jacobian(u, [[1, 0], [0, 1]], [[1, 0], [0, 1]])
+    assert len(outers) == D - 2          # caps k = 2 .. D-1
+    assert all(f is u for f in outers)
+    assert H.same_at_working_precision(res.group.law)

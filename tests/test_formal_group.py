@@ -14,6 +14,7 @@ from fglab.errors import (
 )
 from fglab.padic import INFINITE, PrecisionContext
 from fglab.series import MultiSeries, TupleSeries, jacobian, tuple_compose
+import fglab.formal_group as fg
 from fglab.formal_group import (
     LubinTate2Params,
     additive_law,
@@ -113,6 +114,36 @@ def test_negation_certifies_no_more_than_the_law():
     moved[0][(2, 0, 0, 0)] = moved[0].get((2, 0, 0, 0), 0) + 3 ** 7
     for out, exact in zip(iota, poly_negation(moved, 3)):
         assert_series_certified(out, exact, 3)
+
+
+def test_negation_checks_its_own_solve(ctx5, monkeypatch):
+    """fg_negation checks the iota it solves against F(X, iota(X)) = 0
+    before caching it: a wrong solve raises AxiomViolation("inverse")."""
+    M = multiplicative_law(ctx5)
+    stray = TupleSeries([MultiSeries.from_terms(ctx5, 1,
+                                                {(1,): -1, (2,): 5})])
+    monkeypatch.setattr(fg, "_solve_negation", lambda F: stray)
+    with pytest.raises(AxiomViolation) as err:
+        fg_negation(M)
+    assert err.value.axiom == "inverse"
+    assert M._negation is None
+
+
+@pytest.mark.parametrize("make", [
+    multiplicative_law,
+    lambda ctx: fg_validate(example_2d_law(ctx)),
+    lambda ctx: fg_validate(
+        parse((GOLDEN / "lt2_p2_h12_group.doc").read_text()).law),
+], ids=["multiplicative", "example_2d", "lt2"])
+def test_negation_of_a_validated_law_matches_the_oracle(ctx5, make):
+    """The negation of a freshly validated law agrees with the naive
+    Fraction negation of the same law on every certified digit."""
+    F = make(ctx5)
+    iota = fg_negation(F)
+    exact = poly_negation([series_to_fractions(c) for c in F.law],
+                          F.ctx.degree_cap)
+    for out, want in zip(iota, exact):
+        assert_series_certified(out, want, F.ctx.degree_cap)
 
 
 def test_negation_example_2d(ctx5):
@@ -372,3 +403,23 @@ def test_associativity_sides_cost_the_same_products(monkeypatch):
     right = group_add(F, X3, FYZ)
     assert terms[0] <= left_terms
     assert left.same_at_working_precision(right)
+
+
+def test_validate_composes_only_the_associativity_sides(monkeypatch):
+    """fg_validate composes F(F(X,Y), Z) and F(X, F(Y,Z)) and nothing else
+    on the (2,1,2) Lubin-Tate law: the negation is implied by the linear
+    part and left to fg_negation.  The count does not depend on the
+    machine."""
+    p, h1, h2 = 2, 1, 2
+    D = p ** (h1 + h2)
+    ctx = PrecisionContext(p, lt2_min_precision(h1, h2, p, D), D)
+    F = lt2_build(LubinTate2Params(h1, h2, ctx)).group.law
+    calls = [0]
+
+    def counting_compose(f, g, cap=None):
+        calls[0] += 1
+        return tuple_compose(f, g, cap=cap)
+
+    monkeypatch.setattr(fg, "tuple_compose", counting_compose)
+    fg_validate(F)
+    assert calls[0] == 2

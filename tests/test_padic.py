@@ -246,3 +246,17 @@ def test_round_trips(a, b):
 def test_digits_little_endian(ctx5):
     x = PadicScalar.exact(ctx5, 2 + 3 * 5 + 4 * 25)
     assert x.digits()[:3] == [2, 3, 4]
+
+
+def test_scalars_are_unhashable(ctx5):
+    """== against an int holds at working precision, which no hash can
+    agree with (PadicScalar.exact(ctx, 1) == 1 once hashed apart from 1),
+    so both scalar types refuse to be hashed."""
+    a = PadicScalar.exact(ctx5, 1)
+    x = ExtScalar.from_poly(cyclotomic_modulus(ctx5, 1), [1])
+    assert a == 1 and x == 1
+    for value in (a, x):
+        with pytest.raises(TypeError):
+            hash(value)
+        with pytest.raises(TypeError):
+            {value, 1}
