@@ -59,7 +59,6 @@ from .padic import (
 )
 from .series import (
     EvalResult,
-    Exponent,
     JacobianMatrix,
     MultiSeries,
     TupleSeries,
@@ -73,7 +72,7 @@ from .serialize import parse, parse_extension, serialize, serialize_extension
 
 __all__ = [
     "AxiomCertificate", "BoundCheckReport", "Copolygon", "EndoSeries",
-    "EvalResult", "Exponent", "ExtScalar", "ExtensionModulus",
+    "EvalResult", "ExtScalar", "ExtensionModulus",
     "FormalGroupLaw", "HeightReport", "INFINITE", "IntersectionReport",
     "JacobianMatrix", "Lt2Result", "LubinTate2Params", "MultiSeries",
     "OrbitRecord", "PadicScalar", "PointTuple", "PrecisionContext",

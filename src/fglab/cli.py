@@ -422,10 +422,10 @@ def _torsion_set(law, level, extension_path):
         raise FglabError("torsion probes support dimension 1")
     modulus = parse_extension(_read(extension_path), law.ctx)
     p = law.ctx.p
-    mulp = fg_multiplication_map(law, p)
-    h = height_and_kernel_count(law, level, mul_p=mulp.series)
-    G = fg_multiplication_map(law, p ** level).series[0]
-    ts = torsion_probe_dim1(G, level, modulus, expected=h.kernel_order)
+    mulp = fg_multiplication_map(law, p).series
+    h = height_and_kernel_count(law, level, mul_p=mulp)
+    G = mulp if level == 1 else fg_multiplication_map(law, p ** level).series
+    ts = torsion_probe_dim1(G[0], level, modulus, expected=h.kernel_order)
     return ts, h
 
 

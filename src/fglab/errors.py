@@ -85,10 +85,6 @@ class DivergentPoint(FglabError):
     """Evaluation point has a coordinate of non-positive valuation."""
 
 
-class LiftDivergence(FglabError):
-    """A residue-level root candidate could not be lifted."""
-
-
 class UnsupportedShape(FglabError):
     """Input falls outside the desk-scale cases the operation supports."""
 

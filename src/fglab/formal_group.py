@@ -2,11 +2,12 @@
 two-dimensional Lubin-Tate construction.
 
 The Lubin-Tate logarithm and everything derived from it purely in two
-variables ([p]_F in particular) are computed in exact rational arithmetic:
-the logarithm's coefficients are rationals with pure p-power denominators,
-and keeping that stage exact avoids spending p-adic precision on the
-degree-by-degree inversion.  The expensive 2d- and 3d-variable compositions
-(the group law itself, axiom checks) run on the p-adic series layer.
+variables (its inverse and [p]_F) are computed on exact series (profile
+None): their coefficients lie in Z[1/p], so integers over one power of p
+hold them exactly, and keeping that stage exact avoids spending p-adic
+precision on the degree-by-degree inversion.  The expensive 2d- and
+3d-variable compositions (the group law itself, axiom checks) run on
+series certified for the context.
 """
 
 from __future__ import annotations
@@ -297,67 +298,6 @@ def endo_verify(F: FormalGroupLaw, f: TupleSeries) -> EndoSeries:
 
 
 # ---------------------------------------------------------------------------
-# exact rational kernel for the 2-variable Lubin-Tate stage
-# ---------------------------------------------------------------------------
-
-def _rmul(a: dict, b: dict, D: int) -> dict:
-    out = {}
-    for (i1, j1), ca in a.items():
-        for (i2, j2), cb in b.items():
-            if i1 + i2 + j1 + j2 > D:
-                continue
-            k = (i1 + i2, j1 + j2)
-            v = out.get(k)
-            out[k] = ca * cb if v is None else v + ca * cb
-    return {k: c for k, c in out.items() if c}
-
-
-def _radd(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k, 0) + c
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
-    return out
-
-
-def _rscale(a: dict, s: Fraction) -> dict:
-    return {} if s == 0 else {k: c * s for k, c in a.items()}
-
-
-def _rcompose(outer: dict, g1: dict, g2: dict, D: int) -> dict:
-    """outer(g1, g2) for rational sparse 2-variable polys, degree-capped."""
-    pow1, pow2 = {0: {(0, 0): Fraction(1)}}, {0: {(0, 0): Fraction(1)}}
-
-    def power(cache, base, e):
-        while e not in cache:
-            top = max(cache)
-            cache[top + 1] = _rmul(cache[top], base, D)
-        return cache[e]
-
-    acc = {}
-    for (i, j), c in sorted(outer.items()):
-        term = _rscale(_rmul(power(pow1, g1, i), power(pow2, g2, j), D), c)
-        acc = _radd(acc, term)
-    return acc
-
-
-def _rinverse(L1: dict, L2: dict, D: int) -> tuple:
-    """Compositional inverse of (L1, L2) with identity linear part."""
-    f1, f2 = {(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}
-    for n in range(1, D):
-        c1 = _rcompose(L1, f1, f2, min(n + 1, D))
-        c2 = _rcompose(L2, f1, f2, min(n + 1, D))
-        r1 = {k: -c for k, c in c1.items() if sum(k) == n + 1}
-        r2 = {k: -c for k, c in c2.items() if sum(k) == n + 1}
-        f1 = _radd(f1, r1)
-        f2 = _radd(f2, r2)
-    return f1, f2
-
-
-# ---------------------------------------------------------------------------
 # the 2-dimensional Lubin-Tate construction
 # ---------------------------------------------------------------------------
 
@@ -395,7 +335,8 @@ def lt2_logarithm_terms(params: LubinTate2Params):
 
     L1 = x1 + (1/p) L2(x1^q1, x2^q1) with q1 = p^h1, and symmetrically for
     L2; iterating the pair to its fixed point below the degree cap yields
-    one monomial per unrolling step.
+    one monomial per unrolling step.  Returns the two {exponents: Fraction}
+    dicts.
     """
     p = params.ctx.p
     D = params.ctx.degree_cap
@@ -403,117 +344,105 @@ def lt2_logarithm_terms(params: LubinTate2Params):
     q2 = p ** params.h2
     t1 = {(1, 0): Fraction(1)}
     t2 = {(0, 1): Fraction(1)}
-    changed = True
-    while changed:
-        n1 = _radd({(1, 0): Fraction(1)},
-                   _rscale(_rfrobenius(t2, q1, D), Fraction(1, p)))
-        n2 = _radd({(0, 1): Fraction(1)},
-                   _rscale(_rfrobenius(t1, q2, D), Fraction(1, p)))
-        changed = (n1 != t1) or (n2 != t2)
+    while True:
+        n1 = {(1, 0): Fraction(1), **{(i * q1, j * q1): c / p
+                                      for (i, j), c in t2.items()
+                                      if (i + j) * q1 <= D}}
+        n2 = {(0, 1): Fraction(1), **{(i * q2, j * q2): c / p
+                                      for (i, j), c in t1.items()
+                                      if (i + j) * q2 <= D}}
+        if n1 == t1 and n2 == t2:
+            return n1, n2
         t1, t2 = n1, n2
-    return t1, t2
 
 
-def _rfrobenius(poly: dict, q: int, D: int) -> dict:
-    """Substitute x_i -> x_i^q, dropping terms past the degree cap."""
-    out = {}
-    for (i, j), c in poly.items():
-        if (i + j) * q <= D:
-            out[(i * q, j * q)] = c
-    return out
+def _lt2_exact(ctx, log_terms):
+    """The exact logarithm L and its compositional inverse, as exact series.
+
+    L = X + (higher terms), so L^{-1} starts from X, and at each degree k
+    its correction is the degree-k part of X - L(L^{-1}).
+    """
+    L = TupleSeries([MultiSeries.from_exact_terms(ctx, 2, t)
+                     for t in log_terms])
+    X = L.truncate(1)
+    Linv = lift_by_degree(X, lambda f, k: X - tuple_compose(L, f, cap=k),
+                          lambda k, r: r, ctx.degree_cap)
+    return L, Linv
 
 
 def lt2_build(params: LubinTate2Params) -> Lt2Result:
     """Logarithm, group law F = L^{-1}(L(X) + L(Y)), and [p]_F.
 
-    The 2-variable stage (logarithm, its inverse, [p]_F) is exact rational;
-    F is composed in p-adic arithmetic and certified by fg_validate, and
-    both multiplication-by-p congruences are checked.
+    The 2-variable stage (logarithm, its inverse, [p]_F) runs on exact
+    series, which are then certified for the context; F is composed in
+    p-adic arithmetic from the certified L and L^{-1} and checked by
+    fg_validate, and both multiplication-by-p congruences are checked.
     """
     ctx = params.ctx
-    p, D = ctx.p, ctx.degree_cap
-    t1, t2 = lt2_logarithm_terms(params)
-    inv1, inv2 = _rinverse(t1, t2, D)
+    p = ctx.p
+    log_terms = lt2_logarithm_terms(params)
+    L_exact, Linv_exact = _lt2_exact(ctx, log_terms)
 
-    _check_lt2_budget(ctx, (t1, t2), (inv1, inv2))
+    need = _lt2_budget(L_exact, Linv_exact)
+    if ctx.abs_precision < need:
+        raise PrecisionExhausted(
+            f"abs_precision {ctx.abs_precision} too small for the 1/p budget "
+            f"of this configuration; need at least {need}")
 
-    L = TupleSeries([MultiSeries.from_terms(ctx, 2, t1),
-                     MultiSeries.from_terms(ctx, 2, t2)])
-    Linv = TupleSeries([MultiSeries.from_terms(ctx, 2, inv1),
-                        MultiSeries.from_terms(ctx, 2, inv2)])
+    # [p]_F = L^{-1}(p L), p-integral exactly when every shift is 0
+    pL = TupleSeries([MultiSeries.from_exact_terms(
+        ctx, 2, {e: p * c for e, c in t.items()}) for t in log_terms])
+    mulp_exact = tuple_compose(Linv_exact, pL)
+    if any(c.shift for c in mulp_exact):
+        raise PrecisionExhausted("[p]_F is not p-integral")
 
-    # [p]_F = L^{-1}(p L), exact in the rational kernel
-    pt1, pt2 = _rscale(t1, Fraction(p)), _rscale(t2, Fraction(p))
-    mp1 = _rcompose(inv1, pt1, pt2, D)
-    mp2 = _rcompose(inv2, pt1, pt2, D)
-    for poly in (mp1, mp2):
-        for k, c in poly.items():
-            if _vp(c.denominator, p) != 0:
-                raise PrecisionExhausted(
-                    f"[p]_F coefficient at {k} is not p-integral: {c}")
-    mulp = TupleSeries([MultiSeries.from_terms(ctx, 2, mp1),
-                        MultiSeries.from_terms(ctx, 2, mp2)])
+    def certified(t):
+        return TupleSeries([MultiSeries.from_terms(
+            ctx, 2, {c.unpack(k): Fraction(v, p ** c.shift)
+                     for k, v in c.coeffs.items()}) for c in t])
+
+    L = certified(L_exact)
+    Linv = certified(Linv_exact)
+    mulp = certified(mulp_exact)
 
     gx = L.map_variables(4, [0, 1])
     gy = L.map_variables(4, [2, 3])
     F_raw = tuple_compose(Linv, gx + gy)
     group = fg_validate(F_raw)
 
-    congruences = _check_lt2_congruences(mulp, params, (mp1, mp2))
+    congruences = _check_lt2_congruences(mulp_exact, params)
     return Lt2Result(log=L, group=group,
                      mul_p=EndoSeries(mulp, group), congruences=congruences)
 
 
-def _lt2_budget(p, D, log_pair, inv_pair) -> int:
-    """Smallest abs_precision that survives the denominator exposure."""
-    worst_v = 0
-    worst_rho = Fraction(0)
-    for poly in (*log_pair, *inv_pair):
-        for (i, j), c in poly.items():
-            v = -_vp(c.denominator, p)
-            worst_v = min(worst_v, v)
-            if i + j:
-                worst_rho = min(worst_rho, Fraction(v, i + j))
-    return 2 - worst_v + 2 * math.ceil(-worst_rho * D)
+def _lt2_budget(L: TupleSeries, Linv: TupleSeries) -> int:
+    """Smallest abs_precision that survives the denominator exposure of
+    the exact logarithm and its inverse."""
+    comps = L.components + Linv.components
+    worst_v = min(0, *(c.vmin for c in comps))
+    worst_rho = min(c.rho for c in comps)
+    return 2 - worst_v + 2 * math.ceil(-worst_rho * L.ctx.degree_cap)
 
 
 def lt2_min_precision(h1: int, h2: int, p: int, D: int) -> int:
     """Precision budget for lt2_build(h1, h2) at prime p and degree cap D."""
     probe = LubinTate2Params(h1, h2, PrecisionContext(p, 1, D))
-    t1, t2 = lt2_logarithm_terms(probe)
-    inv1, inv2 = _rinverse(t1, t2, D)
-    return _lt2_budget(p, D, (t1, t2), (inv1, inv2))
+    return _lt2_budget(*_lt2_exact(probe.ctx, lt2_logarithm_terms(probe)))
 
 
-def _check_lt2_budget(ctx, log_pair, inv_pair):
-    """Fail fast when abs_precision cannot absorb the denominator exposure."""
-    need = _lt2_budget(ctx.p, ctx.degree_cap, log_pair, inv_pair)
-    if ctx.abs_precision < need:
-        raise PrecisionExhausted(
-            f"abs_precision {ctx.abs_precision} too small for the 1/p budget "
-            f"of this configuration; need at least {need}")
-
-
-def _check_lt2_congruences(mulp: TupleSeries, params, raw_pair) -> dict:
-    """Eq-style congruence report: deg-2 linear shape and the mod-p shape."""
+def _check_lt2_congruences(mulp: TupleSeries, params) -> dict:
+    """Eq-style congruence report: deg-2 linear shape and the mod-p shape,
+    read off the exact, p-integral [p]_F."""
     ctx = params.ctx
     p = ctx.p
-    lin_ok = True
-    for i, comp in enumerate(mulp.components):
-        low = comp.truncate(1)
-        want = MultiSeries.variable(ctx, 2, i).scale(p)
-        if not (low - want).is_zero:
-            lin_ok = False
     wanted = [(0, p ** params.h1), (p ** params.h2, 0)]
-    modp_ok = True
-    for raw, want_exp in zip(raw_pair, wanted):
-        seen = {}
-        for exps, c in raw.items():
-            r = (c.numerator * pow(c.denominator, -1, p)) % p
-            if r:
-                seen[exps] = r
-        if seen != {want_exp: 1}:
-            modp_ok = False
+    lin_ok = modp_ok = True
+    for i, (comp, want_exp) in enumerate(zip(mulp.components, wanted)):
+        terms = {comp.unpack(k): c for k, c in comp.coeffs.items()}
+        lin_ok &= {e: c for e, c in terms.items() if sum(e) <= 1} \
+            == {(int(i == 0), int(i == 1)): p}
+        modp_ok &= {e: c % p for e, c in terms.items() if c % p} \
+            == {want_exp: 1}
     return {
         "linear_part_is_p_times_identity": lin_ok,
         "frobenius_shape_mod_p": modp_ok,
@@ -530,10 +459,6 @@ class HeightReport:
     height: object          # int or INFINITE
     level: int
     kernel_order: object    # p^(h n), or INFINITE
-
-    @property
-    def is_finite(self):
-        return self.height is not INFINITE
 
 
 def height_and_kernel_count(F: FormalGroupLaw, level: int = 1,

@@ -35,6 +35,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import (
+    BadArgument,
     DivergentPoint,
     MixedContext,
     NonzeroConstantTerm,
@@ -48,14 +49,6 @@ from .padic import (
     PointTuple,
     _vp,
 )
-
-class Exponent(tuple):
-    """A multi-index; total_degree is the sum of the entries."""
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self)
-
 
 class Profile:
     """Concave two-line certified-precision profile over total degree.
@@ -117,7 +110,7 @@ class MultiSeries:
         self.ctx = ctx
         self.num_vars = num_vars
         self.shift = shift
-        self.profile = profile    # Profile, or None for the exact zero series
+        self.profile = profile    # Profile, or None for an exact series
         self.coeffs = coeffs      # dict[packed key, scaled int]
         self._summ = None         # cached _summary(); reset on any rewrite
 
@@ -229,6 +222,35 @@ class MultiSeries:
         return cls(ctx, num_vars, shift, profile, coeffs)._normalized()
 
     @classmethod
+    def from_exact_terms(cls, ctx, num_vars, terms) -> "MultiSeries":
+        """Exact series (profile None) from {exponent tuple: coefficient}.
+
+        Coefficients are ints or Fractions in Z[1/p], stored as integers
+        over one common power of p; any other denominator raises
+        BadArgument.  Exact series stay exact under ``+``, ``-``, ``mul``
+        and ``tuple_compose`` with exact inner series.  Terms past the
+        degree cap are dropped.
+        """
+        p = ctx.p
+        shift = 0
+        entries = []
+        for exps, c in terms.items():
+            exps, q = tuple(exps), Fraction(c)
+            if len(exps) != num_vars or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent {exps} for {num_vars} "
+                                 "variables")
+            k = _vp(q.denominator, p)
+            if q.denominator != p ** k:
+                raise BadArgument(f"coefficient {q} is not in Z[1/{p}]")
+            if q and sum(exps) <= ctx.degree_cap:
+                entries.append((exps, q))
+                shift = max(shift, k)
+        out = cls(ctx, num_vars, shift, None, {})
+        out.coeffs = {out.pack(exps): q.numerator * p ** shift // q.denominator
+                      for exps, q in entries}
+        return out
+
+    @classmethod
     def variable(cls, ctx, num_vars, index) -> "MultiSeries":
         exps = tuple(1 if i == index else 0 for i in range(num_vars))
         return cls.from_terms(ctx, num_vars, {exps: 1})
@@ -335,7 +357,7 @@ class MultiSeries:
 
     def support(self) -> list:
         """Exponent tuples in canonical (degree, lex) order."""
-        return [Exponent(self.unpack(k)) for k in sorted(self.coeffs)]
+        return [self.unpack(k) for k in sorted(self.coeffs)]
 
     def coefficient(self, exps) -> PadicScalar:
         """Materialize one coefficient; absent means zero at the profile."""
@@ -358,7 +380,7 @@ class MultiSeries:
 
     def terms(self):
         """(exponent tuple, PadicScalar) pairs in canonical order."""
-        return [(Exponent(self.unpack(k)), self.coefficient(self.unpack(k)))
+        return [(self.unpack(k), self.coefficient(self.unpack(k)))
                 for k in sorted(self.coeffs)]
 
     def degree(self) -> int:
@@ -885,10 +907,11 @@ def _compose_one(f: MultiSeries, caches, cap, target_vars) -> MultiSeries:
     def rec(entries, level):
         if level == m:
             # a single fully-consumed monomial: its coefficient as a
-            # constant certified at its own degree's precision
-            deg = sum(entries[0][0])
-            total = MultiSeries(ctx, target_vars, f.shift,
-                                Profile.const(f.prof(deg)),
+            # constant certified at its own degree's precision, or exact
+            # when f is
+            prof = None if f.profile is None else \
+                Profile.const(f.prof(sum(entries[0][0])))
+            total = MultiSeries(ctx, target_vars, f.shift, prof,
                                 {0: sum(c for _, c in entries)})
             return total._normalized()
         var = order[level]

@@ -206,6 +206,26 @@ def poly_negation(F: list, cap: int) -> list:
     return iota
 
 
+def lt2_log_oracle(p: int, h1: int, h2: int, cap: int) -> list:
+    """The two-dimensional Lubin-Tate logarithm (L1, L2) through degree cap,
+    in closed form.  Unrolling L1 = x1 + (1/p) L2(x1^q1, x2^q1) and
+    L2 = x2 + (1/p) L1(x1^q2, x2^q2) (q_i = p^h_i) gives
+    L1 = sum_k p^-k m_k, where m_0 = x1 and m_(k+1) raises the other
+    variable to the degree of m_k times q1, q2, q1, ... in turn; L2
+    likewise from x2 with q2 first."""
+    out = []
+    for var, qs in ((0, (p ** h1, p ** h2)), (1, (p ** h2, p ** h1))):
+        terms, deg, k = {}, 1, 0
+        while deg <= cap:
+            exps = [0, 0]
+            exps[(var + k) % 2] = deg
+            terms[tuple(exps)] = Fraction(1, p ** k)
+            deg *= qs[k % 2]
+            k += 1
+        out.append(terms)
+    return out
+
+
 def series_to_fractions(ms) -> dict:
     """Canonical rational representatives of a series' stored coefficients."""
     return {tuple(e): c.lift() for e, c in ms.terms()}

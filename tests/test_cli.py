@@ -76,6 +76,32 @@ def test_mul_map_and_negation(tmp_path, capsys):
     assert "fglab-series" in out
 
 
+@pytest.mark.parametrize("argv, want", [
+    (("negation",), [-1, 1, -1, 1, -1, 1]),
+    (("mul-map", "--a", "3"), [3, 3, 1, 0, 0, 0]),
+], ids=["negation", "mul-map"])
+def test_exact_law_document_maps_write_integer_digits(tmp_path, capsys, argv,
+                                                      want):
+    """A ``profile exact`` X+Y+XY document composes exactly: at N=30 its
+    negation and [3] are written as integer digits that parse reads back
+    (a float reduction once wrote ``1.0 0.0 ...`` and, past 2^53, made the
+    negation check fail)."""
+    ctx = PrecisionContext(5, 30, 6)
+    text = serialize(multiplicative_law(ctx))
+    gpath = tmp_path / "exact.doc"
+    gpath.write_text(text.replace("profile 30 0 30", "profile exact"))
+    assert parse(gpath.read_text()).law[0].profile is None
+    out_path = tmp_path / "out.doc"
+    code, _, _ = run(capsys, *argv[:1], "--in", str(gpath), *argv[1:],
+                     "--out", str(out_path))
+    assert code == 0
+    doc = out_path.read_text()
+    assert "." not in doc
+    series = parse(doc)[0]
+    for k, c in enumerate(want, start=1):
+        assert series.coefficient((k,)).same_at_working_precision(c)
+
+
 def test_reconstruct_and_singular_exit(tmp_path, capsys):
     ctx = PrecisionContext(2, 20, 10)
     M = multiplicative_law(ctx)
@@ -180,6 +206,32 @@ def test_orbit_and_torsion_and_intersect(tmp_path, capsys):
                         "--group2", str(apath), "--level", "1",
                         "--extension", str(ext1), "--format", "machine")
     assert out2 == out1
+
+
+def test_torsion_level_one_builds_mul_p_once(tmp_path, capsys,
+                                              monkeypatch):
+    """At --level 1, [p^level]_F is [p]_F: the torsion command builds it
+    once and reuses it for the height and the probe."""
+    import fglab.cli as cli
+    ctx = PrecisionContext(5, 14, 8)
+    mpath = tmp_path / "m.doc"
+    mpath.write_text(serialize(multiplicative_law(ctx)))
+    ext1 = tmp_path / "cyc1.ext"
+    ext1.write_text(serialize_extension(cyclotomic_modulus(ctx, 1)))
+    calls = []
+    real = cli.fg_multiplication_map
+
+    def counting(law, a):
+        calls.append(a)
+        return real(law, a)
+
+    monkeypatch.setattr(cli, "fg_multiplication_map", counting)
+    code, out, _ = run(capsys, "torsion", "--group", str(mpath),
+                       "--level", "1", "--extension", str(ext1),
+                       "--format", "machine")
+    assert code == 0
+    assert json.loads(out)["count"] == 5
+    assert calls == [5]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -329,14 +329,14 @@ def test_lt2_budget_guard():
 @pytest.mark.parametrize("p,h1,h2", [(2, 1, 1), (3, 1, 1)])
 def test_lt2_group_matches_rational_oracle(p, h1, h2):
     # independent dual route: build F = L^{-1}(L(X)+L(Y)) entirely in
-    # Fraction arithmetic and compare coefficientwise
-    from fglab.formal_group import lt2_logarithm_terms, _rinverse
-    from conftest import poly_compose, poly_add
+    # Fraction arithmetic (the closed-form logarithm and the conftest
+    # inverse) and compare coefficientwise
+    from conftest import lt2_log_oracle, poly_add, poly_compose, poly_inverse
     D = p ** (h1 + h2)
     ctx = PrecisionContext(p, lt2_min_precision(h1, h2, p, D), D)
     res = lt2_build(LubinTate2Params(h1, h2, ctx))
-    t1, t2 = lt2_logarithm_terms(LubinTate2Params(h1, h2, ctx))
-    inv1, inv2 = _rinverse(t1, t2, D)
+    t1, t2 = lt2_log_oracle(p, h1, h2, D)
+    inv1, inv2 = poly_inverse([t1, t2], D)
 
     def widen(poly, pos):
         out = {}
@@ -351,6 +351,22 @@ def test_lt2_group_matches_rational_oracle(p, h1, h2):
     for comp_rat, comp_padic in zip((inv1, inv2), res.group.law.components):
         want = poly_compose(comp_rat, [g1, g2], D)
         assert_series_matches(comp_padic, want)
+
+
+@pytest.mark.parametrize("p,h1,h2", [(2, 1, 1), (2, 1, 2), (3, 1, 1)])
+def test_lt2_log_and_mul_p_match_rational_oracle(p, h1, h2):
+    """L and [p]_F = L^{-1}(pL) against the closed-form logarithm and the
+    conftest Fraction inverse and composition."""
+    from conftest import lt2_log_oracle, poly_compose, poly_inverse, poly_scale
+    D = p ** (h1 + h2)
+    ctx = PrecisionContext(p, lt2_min_precision(h1, h2, p, D), D)
+    res = lt2_build(LubinTate2Params(h1, h2, ctx))
+    log = lt2_log_oracle(p, h1, h2, D)
+    pL = [poly_scale(t, p) for t in log]
+    for t, comp in zip(log, res.log.components):
+        assert_series_matches(comp, t)
+    for inv, comp in zip(poly_inverse(log, D), res.mul_p.series.components):
+        assert_series_matches(comp, poly_compose(inv, pL, D))
 
 
 def test_height_rejects_dimension_three(ctx5):

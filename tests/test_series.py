@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fglab.errors import (
+    BadArgument,
     DivergentPoint,
     FglabError,
     MixedContext,
@@ -27,6 +28,7 @@ from fglab.series import (
     coeff_extract,
     compositional_inverse,
     jacobian,
+    lift_by_degree,
     linear_part_matrix,
     mat_det,
     mat_inverse,
@@ -38,8 +40,10 @@ from conftest import (
     assert_series_certified,
     assert_series_matches,
     cyclotomic_modulus,
+    poly_add,
     poly_compose,
     poly_inverse,
+    poly_mul,
     series_to_fractions,
 )
 
@@ -225,6 +229,111 @@ def test_compose_tail_amplified_by_negative_inner_valuation():
                          inners, 4)
     assert_series_certified(out, exact, 4)
     assert out.prof(2) <= 4
+
+
+# ---------------------------------------------------------------------------
+# exact series (profile None): values in Z[1/p], held without a profile
+# ---------------------------------------------------------------------------
+
+def _exact_value(ms) -> dict:
+    """The exact rational coefficients, read off the stored integers; each
+    stored integer must be a Python int."""
+    assert all(type(c) is int for c in ms.coeffs.values())
+    return {ms.unpack(k): Fraction(c, ms.ctx.p ** ms.shift)
+            for k, c in ms.coeffs.items()}
+
+
+def _random_exact_terms(rng, p, m, D, linear=None):
+    """A Fraction dict in m variables with denominators p^0..p^3, no
+    constant term; ``linear`` fixes the degree-1 part."""
+    terms = {}
+    for _ in range(6):
+        exps = tuple(rng.randint(0, 2) for _ in range(m))
+        if 1 <= sum(exps) <= D:
+            terms[exps] = Fraction(rng.randint(-9, 9), p ** rng.randint(0, 3))
+    if linear is not None:
+        terms = {e: c for e, c in terms.items() if sum(e) > 1}
+        terms.update(linear)
+    return {e: c for e, c in terms.items() if c}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_exact_ring_operations_match_fraction_oracle(p):
+    ctx = PrecisionContext(p, 4, 6)
+    rng = random.Random(p)
+    for _ in range(8):
+        a, b = (_random_exact_terms(rng, p, 2, 6) for _ in range(2))
+        sa, sb = (MultiSeries.from_exact_terms(ctx, 2, t) for t in (a, b))
+        for got, want in ((sa + sb, poly_add(a, b)),
+                          (sa - sb, poly_add(a, {e: -c for e, c in b.items()})),
+                          (sa.mul(sb), poly_mul(a, b, 6)),
+                          (sa.mul(sb, cap=4), poly_mul(a, b, 4))):
+            assert got.profile is None
+            assert _exact_value(got) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_exact_capped_compose_matches_fraction_oracle(p):
+    ctx = PrecisionContext(p, 4, 6)
+    rng = random.Random(10 + p)
+    for cap in (3, 6):
+        f = [_random_exact_terms(rng, p, 2, 6) for _ in range(2)]
+        g = [_random_exact_terms(rng, p, 3, 6) for _ in range(2)]
+        got = tuple_compose(
+            TupleSeries([MultiSeries.from_exact_terms(ctx, 2, t) for t in f]),
+            TupleSeries([MultiSeries.from_exact_terms(ctx, 3, t) for t in g]),
+            cap=cap)
+        for fi, out in zip(f, got):
+            assert out.profile is None
+            assert _exact_value(out) == poly_compose(fi, g, cap)
+
+
+def test_exact_outer_compose_keeps_integer_coefficients():
+    """An exact outer series (a ``profile exact`` document gives one)
+    composes to integer coefficients, with an exact or a certified inner
+    series alike."""
+    ctx = PrecisionContext(5, 6, 4)
+    f = {(1, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(1)}
+    g = [{(1,): Fraction(1)}, {(1,): Fraction(-1), (2,): Fraction(1)}]
+    outer = MultiSeries.from_exact_terms(ctx, 2, f)
+    want = poly_compose(f, g, 4)
+    exact = tuple_compose(outer, TupleSeries(
+        [MultiSeries.from_exact_terms(ctx, 1, t) for t in g]))
+    assert exact.profile is None
+    assert _exact_value(exact) == want
+    certified = tuple_compose(outer, TupleSeries(
+        [MultiSeries.from_terms(ctx, 1, t) for t in g]))
+    assert all(type(c) is int for c in certified.coeffs.values())
+    assert_series_matches(certified, want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_exact_inverse_by_lifting_matches_fraction_oracle(p):
+    """The inverse of an identity-linear-part tuple h, lifted on exact
+    series: start from X and add the degree-k part of X - h(f)."""
+    D = 6
+    ctx = PrecisionContext(p, 4, D)
+    rng = random.Random(20 + p)
+    h = [_random_exact_terms(rng, p, 2, D, {(1, 0): 1}),
+         _random_exact_terms(rng, p, 2, D, {(0, 1): 1})]
+    hs = TupleSeries([MultiSeries.from_exact_terms(ctx, 2, t) for t in h])
+    X = hs.truncate(1)
+    inv = lift_by_degree(X, lambda f, k: X - tuple_compose(hs, f, cap=k),
+                         lambda k, r: r, D)
+    for got, want in zip(inv, poly_inverse(h, D)):
+        assert got.profile is None
+        assert _exact_value(got) == want
+
+
+def test_exact_constructor_rejects_other_denominators():
+    ctx = PrecisionContext(2, 6, 4)
+    with pytest.raises(BadArgument):
+        MultiSeries.from_exact_terms(ctx, 1, {(1,): Fraction(1, 3)})
+    with pytest.raises(BadArgument):
+        MultiSeries.from_exact_terms(ctx, 1, {(1,): Fraction(1, 6)})
+    ms = MultiSeries.from_exact_terms(ctx, 1, {(1,): Fraction(3, 4),
+                                               (5,): 1})
+    assert ms.profile is None and _exact_value(ms) == {(1,): Fraction(3, 4)}
 
 
 def test_compose_associative_up_to_truncation(ctx5):
