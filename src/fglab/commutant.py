@@ -109,9 +109,16 @@ class _DegreeSolver:
         self.dim = dim
         self.diagonal = _is_diagonal(lam_in) and _is_diagonal(lam_out)
         if self.diagonal:
-            self.lams_in = [lam_in[j][j] for j in range(num_vars)]
+            # input variables whose lambda_j are identical form one group:
+            # lambda^I depends only on the exponent sum over each group
+            groups = {}               # stored (v, unit, rel) -> (lambda, vars)
+            for j in range(num_vars):
+                lam = lam_in[j][j]
+                key = (lam.v, lam.unit, lam.rel)
+                groups.setdefault(key, (lam, []))[1].append(j)
+            self._groups = list(groups.values())
             self.lams_out = [lam_out[i][i] for i in range(dim)]
-            self._lam_powers = {}     # (variable, exponent) -> lambda_j^e
+            self._factors = {}        # (i, exponent sum per group) -> factor
         self._inverse_cache = {}
 
     def _factor_valuations(self, degree: int):
@@ -167,19 +174,18 @@ class _DegreeSolver:
         return self._inverse_cache[degree]
 
     def lams_in_factor(self, exps, i):
-        """lambda_in^I - lambda_out_i, each power lambda_j^e taken once."""
-        powers = self._lam_powers
-        prod = None
-        for j, e in enumerate(exps):
-            if e == 0:
-                continue
-            term = powers.get((j, e))
-            if term is None:
-                term = powers[(j, e)] = self.lams_in[j] ** e
-            prod = term if prod is None else prod * term
-        if prod is None:
+        """lambda_in^I - lambda_out_i, computed once per exponent sum over
+        each group of identical lambda_j."""
+        key = (i, tuple(sum(exps[j] for j in members)
+                        for _, members in self._groups))
+        f = self._factors.get(key)
+        if f is None:
             prod = PadicScalar.exact(self.ctx, 1)
-        return prod - self.lams_out[i]
+            for (lam, _), e in zip(self._groups, key[1]):
+                if e:
+                    prod = prod * lam ** e
+            f = self._factors[key] = prod - self.lams_out[i]
+        return f
 
     def _operator_matrix(self, degree: int):
         """Explicit matrix of the operator on the monomial basis."""
@@ -190,9 +196,8 @@ class _DegreeSolver:
         ctx = self.ctx
         zero = PadicScalar.zero(ctx)
         cols = []
-        lam_tuple = TupleSeries([
-            _linear_form(ctx, self.num_vars, self.lam_in, j)
-            for j in range(self.num_vars)])
+        lam_tuple = apply_matrix(self.lam_in,
+                                 TupleSeries.identity(ctx, self.num_vars))
         for i in range(self.dim):
             for mono in monos:
                 basis = TupleSeries(
@@ -254,18 +259,6 @@ class _DegreeSolver:
             comps.append(MultiSeries.from_terms(ctx, self.num_vars, terms)
                          if terms else MultiSeries.zero(ctx, self.num_vars))
         return TupleSeries(comps)
-
-
-def _linear_form(ctx, num_vars, mat, row):
-    """Row ``row`` of mat applied to the variable vector, as a series."""
-    acc = None
-    for j in range(num_vars):
-        c = mat[row][j]
-        if c.is_zero:
-            continue
-        part = MultiSeries.variable(ctx, num_vars, j).scale(c)
-        acc = part if acc is None else acc + part
-    return acc if acc is not None else MultiSeries.zero(ctx, num_vars)
 
 
 def _linear_part(u: TupleSeries):

@@ -60,10 +60,6 @@ class NotEndomorphism(FglabError):
         super().__init__(f"not an endomorphism (witness {witness})")
 
 
-class StabilizationFailure(FglabError):
-    """Successive digit truncations of a p-adic multiplier never agreed."""
-
-
 class SingularStep(FglabError):
     """The degree-m difference operator of the commutant recursion is singular."""
 

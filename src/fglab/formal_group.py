@@ -22,10 +22,9 @@ from .errors import (
     MixedContext,
     NotEndomorphism,
     PrecisionExhausted,
-    StabilizationFailure,
     UnsupportedShape,
 )
-from .padic import INFINITE, PadicScalar, PrecisionContext, _vp
+from .padic import INFINITE, PadicScalar, PrecisionContext
 from .series import (
     MultiSeries,
     Profile,
@@ -198,49 +197,41 @@ def fg_multiplication_map(F: FormalGroupLaw, a) -> EndoSeries:
     """[a]_F for an integer or a p-adic integer multiplier.
 
     Integers go through binary add/compose chains.  A p-adic multiplier a
-    is handled by digit truncation [a mod p^M]_F with an explicit
-    stabilization check on successive approximants.
+    (a Fraction or a PadicScalar) known modulo p^m, m = min(its absolute
+    precision, N), gives [a mod p^m]_F certified to p^(m - v_p(D!)).
+
+    The bound holds for a law with p-integral coefficients: the degree-k
+    coefficients of [n]_F are then integer-valued polynomials in n of
+    degree at most k, so Z_p-combinations of the binomials C(n, j), j <= k
+    (Mahler, J. reine angew. Math. 199 (1958)), and C(n, j) moves by a
+    multiple of p^(m - v_p(j!)) when n moves by a multiple of p^m.  A
+    multiplier outside Z_p, or a law with a coefficient outside Z_p, raises
+    BadArgument.  An exact-zero multiplier gives the exact zero series.
     """
     if isinstance(a, int):
         return EndoSeries(_int_multiple(F, a), F)
     if isinstance(a, Fraction):
-        av = _vp(a.denominator, F.ctx.p)
-        if av:
-            raise BadArgument("multiplier must lie in Z_p")
         a = PadicScalar.exact(F.ctx, a)
     if not isinstance(a, PadicScalar):
         raise TypeError("multiplier must be int, Fraction, or PadicScalar")
     F.ctx.require_same(a.ctx)
-    if a.is_zero:
+    if a.is_exact_zero:
         return EndoSeries(TupleSeries.zero(F.ctx, F.dimension, F.dimension), F)
-    if a.valuation() < 0:
+    if a.valuation_lower_bound() < 0:
         raise BadArgument("multiplier must lie in Z_p")
-    p = F.ctx.p
+    if any(c.shift for c in F.law):
+        raise BadArgument(
+            "a p-adic multiplier needs a law with p-integral coefficients")
     D = F.ctx.degree_cap
-    known = int(min(a.known_precision, a.ctx.abs_precision))
-    # unknown digits of a perturb coefficient k of [a]_F by p^(known - v_p(k!));
-    # the result is honest only to this floor, and approximants are compared at it
-    target = known - _vp_factorial(D, p)
+    known = min(a.known_precision, F.ctx.abs_precision)
+    target = known - _vp_factorial(D, F.ctx.p)
     if target < 1:
         raise PrecisionExhausted(
             f"multiplier precision p^{known} cannot certify one digit of "
             f"[a]_F at degree cap {D}")
-    prev = None
-    agreements = 0
-    for digits in range(1, known + 3):
-        cur = _int_multiple(F, a.residue(min(digits, known)))
-        cur = TupleSeries([c._with_profile(Profile.const(target))
-                           for c in cur.components])
-        if prev is not None and cur.same_at_working_precision(prev):
-            agreements += 1
-            if agreements >= 2:
-                return EndoSeries(cur, F)
-        else:
-            agreements = 0
-        prev = cur
-    raise StabilizationFailure(
-        "digit approximants of the multiplier never stabilized within the "
-        "precision budget; raise abs_precision or lower degree_cap")
+    cap = Profile.const(target)
+    return EndoSeries(TupleSeries([c._with_profile(cap) for c in
+                                   _int_multiple(F, a.residue(known))]), F)
 
 
 def _vp_factorial(n: int, p: int) -> int:
@@ -390,9 +381,7 @@ def lt2_build(params: LubinTate2Params) -> Lt2Result:
             f"of this configuration; need at least {need}")
 
     # [p]_F = L^{-1}(p L), p-integral exactly when every shift is 0
-    pL = TupleSeries([MultiSeries.from_exact_terms(
-        ctx, 2, {e: p * c for e, c in t.items()}) for t in log_terms])
-    mulp_exact = tuple_compose(Linv_exact, pL)
+    mulp_exact = tuple_compose(Linv_exact, L_exact.scale(p))
     if any(c.shift for c in mulp_exact):
         raise PrecisionExhausted("[p]_F is not p-integral")
 
@@ -513,14 +502,9 @@ def height_and_kernel_count(F: FormalGroupLaw, level: int = 1,
                 or (mat[0][0] == 0 and mat[1][1] == 0)):
             raise UnsupportedShape(
                 "only axis-aligned monomial shapes are counted")
-        if mat[0][0]:
-            a_bound, b_bound = mat[0][0], mat[1][1]
-        else:
-            a_bound, b_bound = mat[1][0], mat[0][1]
-        # literal monomial-basis count of F_p[[x1,x2]] over the image
-        count = sum(1 for i in range(a_bound) for j in range(b_bound))
-        if count != abs(det):
-            raise UnsupportedShape("basis count disagrees with the lattice index")
+        # over the image of an axis-aligned shape (x_a^e1, x_b^e2), the
+        # monomials x_a^i x_b^j with i < e1, j < e2 are a basis: |det| of them
+        count = abs(det)
         h = _exact_p_log(count, p)
         if h is None:
             raise UnsupportedShape(f"rank {count} is not a p-power")

@@ -255,10 +255,6 @@ class MultiSeries:
         exps = tuple(1 if i == index else 0 for i in range(num_vars))
         return cls.from_terms(ctx, num_vars, {exps: 1})
 
-    @classmethod
-    def constant(cls, ctx, num_vars, value) -> "MultiSeries":
-        return cls.from_terms(ctx, num_vars, {(0,) * num_vars: value})
-
     def _normalized(self) -> "MultiSeries":
         """Reduce per-degree, drop certified zeros, minimize the shift."""
         if not self.coeffs:
@@ -525,7 +521,11 @@ class MultiSeries:
                            res)._normalized()
 
     def scale(self, s) -> "MultiSeries":
-        """Multiply by a scalar (int, Fraction, or PadicScalar)."""
+        """Multiply by a scalar (int, Fraction, or PadicScalar).
+
+        An exact series times an int or a Fraction in Z[1/p] stays exact,
+        as under ``+``, ``-`` and ``mul``; any other product is certified.
+        """
         if self.profile is None and not self.coeffs:
             return self
         N = self.ctx.abs_precision
@@ -548,7 +548,13 @@ class MultiSeries:
             q = Fraction(s)
             if q == 0:
                 return MultiSeries.zero(self.ctx, self.num_vars)
-            vq = _vp(q.numerator, p) - _vp(q.denominator, p)
+            k = _vp(q.denominator, p)
+            if self.profile is None and q.denominator == p ** k:
+                return MultiSeries(self.ctx, self.num_vars, self.shift + k,
+                                   None, {key: c * q.numerator for key, c
+                                          in self.coeffs.items()}
+                                   )._normalized()
+            vq = _vp(q.numerator, p) - k
             s_abs = vq + N
         # Three channels, each the max of its lower-bound lines, combined by
         # min at degree 0 and at D: (1) the series' own profile, shifted by
@@ -810,9 +816,6 @@ class TupleSeries:
         return self.dim == other.dim and all(
             a.identical(b) for a, b in zip(self.components, other.components))
 
-    def floor(self):
-        return min(c.floor for c in self.components)
-
     def __repr__(self):
         return "TupleSeries(" + ", ".join(repr(c) for c in self.components) + ")"
 
@@ -822,21 +825,21 @@ class TupleSeries:
 # ---------------------------------------------------------------------------
 
 class _PowerCache:
-    """Cached powers of one inner series, truncated at the composition cap."""
+    """Cached powers base^e, e >= 1, of one inner series, truncated at the
+    composition cap."""
 
     __slots__ = ("base", "cap", "powers")
 
     def __init__(self, base: MultiSeries, cap: int):
         self.base = base
         self.cap = cap
-        one = MultiSeries.constant(base.ctx, base.num_vars, 1)
-        self.powers = [one, base.truncate(cap)]
+        self.powers = [base.truncate(cap)]     # powers[e - 1] = base^e
 
     def get(self, e: int) -> MultiSeries:
-        while len(self.powers) <= e:
+        while len(self.powers) < e:
             self.powers.append(
-                self.powers[-1].mul(self.powers[1], cap=self.cap))
-        return self.powers[e]
+                self.powers[-1].mul(self.powers[0], cap=self.cap))
+        return self.powers[e - 1]
 
 
 def tuple_compose(f, g, cap=None):

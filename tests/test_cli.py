@@ -1,6 +1,7 @@
 """End-to-end command-line runs, exit codes, machine-readable reports."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,10 +11,12 @@ from fglab.formal_group import fg_multiplication_map
 from fglab.padic import ExtensionModulus, PrecisionContext
 from fglab.serialize import parse, serialize, serialize_extension
 from fglab.series import MultiSeries, TupleSeries
-from fglab.formal_group import multiplicative_law, additive_law
+from fglab.formal_group import additive_law, fg_validate, multiplicative_law
 from fglab.padic import teichmuller
 
-from conftest import cyclotomic_modulus
+from conftest import assert_series_matches, cyclotomic_modulus
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -74,6 +77,45 @@ def test_mul_map_and_negation(tmp_path, capsys):
     code, out, _ = run(capsys, "negation", "--in", str(gpath))
     assert code == 0
     assert "fglab-series" in out
+
+
+def test_mul_map_padic_multiplier_writes_true_digits(tmp_path, capsys):
+    """3132/7 = 1 + 5^5/7 agrees with 1 modulo 5, 5^2 and 5^3, which once
+    stopped the computation at [1]; its X coefficient is 3132/7."""
+    out_path = tmp_path / "a.doc"
+    code, _, _ = run(capsys, "mul-map", "--in",
+                     str(GOLDEN / "multiplicative_p5.doc"), "--a", "3132/7",
+                     "--out", str(out_path))
+    assert code == 0
+    x = parse(out_path.read_text())[0].coefficient((1,))
+    assert x.same_at_working_precision(Fraction(3132, 7))
+
+
+def test_mul_map_padic_multiplier_refuses_non_integral_law(tmp_path,
+                                                          capsys):
+    ctx = PrecisionContext(5, 12, 8)
+    law = fg_validate(TupleSeries([MultiSeries.from_terms(
+        ctx, 2, {(1, 0): 1, (0, 1): 1, (1, 1): Fraction(1, 5)})]))
+    gpath = tmp_path / "fifth.doc"
+    gpath.write_text(serialize(law))
+    code, out, err = run(capsys, "mul-map", "--in", str(gpath), "--a", "1/7")
+    assert code == 1 and not out
+    assert "p-integral" in err
+    code, _, _ = run(capsys, "mul-map", "--in", str(gpath), "--a", "3")
+    assert code == 0
+
+
+@pytest.mark.parametrize("blocks", [(), ("--bx", "1", "--by", "1")],
+                         ids=["default", "explicit"])
+def test_group_from_jacobian_command(capsys, blocks):
+    """[2]_M alone gives back X + Y + XY, to H's certified floor."""
+    code, out, _ = run(capsys, "group-from-jacobian", "--u",
+                       str(GOLDEN / "mul2_p5.doc"), *blocks)
+    assert code == 0
+    H = parse(out)
+    assert H.dim == 1 and H.num_vars == 2
+    assert H[0].prof(H.ctx.degree_cap) >= 1
+    assert_series_matches(H[0], {(1, 0): 1, (0, 1): 1, (1, 1): 1})
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -299,9 +341,6 @@ def test_digit_count_mismatch_exits_13(tmp_path, capsys):
                          "--xi", "1,1", "--format", "machine")
     assert code == 13 and out == ""
     assert err.startswith("fglab: line ")
-
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")

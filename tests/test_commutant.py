@@ -1,6 +1,7 @@
 """Stability classification and Jacobian-driven reconstruction."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -25,7 +26,14 @@ from fglab.commutant import (
     stability_classify,
 )
 
-from conftest import assert_series_matches
+from conftest import (
+    assert_series_matches,
+    poly_add,
+    poly_compose,
+    poly_scale,
+    ref_valuation,
+    series_to_fractions,
+)
 
 
 def scaled_identity(ctx, d, scalars):
@@ -191,6 +199,48 @@ def test_non_diagonal_linear_part_general_operator():
     trace2 = commutant_reconstruct(u, [[7, 0], [0, 7]])
     assert trace2.series.same_at_working_precision(
         scaled_identity(ctx, 2, [7, 7]))
+
+
+def test_general_operator_solves_nonzero_residuals(monkeypatch):
+    """A non-diagonal J0(u) with higher terms: the general operator solves
+    nonzero residuals.  Every certified digit of h agrees with the same
+    reconstruction at N=28, and u o h - h o u, recomputed on the rational
+    values of h by the conftest oracle, vanishes at h's floor."""
+    terms = [{(0, 1): 5, (2, 0): 1, (1, 1): 2}, {(1, 0): 5, (0, 2): 3}]
+    target = [[0, 3], [3, 0]]
+
+    def reconstruct(N):
+        ctx = PrecisionContext(5, N, 6)
+        u = TupleSeries([MultiSeries.from_terms(ctx, 2, t) for t in terms])
+        return commutant_reconstruct(u, target).series
+
+    rhs_terms = []
+    real_solve = cm._DegreeSolver.solve
+
+    def counting(self, degree, rhs):
+        assert not self.diagonal
+        rhs_terms.append(sum(len(c.coeffs) for c in rhs))
+        return real_solve(self, degree, rhs)
+
+    monkeypatch.setattr(cm._DegreeSolver, "solve", counting)
+    h = reconstruct(16)
+    assert len(rhs_terms) == 5 and all(rhs_terms)
+    sharp = reconstruct(28)
+    for out, ref in zip(h, sharp):
+        for d in range(7):
+            assert ref.prof(d) >= out.prof(d)
+        for exps in {*out.support(), *ref.support()}:
+            assert out.coefficient(exps).same_at_working_precision(
+                ref.coefficient(exps).lift()), exps
+    floor = min(c.prof(6) for c in h)
+    assert floor >= 1
+    hq = [series_to_fractions(c) for c in h]
+    uq = [{e: Fraction(c) for e, c in t.items()} for t in terms]
+    for ui, hi in zip(uq, hq):
+        diff = poly_add(poly_compose(ui, hq, 6),
+                        poly_scale(poly_compose(hi, uq, 6), -1))
+        assert all(ref_valuation(c, 5) >= floor
+                   for c in diff.values() if c), diff
 
 
 def test_group_from_jacobian_keeps_h_after_u_as_a_running_sum(monkeypatch):

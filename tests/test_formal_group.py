@@ -8,11 +8,12 @@ import pytest
 
 from fglab.errors import (
     AxiomViolation,
+    BadArgument,
     NotEndomorphism,
     PrecisionExhausted,
     UnsupportedShape,
 )
-from fglab.padic import INFINITE, PrecisionContext
+from fglab.padic import INFINITE, PadicScalar, PrecisionContext
 from fglab.series import MultiSeries, TupleSeries, jacobian, tuple_compose
 import fglab.formal_group as fg
 from fglab.formal_group import (
@@ -215,6 +216,64 @@ def test_multiplication_padic_multiplier():
         assert series.coefficient((k,)).same_at_working_precision(binom)
     J = jacobian(endo.series)
     assert J[0, 0].same_at_working_precision(a)
+
+
+@pytest.mark.parametrize("pnd", [(3, 12, 6), (2, 14, 8)])
+def test_padic_multiplier_certifies_only_true_digits(pnd):
+    """a = -3/11 agrees with 66 modulo 3^4, 3^5 and 3^6, and with 23 modulo
+    2^5, 2^6 and 2^7: three equal truncations must not stop the computation
+    early.  Every certified coefficient of [a]_M equals C(a, k)."""
+    ctx = PrecisionContext(*pnd)
+    a = Fraction(-3, 11)
+    series = fg_multiplication_map(multiplicative_law(ctx), a).series[0]
+    binom = Fraction(1)
+    for k in range(1, ctx.degree_cap + 1):
+        binom = binom * (a - k + 1) / k
+        assert series.coefficient((k,)).same_at_working_precision(binom), k
+    assert series.floor >= ctx.abs_precision - fg._vp_factorial(
+        ctx.degree_cap, ctx.p)
+
+
+def test_padic_multiplier_zero_only_at_precision(ctx5):
+    """0 mod 5^3 is not the zero multiplier ([125]_M has X coefficient 125):
+    its map is the zero series certified to at most 5^3; an exact zero still
+    gives the exact zero."""
+    M = multiplicative_law(ctx5)
+    a = PadicScalar.exact(ctx5, 125).reduce_abs_precision(3)
+    zero = fg_multiplication_map(M, a).series[0]
+    assert zero.is_zero and zero.profile is not None
+    assert all(zero.prof(d) <= 3 for d in range(ctx5.degree_cap + 1))
+    for exact_zero in (Fraction(0), PadicScalar.zero(ctx5)):
+        series = fg_multiplication_map(M, exact_zero).series[0]
+        assert series.is_zero and series.profile is None
+
+
+def test_padic_multiplier_needs_integral_law(ctx5):
+    """X + Y + (1/5)XY is a group law over Z[1/5], not over Z_5: its [a]
+    for a p-adic a has no digit bound, so the map refuses it."""
+    law = fg_validate(TupleSeries([MultiSeries.from_terms(
+        ctx5, 2, {(1, 0): 1, (0, 1): 1, (1, 1): Fraction(1, 5)})]))
+    with pytest.raises(BadArgument):
+        fg_multiplication_map(law, Fraction(1, 7))
+    with pytest.raises(BadArgument):
+        fg_multiplication_map(multiplicative_law(ctx5), Fraction(1, 5))
+
+
+def test_padic_multiplier_computes_one_integer_multiple(ctx5, monkeypatch):
+    calls = []
+    real = fg._int_multiple
+
+    def counting(F, n):
+        calls.append(n)
+        return real(F, n)
+
+    monkeypatch.setattr(fg, "_int_multiple", counting)
+    M = multiplicative_law(ctx5)
+    for a in (Fraction(1, 7), Fraction(3132, 7),
+              PadicScalar.exact(ctx5, Fraction(1, 7)).reduce_abs_precision(6)):
+        calls.clear()
+        fg_multiplication_map(M, a)
+        assert len(calls) == 1
 
 
 def test_endo_verify(ctx5):

@@ -44,6 +44,7 @@ from conftest import (
     poly_compose,
     poly_inverse,
     poly_mul,
+    poly_scale,
     series_to_fractions,
 )
 
@@ -270,6 +271,21 @@ def test_exact_ring_operations_match_fraction_oracle(p):
                           (sa.mul(sb, cap=4), poly_mul(a, b, 4))):
             assert got.profile is None
             assert _exact_value(got) == want
+
+
+def test_exact_scale_by_z_1_over_p_stays_exact():
+    """An exact series times an int or a Fraction in Z[1/p] is exact and
+    equals the Fraction product; other scalars give a certified series."""
+    ctx = PrecisionContext(5, 4, 6)
+    rng = random.Random(5)
+    terms = _random_exact_terms(rng, 5, 2, 6)
+    ms = MultiSeries.from_exact_terms(ctx, 2, terms)
+    for s in (3, Fraction(2, 5), 25, Fraction(-1, 125)):
+        got = ms.scale(s)
+        assert got.profile is None
+        assert _exact_value(got) == poly_scale(terms, Fraction(s))
+    for s in (Fraction(1, 3), PadicScalar.exact(ctx, 3)):
+        assert ms.scale(s).profile is not None
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
