@@ -315,8 +315,7 @@ def _dispatch(args) -> int:
         a = _rationals(args.a, "--a")
         if len(a) != 1:
             raise BadArgument(f"--a: {args.a!r} is not one rational")
-        mult = int(a[0]) if a[0].denominator == 1 else a[0]
-        endo = fg_multiplication_map(law, mult)
+        endo = fg_multiplication_map(law, a[0])
         _emit(serialize(endo.series, kind="endo"), args.out)
         return 0
 

@@ -196,9 +196,10 @@ def fg_negation(F: FormalGroupLaw) -> TupleSeries:
 def fg_multiplication_map(F: FormalGroupLaw, a) -> EndoSeries:
     """[a]_F for an integer or a p-adic integer multiplier.
 
-    Integers go through binary add/compose chains.  A p-adic multiplier a
-    (a Fraction or a PadicScalar) known modulo p^m, m = min(its absolute
-    precision, N), gives [a mod p^m]_F certified to p^(m - v_p(D!)).
+    Integers, and Fractions with denominator 1, go through binary
+    add/compose chains.  Any other p-adic multiplier a (a Fraction or a
+    PadicScalar) known modulo p^m, m = min(its absolute precision, N),
+    gives [a mod p^m]_F certified to p^(m - v_p(D!)).
 
     The bound holds for a law with p-integral coefficients: the degree-k
     coefficients of [n]_F are then integer-valued polynomials in n of
@@ -208,6 +209,8 @@ def fg_multiplication_map(F: FormalGroupLaw, a) -> EndoSeries:
     multiplier outside Z_p, or a law with a coefficient outside Z_p, raises
     BadArgument.  An exact-zero multiplier gives the exact zero series.
     """
+    if isinstance(a, Fraction) and a.denominator == 1:
+        a = a.numerator
     if isinstance(a, int):
         return EndoSeries(_int_multiple(F, a), F)
     if isinstance(a, Fraction):

@@ -145,6 +145,8 @@ def parse(text: str):
     degcap = _int_field(line, ln, "degree-cap")
     line, ln = r.next()
     num_vars = _int_field(line, ln, "num-vars")
+    if num_vars < 1:
+        raise ParseError(ln, "a document needs at least one variable")
     line, ln = r.next()
     ncomp = _int_field(line, ln, "components")
     if ncomp < 1:
@@ -205,6 +207,8 @@ def parse(text: str):
                 raise ParseError(ln, f"malformed entry {line!r}") from None
             if len(exps) != num_vars:
                 raise ParseError(ln, f"expected {num_vars} exponents")
+            if any(e < 0 for e in exps):
+                raise ParseError(ln, "negative exponent")
             if sum(exps) > degcap:
                 raise ParseError(ln, "exponent beyond degree cap")
             if not digits or any(not 0 <= d < p for d in digits):

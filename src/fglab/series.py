@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import chain
 
 from .errors import (
     BadArgument,
@@ -395,10 +396,8 @@ class MultiSeries:
             raise MixedContext("variable counts differ")
 
     def _with_profile(self, extra: Profile) -> "MultiSeries":
-        """Weaken to the pointwise min with ``extra``."""
-        prof = extra if self.profile is None else self.profile.min_with(extra)
-        return MultiSeries(self.ctx, self.num_vars, self.shift, prof,
-                           dict(self.coeffs))._normalized()
+        """Weaken to the min with ``extra``: add a zero certified to it."""
+        return _sum((self, MultiSeries(self.ctx, self.num_vars, 0, extra, {})))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, PadicScalar)):
@@ -407,39 +406,7 @@ class MultiSeries:
         if not isinstance(other, MultiSeries):
             return NotImplemented
         self._require_compatible(other)
-        a, b = self, other
-        if a.profile is None and not a.coeffs:
-            return b
-        if b.profile is None and not b.coeffs:
-            return a
-        if a.profile is None:
-            profile = b.profile
-        elif b.profile is None:
-            profile = a.profile
-        else:
-            profile = a.profile.min_with(b.profile)
-        shift = max(a.shift, b.shift)
-        p = self.ctx.p
-        fa = p ** (shift - a.shift)
-        fb = p ** (shift - b.shift)
-        out = dict(a.coeffs) if fa == 1 else \
-            {k: c * fa for k, c in a.coeffs.items()}
-        if fb == 1:
-            for k, c in b.coeffs.items():
-                r = out.get(k, 0) + c
-                if r:
-                    out[k] = r
-                elif k in out:
-                    del out[k]
-        else:
-            for k, c in b.coeffs.items():
-                r = out.get(k, 0) + c * fb
-                if r:
-                    out[k] = r
-                elif k in out:
-                    del out[k]
-        return MultiSeries(self.ctx, self.num_vars, shift, profile,
-                           out)._normalized()
+        return _sum((self, other))
 
     __radd__ = __add__
 
@@ -684,6 +651,39 @@ class MultiSeries:
         return f"MultiSeries[{body}{more}]"
 
 
+def _sum(addends):
+    """Sum of compatible series, taken one addend at a time.
+
+    Their integers, aligned to the largest shift, go into one dict whose
+    profile is the ``Profile.min_with`` of theirs; it is normalized once.
+    Exact zeros are skipped; a lone remaining addend comes back as it is.
+    """
+    addends = iter(addends)
+    first = next(addends)
+    rest = (s for s in addends if s.profile is not None or s.coeffs)
+    if first.profile is None and not first.coeffs:
+        first = next(rest, first)
+    second = next(rest, None)
+    if second is None:
+        return first
+    p = first.ctx.p
+    out, shift, profile = dict(first.coeffs), first.shift, first.profile
+    for s in chain((second,), rest):
+        if s.profile is not None:
+            profile = s.profile if profile is None \
+                else profile.min_with(s.profile)
+        if s.shift > shift:
+            f = p ** (s.shift - shift)
+            out = {k: c * f for k, c in out.items()}
+            shift = s.shift
+        f = p ** (shift - s.shift)
+        get = out.get
+        for k, c in s.coeffs.items():
+            out[k] = get(k, 0) + c * f
+    return MultiSeries(first.ctx, first.num_vars, shift, profile,
+                       {k: c for k, c in out.items() if c})._normalized()
+
+
 def _mul_profile(a: MultiSeries, b: MultiSeries, cap: int) -> Profile:
     """Profile of a truncated product from three uncertainty channels.
 
@@ -856,7 +856,7 @@ def tuple_compose(f, g, cap=None):
     once per monomial of f, the outermost once per distinct exponent, so
     the dense products run a few times instead of once per exponent
     prefix.  The order only changes how the same terms are grouped: every
-    step is a certified ``mul`` or ``+``, each sound on its own, so any
+    step is a certified ``mul`` or sum, each sound on its own, so any
     order certifies only true digits; the profiles it reaches can differ
     slightly from those of another order.
     """
@@ -899,7 +899,6 @@ def tuple_compose(f, g, cap=None):
 
 def _compose_one(f: MultiSeries, caches, cap, target_vars) -> MultiSeries:
     ctx = f.ctx
-    zero = MultiSeries.zero(ctx, target_vars)
     if not f.coeffs:
         return MultiSeries(ctx, target_vars, 0, f.profile, {})
     items = [(f.unpack(k), c) for k, c in f.coeffs.items()]
@@ -921,13 +920,15 @@ def _compose_one(f: MultiSeries, caches, cap, target_vars) -> MultiSeries:
         groups = {}
         for exps, c in entries:
             groups.setdefault(exps[var], []).append((exps, c))
-        acc = None
-        for e in sorted(groups, reverse=True):
-            part = rec(groups[e], level + 1)
-            if e and not part.is_zero:
-                part = part.mul(caches[var].get(e), cap=cap)
-            acc = part if acc is None else acc + part
-        return acc if acc is not None else zero
+
+        def parts():
+            for e in sorted(groups, reverse=True):
+                part = rec(groups[e], level + 1)
+                if e and not part.is_zero:
+                    part = part.mul(caches[var].get(e), cap=cap)
+                yield part
+
+        return _sum(parts())
 
     return rec(items, 0)
 
@@ -1058,14 +1059,9 @@ def mat_inverse(rows):
 
 def apply_matrix(mat, t: TupleSeries) -> TupleSeries:
     """Matrix (scalars) times tuple-of-series, componentwise linear combo."""
-    comps = []
-    for row in mat:
-        acc = None
-        for coeff, comp in zip(row, t.components):
-            part = comp.scale(coeff)
-            acc = part if acc is None else acc + part
-        comps.append(acc)
-    return TupleSeries(comps)
+    return TupleSeries([_sum(comp.scale(coeff)
+                             for coeff, comp in zip(row, t.components))
+                        for row in mat])
 
 
 def linear_part_matrix(h: TupleSeries):

@@ -343,6 +343,37 @@ def test_digit_count_mismatch_exits_13(tmp_path, capsys):
     assert err.startswith("fglab: line ")
 
 
+@pytest.mark.parametrize("case", ["negative-exponent", "num-vars-0",
+                                  "two-in-one-map"])
+def test_malformed_documents_exit_with_a_code_not_a_traceback(
+        tmp_path, capsys, case):
+    """A negative exponent and num-vars 0 are parse errors (exit 13), an
+    orbit map that is not d-in-d a usage error (exit 1): one ``fglab:``
+    line on stderr, no traceback."""
+    ctx = PrecisionContext(5, 6, 4)
+    ext = tmp_path / "base.ext"
+    ext.write_text(serialize_extension(ExtensionModulus.base(ctx)))
+    orbit = ("orbit", "--extension", str(ext), "--point", "5", "--map")
+    f = serialize(MultiSeries.from_terms(ctx, 2, {(1, 0): 1, (0, 1): 1}))
+    no_vars = serialize(TupleSeries.zero(ctx, 1, 1), kind="endo")
+    two_in_one = TupleSeries([MultiSeries.from_terms(ctx, 1, {(1,): 5}),
+                              MultiSeries.from_terms(ctx, 1, {(2,): 1})])
+    argv, text, want = {
+        "negative-exponent": (("copolygon", "--xi", "1,1", "--in"),
+                              f.replace("1 0 | 0 |", "-1 5 | 0 |", 1), 13),
+        "num-vars-0": (orbit, no_vars.replace("num-vars: 1", "num-vars: 0"),
+                       13),
+        "two-in-one-map": (orbit, serialize(two_in_one, kind="endo"), 1),
+    }[case]
+    assert text not in (f, no_vars)
+    doc = tmp_path / "map.doc"
+    doc.write_text(text)
+    code, out, err = run(capsys, *argv, str(doc))
+    assert code == want and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("fglab:")
+    assert "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def docs(tmp_path_factory):
     """Paths keyed by the placeholders below: a p=5 multiplicative law, its

@@ -259,6 +259,15 @@ def test_padic_multiplier_needs_integral_law(ctx5):
         fg_multiplication_map(multiplicative_law(ctx5), Fraction(1, 5))
 
 
+def test_integral_fraction_multiplier_takes_the_integer_path(ctx5):
+    """Fraction(3) is the integer 3: it loses no v_p(D!) digits to the
+    p-adic path (on X + Y + XY at (5, 12, 8) that path certifies 11)."""
+    M = multiplicative_law(ctx5)
+    for n in (3, -2):
+        assert fg_multiplication_map(M, Fraction(n)).series.identical(
+            fg_multiplication_map(M, n).series)
+
+
 def test_padic_multiplier_computes_one_integer_multiple(ctx5, monkeypatch):
     calls = []
     real = fg._int_multiple

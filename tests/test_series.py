@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,6 +15,7 @@ from fglab.errors import (
     MixedContext,
     NonzeroConstantTerm,
     NotInvertible,
+    PrecisionExhausted,
 )
 from fglab.padic import (
     INFINITE,
@@ -22,9 +24,12 @@ from fglab.padic import (
     PointTuple,
     PrecisionContext,
 )
+from fglab.serialize import parse
 from fglab.series import (
     MultiSeries,
     TupleSeries,
+    _sum,
+    apply_matrix,
     coeff_extract,
     compositional_inverse,
     jacobian,
@@ -45,8 +50,11 @@ from conftest import (
     poly_inverse,
     poly_mul,
     poly_scale,
+    ref_profile_at,
     series_to_fractions,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_add_zero_is_identity(ctx5):
@@ -215,6 +223,91 @@ def test_compose_certifies_only_true_digits(data, p, m, n, N, D):
     for fi, out in zip(f, got):
         exact = poly_compose(_drawn_value(data, fi, True), g_exact, cap)
         assert_series_certified(out, exact, cap)
+
+
+def _drawn_addend(data, ctx, n):
+    """The exact zero, a series zero at a drawn precision, an exact series,
+    or a certified one whose coefficients carry drawn absolute precisions
+    (so profiles and shifts differ between addends)."""
+    kind = data.draw(st.sampled_from(["zero", "zero-at", "exact",
+                                      "certified"]))
+    if kind == "zero":
+        return MultiSeries.zero(ctx, n)
+    if kind == "zero-at":
+        prec = data.draw(st.integers(1, ctx.abs_precision + 2))
+        return MultiSeries.from_terms(
+            ctx, n, {(0,) * n: PadicScalar.zero_at(ctx, prec)})
+    terms = _drawn_terms(data, ctx.p, n, data.draw(st.integers(0, 5)), -2,
+                         ctx.degree_cap, True)
+    if kind == "exact":
+        return MultiSeries.from_exact_terms(ctx, n, terms)
+    top = ctx.abs_precision + 2
+    return MultiSeries.from_terms(ctx, n, {
+        e: PadicScalar.exact(ctx, q).reduce_abs_precision(
+            data.draw(st.integers(-1, top)))
+        for e, q in terms.items()})
+
+
+@settings(max_examples=200)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5]), n=st.integers(1, 2),
+       N=st.integers(2, 8), D=st.integers(2, 5))
+def test_sum_is_the_fraction_sum_at_the_min_profile(data, p, n, N, D):
+    """_sum over 1-6 addends: its profile is the min of the certified
+    addends' profiles, line by line (None when all are exact), and every
+    digit it certifies, stored or absent, agrees with the Fraction sum of
+    the stored values.  Stored coefficients are nonzero, reduced below
+    p^(prof(d) + shift) when certified, and the shift is minimal."""
+    ctx = PrecisionContext(p, N, D)
+    try:
+        addends = [_drawn_addend(data, ctx, n)
+                   for _ in range(data.draw(st.integers(1, 6)))]
+    except FglabError:
+        return
+    exact = {}
+    for a in addends:
+        for k, c in a.coeffs.items():
+            e = a.unpack(k)
+            exact[e] = exact.get(e, 0) + Fraction(c, p ** a.shift)
+    profiles = [a.profile for a in addends if a.profile is not None]
+    pointwise = [min((ref_profile_at(pr.p0, pr.slope, pr.flat, d)
+                      for pr in profiles), default=INFINITE)
+                 for d in range(D + 1)]
+    # the two-line form holds (min p0, min slope, min flat), at most the
+    # pointwise min at every degree
+    want = pointwise if not profiles else [ref_profile_at(
+        min(pr.p0 for pr in profiles), min(pr.slope for pr in profiles),
+        min(pr.flat for pr in profiles), d) for d in range(D + 1)]
+    assert all(w <= pw for w, pw in zip(want, pointwise))
+    try:
+        got = _sum(a for a in addends)
+    except PrecisionExhausted:
+        assert any(c and want[sum(e)] < 1 for e, c in exact.items())
+        return
+    assert (got.profile is None) == (not profiles)
+    assert [got.prof(d) for d in range(D + 1)] == want
+    assert_series_certified(got, exact, D)
+    for k, c in got.coeffs.items():
+        assert c and (got.profile is None
+                      or 0 < c < p ** (got.prof(k >> got.degshift)
+                                       + got.shift))
+    assert got.shift == 0 or any(c % p for c in got.coeffs.values())
+
+
+def test_compose_and_apply_matrix_never_fold_add(monkeypatch):
+    """Each Horner level of tuple_compose and each row of apply_matrix is
+    one sum: both still return with ``MultiSeries.__add__`` broken."""
+    law = parse((GOLDEN / "lt2_p2_h12_group.doc").read_text()).law
+    right = law.map_variables(6, [2, 3, 4, 5])
+
+    def no_add(self, other):
+        raise AssertionError("MultiSeries.__add__ called")
+
+    monkeypatch.setattr(MultiSeries, "__add__", no_add)
+    nested = tuple_compose(
+        law, TupleSeries([*TupleSeries.identity(law.ctx, 2, 6), *right]))
+    assert nested.num_vars == 6 and not nested.is_zero
+    mixed = apply_matrix([[1, 2], [3, 4]], law)
+    assert mixed.dim == 2 and not mixed.is_zero
 
 
 def test_compose_tail_amplified_by_negative_inner_valuation():
