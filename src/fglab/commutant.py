@@ -15,6 +15,7 @@ failure mode of the root-of-unity counterexample and raises SingularStep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -29,6 +30,7 @@ from .padic import INFINITE, PadicScalar
 from .series import (
     MultiSeries,
     TupleSeries,
+    _RelaxedCompose,
     apply_matrix,
     lift_by_degree,
     linear_part_matrix,
@@ -122,22 +124,30 @@ class _DegreeSolver:
         self._inverse_cache = {}
 
     def _factor_valuations(self, degree: int):
-        """Valuations of the diagonal factors at one degree; None if one
-        of them is zero."""
+        """(valuation, multiplicity) of each distinct diagonal factor at one
+        degree; None if one of them is zero.
+
+        A factor depends on a monomial only through its exponent sum t_g
+        over each group g of identical lambda_j, and C(t_g + s_g - 1,
+        s_g - 1) monomials of a group of size s_g share that sum.
+        """
+        sizes = [len(members) for _, members in self._groups]
         vals = []
-        for exps in _monomials_of_degree(self.num_vars, degree):
+        for sums in _monomials_of_degree(len(sizes), degree):
+            mult = math.prod(math.comb(t + s - 1, s - 1)
+                             for t, s in zip(sums, sizes))
             for i in range(self.dim):
-                f = self.lams_in_factor(exps, i)
+                f = self._factor(i, sums)
                 if f.is_zero:
                     return None
-                vals.append(f.valuation())
+                vals.append((f.valuation(), mult))
         return vals
 
     def det_valuation(self, degree: int):
         """Valuation of the operator determinant; INFINITE when singular."""
         if self.diagonal:
             vals = self._factor_valuations(degree)
-            return INFINITE if vals is None else sum(vals)
+            return INFINITE if vals is None else sum(v * m for v, m in vals)
         det = mat_det(self._operator_matrix(degree))
         if det.is_zero:
             return INFINITE
@@ -152,7 +162,8 @@ class _DegreeSolver:
         """
         if self.diagonal:
             vals = self._factor_valuations(degree)
-            return INFINITE if vals is None else max([0, *vals])
+            return INFINITE if vals is None else max(
+                [0, *(v for v, _ in vals)])
         inv = self._inverse(degree)
         if inv is None:
             return INFINITE
@@ -174,17 +185,20 @@ class _DegreeSolver:
         return self._inverse_cache[degree]
 
     def lams_in_factor(self, exps, i):
-        """lambda_in^I - lambda_out_i, computed once per exponent sum over
-        each group of identical lambda_j."""
-        key = (i, tuple(sum(exps[j] for j in members)
-                        for _, members in self._groups))
-        f = self._factors.get(key)
+        """lambda_in^I - lambda_out_i, through the factor of I's exponent
+        sums over the groups of identical lambda_j."""
+        return self._factor(i, tuple(sum(exps[j] for j in members)
+                                     for _, members in self._groups))
+
+    def _factor(self, i, sums):
+        """prod_g lambda_g^(t_g) - lambda_out_i, computed once per key."""
+        f = self._factors.get((i, sums))
         if f is None:
             prod = PadicScalar.exact(self.ctx, 1)
-            for (lam, _), e in zip(self._groups, key[1]):
+            for (lam, _), e in zip(self._groups, sums):
                 if e:
                     prod = prod * lam ** e
-            f = self._factors[key] = prod - self.lams_out[i]
+            f = self._factors[(i, sums)] = prod - self.lams_out[i]
         return f
 
     def _operator_matrix(self, degree: int):
@@ -323,18 +337,26 @@ def _matrices_commute(a, b) -> bool:
 
 def _lift_commuting(u: TupleSeries, start: TupleSeries, right: TupleSeries,
                     solver: _DegreeSolver):
-    """Lift ``start`` degree by degree until u o h = h o right.
+    """Lift the linear ``start`` degree by degree until u o h = h o right.
 
     First the per-degree solve losses must fit inside the precision; last
     the commutation is checked at the degree cap, both sides composed
-    afresh.  Returns h and the (degree, correction) pairs of the lift.
+    afresh by tuple_compose, independently of how the lift reached h.
+    Returns h and the (degree, correction) pairs of the lift.
 
-    Each step changes h only by a homogeneous correction delta_k, so h o
-    right is kept as a running sum: start o right once, plus delta_k o
-    right after each step, all at the full cap.  Since right has no
-    constant term, delta_k o right starts at degree k, and the running sum
-    holds exactly the terms of the current h o right; only its degree-k
-    part enters the residual.  The u o h side is recomposed at cap k.
+    Each step changes h only by a correction delta_k that is exactly
+    homogeneous of degree k, since the solve writes only degree-k
+    monomials.  The residual at degree k is [u o h - h o right]_k, both
+    sides kept across the steps instead of recomposed:
+    - u o h by a relaxed evaluator (``series._RelaxedCompose``) that is
+      fed each delta_k.  It keeps the homogeneous parts of the powers of
+      h's components that u's monomials need; at step k every part below
+      degree k is final, so [u o h]_k costs only the products that land
+      in degree k, each certified with that part's own profile.
+    - h o right as a running sum: start o right once, plus delta_k o right
+      after each step, all at the full cap.  Since right has no constant
+      term, delta_k o right starts at degree k, and the sum holds exactly
+      the terms of the current h o right.
     """
     ctx = u.ctx
     total = 0
@@ -348,18 +370,21 @@ def _lift_commuting(u: TupleSeries, start: TupleSeries, right: TupleSeries,
             f"difference-operator solves consume {total} digits; "
             f"abs_precision {ctx.abs_precision} cannot absorb that")
     corrections = []
+    u_h = _RelaxedCompose(u, start)
     h_right = tuple_compose(start, right)
 
     def correct(k, r):
         nonlocal h_right
         delta = solver.solve(k, r)
         corrections.append((k, delta))
+        u_h.push(delta)
         h_right = h_right + tuple_compose(delta, right)
         return delta
 
     h = lift_by_degree(
-        start, lambda h, k: tuple_compose(u, h, cap=k) - h_right.truncate(k),
+        start, lambda h, k: u_h.at(k) - h_right.truncate(k),
         correct, ctx.degree_cap)
+    del u_h             # its kept powers are not needed for the check
     if not tuple_compose(u, h).same_at_working_precision(
             tuple_compose(h, right)):
         raise VerificationFailure(

@@ -877,24 +877,41 @@ def tuple_compose(f, g, cap=None):
     D = ctx.degree_cap if cap is None else min(cap, ctx.degree_cap)
     target_vars = gs[0].num_vars
     caches = [_PowerCache(comp, D) for comp in gs]
-    summaries = [comp._summary() for comp in gs]
-    rn, rd = 0, 1                  # rho_g: the smallest inner rho
-    for _, _, n, d, _ in summaries:
-        rn, rd = _slope_min(rn, rd, n, d)
-    vmin_g = min((sm[0] for sm in summaries), default=0)
-    amp = max(rn * D // rd, D * min(0, vmin_g))
     out = []
     for ft in fs:
         res = _compose_one(ft, caches, D, target_vars)
         if ft.profile is not None:
-            # f's unstored tail at degree k, amplified by inner monomials;
-            # its slope is pf.slope + rho_g
-            pf = ft.profile
-            tail = Profile(pf.p0, *_reduced(pf.sn * rd + rn * pf.sd,
-                                            pf.sd * rd), pf.flat + amp)
-            res = res._with_profile(tail)
+            res = res._with_profile(_tail_profile(ft.profile, gs, D))
         out.append(res)
     return out[0] if single else TupleSeries(out)
+
+
+def _tail_profile(pf: Profile, inner, cap: int) -> Profile:
+    """Bound on what an outer series' unstored tail, certified to ``pf``,
+    adds through degree ``cap`` once composed with the ``inner`` series.
+
+    An absent degree-d monomial of the outer series is O(p^pf(d)); a
+    product of d inner terms lowers that by at most d * rho_g, rho_g the
+    smallest inner rho, so the slope is pf's plus rho_g.  The flat floor
+    moves by max(rho_g, vmin_g) * cap, vmin_g the smallest inner
+    valuation; both are capped at 0.
+    """
+    rn, rd, vmin = 0, 1, 0
+    for s in inner:
+        sv, _, n, d, _ = s._summary()
+        rn, rd = _slope_min(rn, rd, n, d)
+        vmin = min(vmin, sv)
+    amp = max(rn * cap // rd, cap * vmin)
+    return Profile(pf.p0, *_reduced(pf.sn * rd + rn * pf.sd, pf.sd * rd),
+                   pf.flat + amp)
+
+
+def _constant(f: MultiSeries, degree: int, c: int, target_vars: int):
+    """f's stored integer c of one degree-``degree`` monomial as a constant
+    in ``target_vars`` variables, certified at f's precision for that
+    degree, or exact when f is."""
+    prof = None if f.profile is None else Profile.const(f.prof(degree))
+    return MultiSeries(f.ctx, target_vars, f.shift, prof, {0: c})._normalized()
 
 
 def _compose_one(f: MultiSeries, caches, cap, target_vars) -> MultiSeries:
@@ -908,14 +925,9 @@ def _compose_one(f: MultiSeries, caches, cap, target_vars) -> MultiSeries:
 
     def rec(entries, level):
         if level == m:
-            # a single fully-consumed monomial: its coefficient as a
-            # constant certified at its own degree's precision, or exact
-            # when f is
-            prof = None if f.profile is None else \
-                Profile.const(f.prof(sum(entries[0][0])))
-            total = MultiSeries(ctx, target_vars, f.shift, prof,
-                                {0: sum(c for _, c in entries)})
-            return total._normalized()
+            # all exponents consumed: one monomial of f
+            (exps, c), = entries
+            return _constant(f, sum(exps), c, target_vars)
         var = order[level]
         groups = {}
         for exps, c in entries:
@@ -931,6 +943,94 @@ def _compose_one(f: MultiSeries, caches, cap, target_vars) -> MultiSeries:
         return _sum(parts())
 
     return rec(items, 0)
+
+
+class _RelaxedCompose:
+    """f o h one homogeneous degree at a time while h is still being built
+    (relaxed evaluation: van der Hoeven, "Relax, but don't be too lazy",
+    J. Symbolic Comput. 34 (2002)).
+
+    h is known by its homogeneous parts, pushed in degree order from the
+    linear one: ``push(part)`` appends [h]_j, a TupleSeries whose
+    components are exactly homogeneous of degree j.  With parts 1..k-1
+    in, ``at(k)`` is the degree-k part of f o h_(<k), h_(<k) the sum of
+    those parts, for k >= 2: what tuple_compose(f, h_(<k), cap=k) gives
+    at degree k.  f's linear monomials add nothing there, since
+    [h_(<k)]_k = 0.
+
+    The parts of every power h^I that f's monomials need are kept across
+    calls.  For |I| >= 2, [h^I]_k = sum_j [h^A]_j [h^B]_(k-j) over a split
+    I = A + B into nonzero exponents, so it needs only parts of degree
+    below k, which are final.  Every product is a certified ``mul`` with
+    cap k and every sum a ``_sum``, so each step is sound on its own; each
+    part keeps its own profile instead of the min over all of h.
+    """
+
+    def __init__(self, f: TupleSeries, start: TupleSeries):
+        self.f = f
+        n = start.num_vars
+        self.zero = MultiSeries.zero(f.ctx, n)
+        m = f.num_vars
+        self._units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+        self._parts = {e: [self.zero] for e in self._units}   # I -> by degree
+        self._inner = []            # every pushed part, for the tail profile
+        self._leaves = []           # per component: (I, its coefficient)
+        for fc in f:
+            leaves = []
+            for key, c in fc.coeffs.items():
+                exps = fc.unpack(key)
+                if sum(exps) >= 2:
+                    leaves.append((exps, _constant(fc, sum(exps), c, n)))
+            self._leaves.append(leaves)
+        self.push(start)
+
+    def push(self, part: TupleSeries):
+        for unit, comp in zip(self._units, part):
+            self._parts[unit].append(comp)
+        self._inner.extend(part)
+
+    def _power(self, exps, k: int) -> MultiSeries:
+        """[h^exps]_k, kept for later degrees."""
+        parts = self._parts.get(exps)
+        if parts is None:
+            parts = self._parts[exps] = [self.zero] * sum(exps)
+        while len(parts) <= k:
+            parts.append(self._product(exps, len(parts)))
+        return parts[k]
+
+    def _product(self, exps, k: int) -> MultiSeries:
+        """[h^exps]_k, |exps| >= 2, from the parts of two kept factors: h_i
+        times h_i^(e-1) for a power of one component h_i, else the other
+        components' power times h_i^e, i the last variable in exps."""
+        i = max(j for j, e in enumerate(exps) if e)
+        e = exps[i]
+        if sum(exps) == e:
+            a, b = self._units[i], exps[:i] + (e - 1,) + exps[i + 1:]
+        else:
+            a, b = exps[:i] + (0,) + exps[i + 1:], tuple(
+                e * x for x in self._units[i])
+        terms = []
+        for j in range(sum(a), k - sum(b) + 1):
+            pa = self._power(a, j)
+            if pa.profile is None and not pa.coeffs:
+                continue
+            pb = self._power(b, k - j)
+            if pb.profile is None and not pb.coeffs:
+                continue
+            terms.append(pa.mul(pb, cap=k))
+        return _sum(chain((self.zero,), terms))
+
+    def at(self, k: int) -> TupleSeries:
+        out = []
+        for fc, leaves in zip(self.f, self._leaves):
+            terms = [leaf.mul(self._power(exps, k), cap=k)
+                     for exps, leaf in leaves if sum(exps) <= k]
+            if fc.profile is not None:
+                terms.append(MultiSeries(
+                    fc.ctx, self.zero.num_vars, 0,
+                    _tail_profile(fc.profile, self._inner, k), {}))
+            out.append(_sum(chain((self.zero,), terms)))
+        return TupleSeries(out)
 
 
 # ---------------------------------------------------------------------------

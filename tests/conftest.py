@@ -206,6 +206,57 @@ def poly_negation(F: list, cap: int) -> list:
     return iota
 
 
+def _monomials(num_vars: int, degree: int) -> list:
+    """Exponent tuples of one total degree."""
+    if num_vars == 1:
+        return [(degree,)]
+    return [(first,) + rest for first in range(degree + 1)
+            for rest in _monomials(num_vars - 1, degree - first)]
+
+
+def frac_commutant(u: list, start: list, right: list, cap: int) -> list:
+    """The h = start + (terms of degree >= 2) with u o h = h o right through
+    degree cap, over Q.
+
+    u is d Fraction dicts in d variables, start d linear dicts in n
+    variables and right n dicts in n variables; commutant_reconstruct is
+    start = J0 target times X with right = u, group_from_jacobian is
+    start = X + Y with right = (u(X), u(Y)).  At each degree k the
+    homogeneous correction D solves D(A X) - B D(X) = [u o h - h o right]_k,
+    A and B the linear parts of right and u, with frac_mat_inverse on the
+    (component, degree-k monomial) basis.
+    """
+    d, n = len(u), len(right)
+    lin_r = [{e: c for e, c in r.items() if sum(e) == 1} for r in right]
+    lin_u = [[ui.get(tuple(int(i == j) for i in range(d)), 0)
+              for j in range(d)] for ui in u]
+    h = [dict(s) for s in start]
+    for k in range(2, cap + 1):
+        basis = [(i, mono) for i in range(d) for mono in _monomials(n, k)]
+        index = {b: r for r, b in enumerate(basis)}
+        cols = []
+        for i, mono in basis:
+            col = [Fraction(0)] * len(basis)
+            for e, c in poly_compose({mono: 1}, lin_r, k).items():
+                col[index[(i, e)]] += c
+            for t in range(d):
+                col[index[(t, mono)]] -= lin_u[t][i]
+            cols.append(col)
+        inv = frac_mat_inverse([list(row) for row in zip(*cols)])
+        resid = [Fraction(0)] * len(basis)
+        for t in range(d):
+            diff = poly_add(poly_compose(u[t], h, k),
+                            poly_scale(poly_compose(h[t], right, k), -1))
+            for e, c in diff.items():
+                if sum(e) == k:
+                    resid[index[(t, e)]] = c
+        for r, (i, mono) in enumerate(basis):
+            c = sum(x * y for x, y in zip(inv[r], resid) if y)
+            if c:
+                h[i][mono] = c
+    return h
+
+
 def lt2_log_oracle(p: int, h1: int, h2: int, cap: int) -> list:
     """The two-dimensional Lubin-Tate logarithm (L1, L2) through degree cap,
     in closed form.  Unrolling L1 = x1 + (1/p) L2(x1^q1, x2^q1) and
@@ -224,6 +275,16 @@ def lt2_log_oracle(p: int, h1: int, h2: int, cap: int) -> list:
             k += 1
         out.append(terms)
     return out
+
+
+def lt2_law_oracle(p: int, h1: int, h2: int, cap: int) -> list:
+    """The Lubin-Tate law F = L^-1(L(X) + L(Y)) through degree cap over Q,
+    from the closed-form logarithm, poly_inverse and poly_compose; X is
+    variables 0, 1 and Y variables 2, 3."""
+    log = lt2_log_oracle(p, h1, h2, cap)
+    both = [poly_add({e + (0, 0): c for e, c in t.items()},
+                     {(0, 0) + e: c for e, c in t.items()}) for t in log]
+    return [poly_compose(t, both, cap) for t in poly_inverse(log, cap)]
 
 
 def series_to_fractions(ms) -> dict:

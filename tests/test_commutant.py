@@ -10,7 +10,7 @@ from fglab.errors import (
     PrecisionExhausted,
     SingularStep,
 )
-from fglab.padic import PrecisionContext, teichmuller
+from fglab.padic import INFINITE, PadicScalar, PrecisionContext, teichmuller
 from fglab.series import MultiSeries, TupleSeries, tuple_compose
 from fglab.formal_group import (
     LubinTate2Params,
@@ -27,7 +27,10 @@ from fglab.commutant import (
 )
 
 from conftest import (
+    assert_series_certified,
     assert_series_matches,
+    frac_commutant,
+    lt2_law_oracle,
     poly_add,
     poly_compose,
     poly_scale,
@@ -243,25 +246,127 @@ def test_general_operator_solves_nonzero_residuals(monkeypatch):
                    for c in diff.values() if c), diff
 
 
-def test_group_from_jacobian_keeps_h_after_u_as_a_running_sum(monkeypatch):
-    """Inside group_from_jacobian on the (2,1,2) Lubin-Tate [p]_F, every
-    composition below the degree cap is u o h: h o u is kept as a running
-    sum of full-cap compositions, so no h o u is recomposed at a partial
-    cap.  The output still reproduces the law."""
+def test_group_from_jacobian_composes_u_after_h_only_in_the_final_check(
+        monkeypatch):
+    """Inside group_from_jacobian on the (2,1,2) Lubin-Tate [p]_F, u o h is
+    evaluated degree by degree without tuple_compose: no composition runs
+    below the degree cap, and the final check composes u o H and H o right
+    once each, afresh at the full cap.  The output still reproduces the
+    law."""
     p, h1, h2 = 2, 1, 2
     D = p ** (h1 + h2)
     ctx = PrecisionContext(p, lt2_min_precision(h1, h2, p, D), D)
     res = lt2_build(LubinTate2Params(h1, h2, ctx))
     u = res.mul_p.series
-    outers = []
+    calls = []
 
     def recording_compose(f, g, cap=None):
-        if cap is not None and cap < D:
-            outers.append(f)
+        calls.append((f, g, cap))
         return tuple_compose(f, g, cap=cap)
 
     monkeypatch.setattr(cm, "tuple_compose", recording_compose)
     H = group_from_jacobian(u, [[1, 0], [0, 1]], [[1, 0], [0, 1]])
-    assert len(outers) == D - 2          # caps k = 2 .. D-1
-    assert all(f is u for f in outers)
+    assert all(cap is None or cap >= D for _, _, cap in calls)
+    after_h = [(g, cap) for f, g, cap in calls if f is u]
+    assert len(after_h) == 1 and after_h[0][0] is H
+    assert len([f for f, _, _ in calls if f is H]) == 1
     assert H.same_at_working_precision(res.group.law)
+
+
+@pytest.mark.parametrize("p,h1,h2", [(2, 1, 1), (2, 1, 2), (3, 1, 1)])
+def test_group_from_jacobian_certifies_only_digits_of_the_exact_law(
+        p, h1, h2):
+    """Every digit group_from_jacobian([p]_F, I, I) certifies, stored or
+    absent, agrees with the law L^-1(L(X) + L(Y)) composed over Q."""
+    D = p ** (h1 + h2)
+    ctx = PrecisionContext(p, lt2_min_precision(h1, h2, p, D), D)
+    u = lt2_build(LubinTate2Params(h1, h2, ctx)).mul_p.series
+    H = group_from_jacobian(u, [[1, 0], [0, 1]], [[1, 0], [0, 1]])
+    for got, want in zip(H, lt2_law_oracle(p, h1, h2, D)):
+        assert_series_certified(got, want, D)
+
+
+# a stable u with non-diagonal J0(u) = 5 swap and terms of degree 2
+GENERAL_U = [{(0, 1): 5, (2, 0): 1, (1, 1): 2}, {(1, 0): 5, (0, 2): 3}]
+
+
+def _general_u():
+    ctx = PrecisionContext(5, 16, 6)
+    u = TupleSeries([MultiSeries.from_terms(ctx, 2, t) for t in GENERAL_U])
+    return u, [{e: Fraction(c) for e, c in t.items()} for t in GENERAL_U]
+
+
+@pytest.mark.parametrize("target", [[[2, 0], [0, 2]], [[0, 1], [1, 0]]])
+def test_general_operator_reconstruct_against_the_fraction_solve(target):
+    """Every digit commutant_reconstruct certifies for the general operator
+    agrees with the commutant solved over Q, to at least 10 digits."""
+    u, uq = _general_u()
+    h = commutant_reconstruct(u, target).series
+    start = [{e: Fraction(c) for e, c in zip([(1, 0), (0, 1)], row) if c}
+             for row in target]
+    for got, want in zip(h, frac_commutant(uq, start, uq, 6)):
+        assert_series_certified(got, want, 6)
+    assert min(c.prof(6) for c in h) >= 10
+
+
+def test_general_operator_group_from_jacobian_against_the_fraction_solve():
+    """Every digit group_from_jacobian(u, I, I) certifies for the general
+    operator agrees with the two-block commutant solved over Q, to at least
+    10 digits."""
+    u, uq = _general_u()
+    H = group_from_jacobian(u, [[1, 0], [0, 1]], [[1, 0], [0, 1]])
+    right = [{e + (0, 0): c for e, c in t.items()} for t in uq] \
+        + [{(0, 0) + e: c for e, c in t.items()} for t in uq]
+    start = [{(1, 0, 0, 0): Fraction(1), (0, 0, 1, 0): Fraction(1)},
+             {(0, 1, 0, 0): Fraction(1), (0, 0, 0, 1): Fraction(1)}]
+    for got, want in zip(H, frac_commutant(uq, start, right, 6)):
+        assert_series_certified(got, want, 6)
+    assert min(c.prof(6) for c in H) >= 10
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_reconstruct_accounts_for_absent_residual_terms():
+    """At p=2, N=6, D=3, h commuting with [3]_M with J0(h) = 18/7 has x^3
+    coefficient C(18/7, 3) = 132/343 of valuation 2, but the solve skips
+    the residual's absent terms and claims it is 0 + O(2^5)."""
+    ctx = PrecisionContext(2, 6, 3)
+    u = fg_multiplication_map(multiplicative_law(ctx), 3).series
+    h = commutant_reconstruct(u, [[Fraction(18, 7)]]).series
+    uq = [{(1,): Fraction(3), (2,): Fraction(3), (3,): Fraction(1)}]
+    want, = frac_commutant(uq, [{(1,): Fraction(18, 7)}], uq, 3)
+    assert want[(3,)] == Fraction(132, 343)
+    assert_series_certified(h[0], want, 3)
+
+
+def _brute_force_valuations(ctx, lams, degree):
+    """Per-monomial valuations of prod_j lambda_j^(e_j) - lambda_i."""
+    vals = []
+    for exps in cm._monomials_of_degree(len(lams), degree):
+        for lam_i in lams:
+            f = PadicScalar.exact(ctx, 1)
+            for lam, e in zip(lams, exps):
+                for _ in range(e):
+                    f = f * lam
+            f = f - lam_i
+            vals.append(INFINITE if f.is_zero else f.valuation())
+    return vals
+
+
+@pytest.mark.parametrize("lams", [(5, 5, 5), (5, 5, 10), (5, 25, 10),
+                                  (5, 5, 125)])
+def test_diagonal_solver_valuations_match_per_monomial_factors(lams):
+    """det_valuation and solve_loss of diagonal solvers with 1, 2 and 3
+    groups of identical lambda equal the sum and the max of the
+    per-monomial factor valuations, INFINITE from the resonant degree 3
+    on for (5, 5, 125)."""
+    ctx = PrecisionContext(5, 30, 8)
+    scalars = [PadicScalar.exact(ctx, x) for x in lams]
+    zero = PadicScalar.zero(ctx)
+    lam = [[x if i == j else zero for j, x in enumerate(scalars)]
+           for i in range(3)]
+    solver = cm._DegreeSolver(ctx, lam, lam, 3, 3)
+    assert len(solver._groups) == len(set(lams))
+    for degree in range(2, 9):
+        vals = _brute_force_valuations(ctx, scalars, degree)
+        assert solver.det_valuation(degree) == sum(vals)
+        assert solver.solve_loss(degree) == max(0, *vals)

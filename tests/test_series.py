@@ -28,6 +28,7 @@ from fglab.serialize import parse
 from fglab.series import (
     MultiSeries,
     TupleSeries,
+    _RelaxedCompose,
     _sum,
     apply_matrix,
     coeff_extract,
@@ -223,6 +224,102 @@ def test_compose_certifies_only_true_digits(data, p, m, n, N, D):
     for fi, out in zip(f, got):
         exact = poly_compose(_drawn_value(data, fi, True), g_exact, cap)
         assert_series_certified(out, exact, cap)
+
+
+def _drawn_part(data, ctx, n, j, lossy):
+    """A series exactly homogeneous of degree j in n variables: up to four
+    monomials (a p-power denominator allowed) whose coefficients carry
+    drawn absolute precisions when ``lossy``, or none."""
+    terms = {}
+    for _ in range(data.draw(st.integers(0, 4))):
+        exps, left = [], j
+        for _ in range(n - 1):
+            exps.append(data.draw(st.integers(0, left)))
+            left -= exps[-1]
+        c = PadicScalar.exact(ctx, Fraction(
+            data.draw(st.integers(-60, 60).filter(bool)))
+            * Fraction(ctx.p) ** data.draw(st.integers(-1, 2)))
+        if lossy:
+            c = c.reduce_abs_precision(
+                data.draw(st.integers(0, ctx.abs_precision)))
+        terms[tuple(exps) + (left,)] = c
+    return MultiSeries.from_terms(ctx, n, terms)
+
+
+def _drawn_homogeneous_value(data, ms, j):
+    """Fractions that every claim of the degree-j part ms allows, staying
+    homogeneous: each stored and up to two absent degree-j coefficients
+    moved by r p^prof(j), |r| <= 2."""
+    p = ms.ctx.p
+    value = {ms.unpack(k): Fraction(c, p ** ms.shift)
+             for k, c in ms.coeffs.items()}
+    for _ in range(2):
+        exps = tuple(data.draw(st.lists(st.integers(0, j),
+                                        min_size=ms.num_vars,
+                                        max_size=ms.num_vars)))
+        if sum(exps) == j:
+            value.setdefault(exps, Fraction(0))
+    pf = ms.prof(j)
+    if pf != INFINITE:
+        value = {e: c + data.draw(st.integers(-2, 2)) * Fraction(p) ** pf
+                 for e, c in sorted(value.items())}
+    return {e: c for e, c in value.items() if c}
+
+
+@settings(max_examples=150)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5]), m=st.integers(1, 2),
+       n=st.integers(1, 3), N=st.integers(3, 10), D=st.integers(2, 5))
+def test_relaxed_compose_certifies_only_true_digits(data, p, m, n, N, D):
+    """_RelaxedCompose: every digit it certifies in [f o h_(<k)]_k agrees
+    with poly_compose of any inputs their claims allow, at every k.
+
+    f is exact or certified (with an unstored tail), sometimes with only
+    linear terms stored, so that its tail alone carries the precision; h is
+    a linear start plus homogeneous parts certified by from_terms with
+    PadicScalars, each moved within its precision at its own degree.  A
+    typed FglabError is an acceptable outcome.
+    """
+    ctx = PrecisionContext(p, N, D)
+    kind = data.draw(st.sampled_from(["exact", "fractions", "padic"]))
+    top = data.draw(st.sampled_from([1, D]))
+    outer = [{e: c for e, c in _drawn_terms(
+        data, p, m, data.draw(st.integers(1, 8)), -2, D, False).items()
+        if sum(e) <= top} for _ in range(data.draw(st.integers(1, 2)))]
+    lossy = data.draw(st.booleans())
+    try:
+        if kind == "exact":
+            f = TupleSeries([MultiSeries.from_exact_terms(ctx, m, t)
+                             for t in outer])
+        elif kind == "fractions":
+            f = TupleSeries([MultiSeries.from_terms(ctx, m, t)
+                             for t in outer])
+        else:
+            f = TupleSeries([MultiSeries.from_terms(ctx, m, {
+                e: PadicScalar.exact(ctx, q).reduce_abs_precision(
+                    data.draw(st.integers(1, N + 2)))
+                for e, q in t.items()}) for t in outer])
+        parts = [None] + [TupleSeries([_drawn_part(data, ctx, n, j, lossy)
+                                       for _ in range(m)])
+                          for j in range(1, D)]
+        relaxed = _RelaxedCompose(f, parts[1])
+        got = []
+        for k in range(2, D + 1):
+            got.append(relaxed.at(k))
+            if k < D:
+                relaxed.push(parts[k])
+    except FglabError:
+        return
+    f_exact = [_drawn_value(data, fi, False) for fi in f]
+    h_exact = [_drawn_homogeneous_value(data, c, 1) for c in parts[1]]
+    assume(all(h_exact))
+    for k, at_k in zip(range(2, D + 1), got):
+        for fi, out in zip(f_exact, at_k):
+            exact = {e: c for e, c in poly_compose(fi, h_exact, k).items()
+                     if sum(e) == k}
+            assert_series_certified(out, exact, k)
+        if k < D:
+            h_exact = [poly_add(h, _drawn_homogeneous_value(data, c, k))
+                       for h, c in zip(h_exact, parts[k])]
 
 
 def _drawn_addend(data, ctx, n):
