@@ -1,13 +1,14 @@
 """Formal group laws: validation, negation, multiplication maps, and the
 two-dimensional Lubin-Tate construction.
 
-The Lubin-Tate logarithm and everything derived from it purely in two
-variables (its inverse and [p]_F) are computed on exact series (profile
-None): their coefficients lie in Z[1/p], so integers over one power of p
-hold them exactly, and keeping that stage exact avoids spending p-adic
-precision on the degree-by-degree inversion.  The expensive 2d- and
-3d-variable compositions (the group law itself, axiom checks) run on
-series certified for the context.
+The Lubin-Tate construction runs on exact series (profile None): the
+logarithm, its inverse, [p]_F and the group law have coefficients in
+Z[1/p], so integers over one power of p hold them exactly, and no p-adic
+precision is spent on the degree-by-degree inversion or the compositions.
+The law is certified by its logarithm instead of by the axiom checks of
+fg_validate, and only then rounded to the context's precision.
+fg_validate checks the axioms of any other candidate, including every
+law read from a document.
 """
 
 from __future__ import annotations
@@ -367,10 +368,17 @@ def _lt2_exact(ctx, log_terms):
 def lt2_build(params: LubinTate2Params) -> Lt2Result:
     """Logarithm, group law F = L^{-1}(L(X) + L(Y)), and [p]_F.
 
-    The 2-variable stage (logarithm, its inverse, [p]_F) runs on exact
-    series, which are then certified for the context; F is composed in
-    p-adic arithmetic from the certified L and L^{-1} and checked by
-    fg_validate, and both multiplication-by-p congruences are checked.
+    Everything is computed on exact series (coefficients in Z[1/p]) and
+    only then certified for the context at its full precision.  The law is
+    certified by its logarithm: L(F(X,Y)) = L(X) + L(Y) is checked exactly
+    modulo degree D+1, and a failure raises AxiomViolation with the first
+    differing coefficient.  Since L is exact with linear part X, the
+    identity gives F = L^{-1}(L(X) + L(Y)) mod degree D+1, so the linear
+    part, the unit laws, the inverse and associativity (both sides equal
+    L^{-1}(L(X) + L(Y) + L(Z))) all hold: L is the logarithm of F over a
+    Q-algebra (Hazewinkel, "Formal Groups and Applications", 1978).  F and
+    [p]_F must be p-integral, else PrecisionExhausted; both
+    multiplication-by-p congruences are checked on the exact [p]_F.
     """
     ctx = params.ctx
     p = ctx.p
@@ -388,23 +396,29 @@ def lt2_build(params: LubinTate2Params) -> Lt2Result:
     if any(c.shift for c in mulp_exact):
         raise PrecisionExhausted("[p]_F is not p-integral")
 
-    def certified(t):
+    # F = L^{-1}(L(X) + L(Y)), certified by L(F) = L(X) + L(Y)
+    lx_ly = L_exact.map_variables(4, [0, 1]) + L_exact.map_variables(4, [2, 3])
+    F_exact = tuple_compose(Linv_exact, lx_ly)
+    w = _first_difference(tuple_compose(L_exact, F_exact), lx_ly)
+    if w is not None:
+        raise AxiomViolation("logarithm", sum(w[1]), w)
+    if any(c.shift for c in F_exact):
+        raise PrecisionExhausted("the group law is not p-integral")
+
+    def certified(t, num_vars):
         return TupleSeries([MultiSeries.from_terms(
-            ctx, 2, {c.unpack(k): Fraction(v, p ** c.shift)
-                     for k, v in c.coeffs.items()}) for c in t])
+            ctx, num_vars, {c.unpack(k): Fraction(v, p ** c.shift)
+                            for k, v in c.coeffs.items()}) for c in t])
 
-    L = certified(L_exact)
-    Linv = certified(Linv_exact)
-    mulp = certified(mulp_exact)
-
-    gx = L.map_variables(4, [0, 1])
-    gy = L.map_variables(4, [2, 3])
-    F_raw = tuple_compose(Linv, gx + gy)
-    group = fg_validate(F_raw)
-
+    group = FormalGroupLaw(2, certified(F_exact, 4), AxiomCertificate(
+        degree=ctx.degree_cap,
+        axioms=("linear-part", "unit", "associativity", "inverse"),
+        commutative=_first_difference(
+            F_exact, F_exact.map_variables(4, [2, 3, 0, 1])) is None))
     congruences = _check_lt2_congruences(mulp_exact, params)
-    return Lt2Result(log=L, group=group,
-                     mul_p=EndoSeries(mulp, group), congruences=congruences)
+    return Lt2Result(log=certified(L_exact, 2), group=group,
+                     mul_p=EndoSeries(certified(mulp_exact, 2), group),
+                     congruences=congruences)
 
 
 def _lt2_budget(L: TupleSeries, Linv: TupleSeries) -> int:

@@ -63,6 +63,12 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+# the largest prime modulus a context accepts: trial division decides
+# primality below it in milliseconds, where a prime near 10^30 would take
+# longer than any desk computation
+_P_LIMIT = 2 ** 32
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Ambient parameters: prime p, certified-digit cap N, total-degree cap D."""
@@ -72,8 +78,8 @@ class PrecisionContext:
     degree_cap: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise BadArgument(f"p = {self.p} is not prime")
+        if not (self.p < _P_LIMIT and _is_prime(self.p)):
+            raise BadArgument(f"p = {self.p} is not a prime below 2^32")
         if self.abs_precision < 1:
             raise BadArgument("abs_precision must be >= 1")
         if self.degree_cap < 2:

@@ -225,6 +225,10 @@ def parse(text: str):
             if len(digits) != want:
                 raise ParseError(ln, f"{len(digits)} digits where the profile "
                                      f"certifies {want}")
+            # every scalar is known modulo p^1 at least, so v > -N: this
+            # also keeps the common shift below the document's digit count
+            if v + len(digits) < 1:
+                raise ParseError(ln, f"valuation {v} leaves no certified digit")
             entries[exps] = (v, unit, len(digits))
             vmin = min(vmin, v)
         shift = max(0, -vmin)

@@ -73,7 +73,7 @@ def test_acceptance_1_lubin_tate_construction():
             elapsed = time.monotonic() - started
             assert elapsed < 60, \
                 f"p={p} (h1,h2)=({h1},{h2}): {elapsed:.1f}s over budget"
-            # fg_validate certified every axiom to degree D
+            # the logarithm identity certified every axiom to degree D
             cert = res.group.certificate
             assert cert.degree == D
             assert set(cert.axioms) == {"linear-part", "unit",

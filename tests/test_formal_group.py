@@ -14,7 +14,13 @@ from fglab.errors import (
     UnsupportedShape,
 )
 from fglab.padic import INFINITE, PadicScalar, PrecisionContext
-from fglab.series import MultiSeries, TupleSeries, jacobian, tuple_compose
+from fglab.series import (
+    MultiSeries,
+    Profile,
+    TupleSeries,
+    jacobian,
+    tuple_compose,
+)
 import fglab.formal_group as fg
 from fglab.formal_group import (
     LubinTate2Params,
@@ -35,6 +41,7 @@ from fglab.serialize import parse
 from conftest import (
     assert_series_certified,
     assert_series_matches,
+    lt2_law_oracle,
     poly_negation,
     series_to_fractions,
 )
@@ -104,10 +111,13 @@ def test_negation_multiplicative(ctx5):
 
 
 def test_negation_certifies_no_more_than_the_law():
-    """The (3,1,1) Lubin-Tate law is certified to 3^7 at degree 2, so
-    F + 3^7 x1^2 is as valid as F; its negation differs from F's at degree
-    2, and the negation may certify at most 7 digits there."""
-    law = parse((GOLDEN / "lt2_p3_h11_group.doc").read_text())
+    """The (3,1,1) Lubin-Tate law capped at 3^7 is certified to 3^7 at
+    degree 2, so F + 3^7 x1^2 is as valid as F; its negation differs from
+    F's at degree 2, and the negation may certify at most 7 digits there."""
+    parsed = parse((GOLDEN / "lt2_p3_h11_group.doc").read_text())
+    law = fg.FormalGroupLaw(2, TupleSeries(
+        [c._with_profile(Profile.const(7)) for c in parsed.law]),
+        parsed.certificate)
     assert [c.prof(2) for c in law.law] == [7, 7]
     iota = fg_negation(law)
     assert all(c.prof(2) <= 7 for c in iota)
@@ -435,6 +445,70 @@ def test_lt2_log_and_mul_p_match_rational_oracle(p, h1, h2):
         assert_series_matches(comp, t)
     for inv, comp in zip(poly_inverse(log, D), res.mul_p.series.components):
         assert_series_matches(comp, poly_compose(inv, pL, D))
+
+
+def _lt2(p, h1, h2):
+    D = p ** (h1 + h2)
+    ctx = PrecisionContext(p, lt2_min_precision(h1, h2, p, D), D)
+    return lt2_build(LubinTate2Params(h1, h2, ctx))
+
+
+@pytest.mark.parametrize("p,h1,h2", [(2, 1, 1), (2, 1, 2), (3, 1, 1),
+                                     (2, 1, 3)])
+def test_lt2_law_certifies_every_digit_at_full_precision(p, h1, h2):
+    """Every digit of the built law, stored or absent, agrees with
+    L^-1(L(X) + L(Y)) composed over Q, and each component is certified
+    flat at N."""
+    res = _lt2(p, h1, h2)
+    D, N = res.group.ctx.degree_cap, res.group.ctx.abs_precision
+    for got, want in zip(res.group.law, lt2_law_oracle(p, h1, h2, D)):
+        assert [got.prof(d) for d in range(D + 1)] == [N] * (D + 1)
+        assert_series_certified(got, want, D)
+
+
+@pytest.mark.parametrize("p,h1,h2", [(2, 1, 1), (2, 1, 2), (3, 1, 1)])
+def test_lt2_law_passes_fg_validate(p, h1, h2):
+    """fg_validate, which every document reader runs, accepts the built
+    law and certifies what lt2_build certified."""
+    group = _lt2(p, h1, h2).group
+    assert fg_validate(group.law).certificate == group.certificate
+
+
+def test_lt2_build_refuses_a_wrong_logarithm_inverse(monkeypatch):
+    """An L^-1 with one wrong degree-3 term breaks L(F) = L(X) + L(Y):
+    lt2_build raises AxiomViolation with a degree-3 witness."""
+    real = fg._lt2_exact
+
+    def broken(ctx, log_terms):
+        L, Linv = real(ctx, log_terms)
+        stray = MultiSeries.from_exact_terms(ctx, 2, {(2, 1): 1})
+        return L, TupleSeries([Linv[0] + stray, Linv[1]])
+
+    monkeypatch.setattr(fg, "_lt2_exact", broken)
+    with pytest.raises(AxiomViolation) as err:
+        _lt2(2, 1, 2)
+    assert err.value.degree == 3 and err.value.witness is not None
+
+
+def test_lt2_build_composes_only_exact_series(monkeypatch):
+    """lt2_build neither calls fg_validate nor composes a certified
+    series: the law is built and checked on exact series."""
+    def refuse(candidate):
+        raise AssertionError("fg_validate called")
+
+    certified = []
+
+    def recording(f, g, cap=None):
+        operands = [f] if isinstance(f, MultiSeries) else list(f)
+        operands += list(g)
+        certified.append(any(c.profile is not None for c in operands))
+        return tuple_compose(f, g, cap=cap)
+
+    monkeypatch.setattr(fg, "fg_validate", refuse)
+    monkeypatch.setattr(fg, "tuple_compose", recording)
+    res = _lt2(3, 1, 1)
+    assert res.group.certificate.commutative is True
+    assert certified and not any(certified)
 
 
 def test_height_rejects_dimension_three(ctx5):

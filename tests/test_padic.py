@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fglab.errors import (
     BadModulus,
     DivisionByZero,
+    FglabError,
     ImpreciseValuation,
     MixedContext,
     PrecisionExhausted,
@@ -24,7 +25,7 @@ from fglab.padic import (
     teichmuller,
 )
 
-from conftest import cyclotomic_modulus
+from conftest import cyclotomic_modulus, ref_valuation
 
 
 def test_context_validation():
@@ -241,6 +242,67 @@ def test_ultrametric_inequality(a, b):
 def test_round_trips(a, b):
     assert ((a + b) - b).same_at_working_precision(a)
     assert ((a * b) / b).same_at_working_precision(a)
+
+
+@st.composite
+def moved_scalars(draw, ctx):
+    """(x, y): x an inexact scalar (a value with an absolute precision, a
+    zero at a precision, or the exact zero) and y a rational anywhere in
+    the class x certifies, y = lift(x) + p^k t with t a p-adic integer."""
+    p, N = ctx.p, ctx.abs_precision
+    kind = draw(st.sampled_from(["value", "value", "zero_at", "exact_zero"]))
+    if kind == "exact_zero":
+        return PadicScalar.zero(ctx), Fraction(0)
+    coprime = st.integers(1, 60).filter(lambda n: n % p)
+    if kind == "zero_at":
+        x = PadicScalar.zero_at(ctx, draw(st.integers(1, N)))
+    else:
+        # a scalar certifies at least one digit: v + rel >= 1
+        v = draw(st.integers(max(-3, 1 - N), 4))
+        unit = Fraction(draw(coprime) * draw(st.sampled_from([1, -1])),
+                        draw(coprime))
+        x = PadicScalar.exact(ctx, unit * Fraction(p) ** v) \
+            .reduce_abs_precision(v + draw(st.integers(max(1, 1 - v), N)))
+    t = Fraction(draw(st.integers(-10 ** 6, 10 ** 6)), draw(coprime))
+    return x, x.lift() + Fraction(p) ** x.known_precision * t
+
+
+def _certifies(out, exact):
+    """Every digit ``out`` certifies agrees with the rational ``exact``."""
+    k = out.known_precision
+    diff = exact - out.lift()
+    if k is INFINITE:
+        return diff == 0
+    return diff == 0 or ref_valuation(diff, out.ctx.p) >= k
+
+
+@st.composite
+def moved_pairs(draw):
+    ctx = PrecisionContext(draw(st.sampled_from([2, 3, 5])),
+                           draw(st.integers(1, 8)), 2)
+    return draw(moved_scalars(ctx)), draw(moved_scalars(ctx))
+
+
+@given(moved_pairs())
+@settings(max_examples=400, deadline=None)
+def test_scalar_arithmetic_certifies_only_true_digits(pair):
+    """+, -, *, / and negation of inexact scalars, against Fraction
+    arithmetic on inputs moved anywhere within their precision: each
+    certified digit of the result is a digit of the moved result.  An
+    operation may instead raise an FglabError (no digit left, a divisor
+    that is zero at its precision)."""
+    (a, x), (b, y) = pair
+    cases = [(lambda: a + b, lambda: x + y),
+             (lambda: a - b, lambda: x - y),
+             (lambda: a * b, lambda: x * y),
+             (lambda: a / b, lambda: x / y),
+             (lambda: -a, lambda: -x)]
+    for op, exact in cases:
+        try:
+            out = op()
+        except FglabError:
+            continue
+        assert _certifies(out, exact()), (a, b, out, exact())
 
 
 def test_digits_little_endian(ctx5):

@@ -1,10 +1,13 @@
 """Canonical document round trips and parse diagnostics."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fglab.errors import ParseError, VersionMismatch
+from fglab.errors import BadArgument, FglabError, ParseError, VersionMismatch
 from fglab.padic import ExtensionModulus, PrecisionContext
 from fglab.series import MultiSeries
 from fglab.formal_group import (
@@ -167,3 +170,73 @@ def test_exact_profile_document_scales():
             assert out.coefficient(exps).same_at_working_precision(c * s)
     assert serialize(parse(serialize(exact.scale(3)))) == \
         serialize(exact.scale(3))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+SERIES_GOLDENS = {path.name: path.read_text()
+                  for path in sorted(GOLDEN.glob("*.doc"))}
+EXTENSION_GOLDEN = (GOLDEN / "cyclotomic_p5_level1.ext").read_text()
+
+fields = st.one_of(
+    st.text(alphabet="0123456789-/|:abc xyz", max_size=6),
+    st.integers(2 ** 64, 10 ** 40).map(str),
+    st.integers(-10 ** 40, -1).map(str))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A golden document with one line deleted, duplicated or swapped with
+    another, the text truncated, or one whitespace-separated field of a
+    line replaced by garbage, a huge integer or a negative integer."""
+    name = draw(st.sampled_from(sorted(SERIES_GOLDENS) + ["extension"]))
+    text = EXTENSION_GOLDEN if name == "extension" else SERIES_GOLDENS[name]
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(
+        ["delete", "duplicate", "swap", "truncate", "field"]))
+    if how == "delete":
+        del lines[i]
+    elif how == "duplicate":
+        lines.insert(i, lines[i])
+    elif how == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif how == "truncate":
+        return name, text[:draw(st.integers(0, len(text) - 1))]
+    else:
+        tokens = lines[i].split(" ")
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(fields)
+        lines[i] = " ".join(tokens)
+    return name, "\n".join(lines) + "\n"
+
+
+@given(mutated_documents())
+@settings(max_examples=300, deadline=None)
+def test_parse_gives_an_object_or_a_typed_error(doc):
+    """A damaged document parses to an object or raises an FglabError;
+    no other exception escapes parse or parse_extension."""
+    name, text = doc
+    try:
+        if name == "extension":
+            parse_extension(text, PrecisionContext(5, 12, 8))
+        else:
+            parse(text)
+    except FglabError:
+        pass
+
+
+def test_parse_refuses_a_valuation_with_no_certified_digit():
+    """An entry at valuation -N or below certifies no digit at all, even
+    with N digits; as a shift it would also scale every other entry."""
+    doc = (GOLDEN / "lt2_p2_h11_group.doc").read_text()
+    assert "\n1 0 0 0 | 0 | " in doc
+    with pytest.raises(ParseError, match="no certified digit"):
+        parse(doc.replace("\n1 0 0 0 | 0 | ", "\n1 0 0 0 | -11 | ", 1))
+
+
+def test_context_refuses_a_huge_prime():
+    """2^61 - 1 is prime, but deciding that by trial division takes about
+    10^9 steps: the context refuses p at or above 2^32 at once."""
+    with pytest.raises(BadArgument):
+        PrecisionContext(2 ** 61 - 1, 4, 4)
+    assert PrecisionContext(4294967291, 4, 4).p == 2 ** 32 - 5
