@@ -30,7 +30,6 @@ from .padic import INFINITE, PadicScalar
 from .series import (
     MultiSeries,
     TupleSeries,
-    _RelaxedCompose,
     apply_matrix,
     lift_by_degree,
     linear_part_matrix,
@@ -348,15 +347,16 @@ def _lift_commuting(u: TupleSeries, start: TupleSeries, right: TupleSeries,
     homogeneous of degree k, since the solve writes only degree-k
     monomials.  The residual at degree k is [u o h - h o right]_k, both
     sides kept across the steps instead of recomposed:
-    - u o h by a relaxed evaluator (``series._RelaxedCompose``) that is
-      fed each delta_k.  It keeps the homogeneous parts of the powers of
-      h's components that u's monomials need; at step k every part below
-      degree k is final, so [u o h]_k costs only the products that land
-      in degree k, each certified with that part's own profile.
-    - h o right as a running sum: start o right once, plus delta_k o right
-      after each step, all at the full cap.  Since right has no constant
-      term, delta_k o right starts at degree k, and the sum holds exactly
-      the terms of the current h o right.
+    - u o h by ``lift_by_degree``, whose relaxed evaluator
+      (``series._RelaxedCompose``) keeps the homogeneous parts of the
+      powers of h's components that u's monomials need; at step k every
+      part below degree k is final, so [u o h]_k costs only the products
+      that land in degree k, each certified with that part's own profile.
+    - h o right as a running sum, subtracted inside the correction: start
+      o right once, plus delta_k o right after each step, all at the full
+      cap.  Since right has no constant term, delta_k o right starts at
+      degree k, and the sum holds exactly the terms of the current h o
+      right.
     """
     ctx = u.ctx
     total = 0
@@ -370,21 +370,17 @@ def _lift_commuting(u: TupleSeries, start: TupleSeries, right: TupleSeries,
             f"difference-operator solves consume {total} digits; "
             f"abs_precision {ctx.abs_precision} cannot absorb that")
     corrections = []
-    u_h = _RelaxedCompose(u, start)
     h_right = tuple_compose(start, right)
 
-    def correct(k, r):
+    def correct(k, u_h):
         nonlocal h_right
-        delta = solver.solve(k, r)
+        delta = solver.solve(k, u_h - TupleSeries(
+            [c.homogeneous_part(k) for c in h_right]))
         corrections.append((k, delta))
-        u_h.push(delta)
         h_right = h_right + tuple_compose(delta, right)
         return delta
 
-    h = lift_by_degree(
-        start, lambda h, k: u_h.at(k) - h_right.truncate(k),
-        correct, ctx.degree_cap)
-    del u_h             # its kept powers are not needed for the check
+    h = lift_by_degree(u, start, correct)
     if not tuple_compose(u, h).same_at_working_precision(
             tuple_compose(h, right)):
         raise VerificationFailure(

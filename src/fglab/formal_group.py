@@ -81,12 +81,10 @@ def block_embed(t: TupleSeries, total_vars: int, offset: int) -> TupleSeries:
     return t.map_variables(total_vars, [offset + i for i in range(d)])
 
 
-def group_add(F: TupleSeries, s: TupleSeries, t: TupleSeries,
-              cap=None) -> TupleSeries:
-    """F(s, t) for tuples s, t over a common variable set, truncated at
-    ``cap`` (default: the context's degree cap)."""
+def group_add(F: TupleSeries, s: TupleSeries, t: TupleSeries) -> TupleSeries:
+    """F(s, t) for tuples s, t over a common variable set."""
     return tuple_compose(
-        F, TupleSeries(list(s.components) + list(t.components)), cap=cap)
+        F, TupleSeries(list(s.components) + list(t.components)))
 
 
 def _first_difference(a: TupleSeries, b: TupleSeries):
@@ -166,11 +164,17 @@ def fg_validate(candidate: TupleSeries) -> FormalGroupLaw:
 
 
 def _solve_negation(F: TupleSeries) -> TupleSeries:
-    """The unique iota with F(X, iota(X)) = 0, solved degree by degree."""
-    ident = TupleSeries.identity(F.ctx, F.dim)
-    return lift_by_degree(-ident,
-                          lambda iota, k: group_add(F, ident, iota, cap=k),
-                          lambda k, r: -r, F.ctx.degree_cap)
+    """The unique iota with F(X, iota(X)) = 0, solved degree by degree.
+
+    F = X + Y mod degree 2, so the lift of F's inner pair (X, iota) starts
+    from (X, -X) and adds (0, -[F(X, iota)]_k) at each degree k.
+    """
+    d = F.dim
+    ident = TupleSeries.identity(F.ctx, d)
+    zeros = list(TupleSeries.zero(F.ctx, d, d))
+    pair = lift_by_degree(F, TupleSeries([*ident, *-ident]),
+                          lambda k, r: TupleSeries([*zeros, *-r]))
+    return TupleSeries(pair.components[d:])
 
 
 def fg_negation(F: FormalGroupLaw) -> TupleSeries:
@@ -355,14 +359,11 @@ def _lt2_exact(ctx, log_terms):
     """The exact logarithm L and its compositional inverse, as exact series.
 
     L = X + (higher terms), so L^{-1} starts from X, and at each degree k
-    its correction is the degree-k part of X - L(L^{-1}).
+    its correction is -[L(L^{-1})]_k.
     """
     L = TupleSeries([MultiSeries.from_exact_terms(ctx, 2, t)
                      for t in log_terms])
-    X = L.truncate(1)
-    Linv = lift_by_degree(X, lambda f, k: X - tuple_compose(L, f, cap=k),
-                          lambda k, r: r, ctx.degree_cap)
-    return L, Linv
+    return L, lift_by_degree(L, L.truncate(1), lambda k, r: -r)
 
 
 def lt2_build(params: LubinTate2Params) -> Lt2Result:

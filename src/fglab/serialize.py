@@ -229,6 +229,11 @@ def parse(text: str):
             # also keeps the common shift below the document's digit count
             if v + len(digits) < 1:
                 raise ParseError(ln, f"valuation {v} leaves no certified digit")
+            # the entry is stored as unit * p^v: N * D bounds v by the
+            # header, where an exact profile (or a huge p0) bounds nothing
+            if v > absprec * degcap:
+                raise ParseError(ln, f"valuation {v} exceeds abs-precision "
+                                     f"times degree-cap, {absprec * degcap}")
             entries[exps] = (v, unit, len(digits))
             vmin = min(vmin, v)
         shift = max(0, -vmin)

@@ -948,15 +948,17 @@ def _compose_one(f: MultiSeries, caches, cap, target_vars) -> MultiSeries:
 class _RelaxedCompose:
     """f o h one homogeneous degree at a time while h is still being built
     (relaxed evaluation: van der Hoeven, "Relax, but don't be too lazy",
-    J. Symbolic Comput. 34 (2002)).
+    J. Symbolic Comput. 34 (2002)).  ``lift_by_degree`` owns one per lift,
+    so the compositional inverse, the negation, the inverse logarithm and
+    the commutant all evaluate their residual here.
 
     h is known by its homogeneous parts, pushed in degree order from the
     linear one: ``push(part)`` appends [h]_j, a TupleSeries whose
-    components are exactly homogeneous of degree j.  With parts 1..k-1
-    in, ``at(k)`` is the degree-k part of f o h_(<k), h_(<k) the sum of
-    those parts, for k >= 2: what tuple_compose(f, h_(<k), cap=k) gives
-    at degree k.  f's linear monomials add nothing there, since
-    [h_(<k)]_k = 0.
+    components are exactly homogeneous of degree j (an exact zero for a
+    component that is complete already).  With parts 1..k-1 in, ``at(k)``
+    is the degree-k part of f o h_(<k), h_(<k) the sum of those parts, for
+    k >= 2: what tuple_compose(f, h_(<k), cap=k) gives at degree k.  f's
+    linear monomials add nothing there, since [h_(<k)]_k = 0.
 
     The parts of every power h^I that f's monomials need are kept across
     calls.  For |I| >= 2, [h^I]_k = sum_j [h^A]_j [h^B]_(k-j) over a split
@@ -1170,30 +1172,38 @@ def linear_part_matrix(h: TupleSeries):
 
 
 # ---------------------------------------------------------------------------
-# compositional inverse
+# degree-by-degree lifts and the compositional inverse
 # ---------------------------------------------------------------------------
 
-def lift_by_degree(x, residual, correct, top: int):
-    """Lift ``x`` one homogeneous degree at a time, k = 2..top.
+def lift_by_degree(f: TupleSeries, start: TupleSeries, correct) -> TupleSeries:
+    """Lift the inner series x of f from the linear ``start``, one
+    homogeneous degree at a time, k = 2..D (D the degree cap), on one
+    relaxed evaluation of f o x.
 
-    At each k, r is the degree-k part of ``residual(x, k)`` and ``x``
-    becomes ``x + correct(k, r)``.  Every degree is lifted, even one whose
-    residual is zero: a residual that is zero only at its certified
-    precision still carries that precision into ``x``.
+    At each k, r = [f o x]_k is read off a ``_RelaxedCompose`` while x holds
+    the degrees below k; f's linear monomials add nothing there.  Then
+    delta_k = correct(k, r), exactly homogeneous of degree k (an exact zero
+    in a component that is complete already), is pushed into the evaluator
+    and added to x.  Every degree is lifted, even one whose r is zero: an
+    r that is zero only at its certified precision still carries that
+    precision into x.
     """
-    for k in range(2, top + 1):
-        r = TupleSeries([c.homogeneous_part(k)
-                         for c in residual(x, k).components])
-        x = x + correct(k, r)
+    relaxed = _RelaxedCompose(f, start)
+    x = start
+    for k in range(2, f.ctx.degree_cap + 1):
+        delta = correct(k, relaxed.at(k))
+        relaxed.push(delta)
+        x = x + delta
     return x
 
 
 def compositional_inverse(h: TupleSeries) -> TupleSeries:
     """Inverse under composition, built degree-by-degree.
 
-    Starts from the inverted linear part and solves each homogeneous
-    correction R so that h(f(X)) matches X one degree further; requires the
-    linear part to be invertible over Z_p (unit determinant).
+    Starts from J0^-1 X, J0 the linear part of h, and at each degree k adds
+    J0^-1(-[h o f]_k), so that h(f(X)) matches X one degree further; the
+    lift evaluates h o f relaxed (``lift_by_degree``).  Requires J0 to be
+    invertible over Z_p (unit determinant).
     """
     d = h.dim
     if h.num_vars != d:
@@ -1208,12 +1218,9 @@ def compositional_inverse(h: TupleSeries) -> TupleSeries:
         raise NotInvertible(
             f"det J0 has valuation {det.valuation()} > 0: not a unit")
     j0inv = mat_inverse(j0)
-    ident = TupleSeries.identity(h.ctx, d)
     return lift_by_degree(
-        apply_matrix(j0inv, ident),
-        lambda f, k: ident - tuple_compose(h, f, cap=k),
-        lambda k, r: apply_matrix(j0inv, r),
-        h.ctx.degree_cap)
+        h, apply_matrix(j0inv, TupleSeries.identity(h.ctx, d)),
+        lambda k, r: apply_matrix(j0inv, -r))
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,23 @@ def test_parse_refuses_a_valuation_with_no_certified_digit():
         parse(doc.replace("\n1 0 0 0 | 0 | ", "\n1 0 0 0 | -11 | ", 1))
 
 
+@pytest.mark.parametrize("profile", ["exact", "200 0 200"])
+def test_parse_refuses_a_valuation_beyond_the_header_bound(profile):
+    """An entry is stored as unit * p^v, so a huge v is a huge integer:
+    `| 10000000 |` took 10 s on a p=5 document.  A valuation above
+    abs-precision times degree-cap (12 * 8 = 96 here) is refused, under an
+    exact profile and under a certified one whose p0 would allow it; 96
+    itself still parses."""
+    ctx = PrecisionContext(5, 12, 8)
+    doc = serialize(MultiSeries.from_terms(ctx, 1, {(1,): 1}))
+    assert "profile 12 0 12" in doc and "\n1 | 0 | " in doc
+    doc = doc.replace("profile 12 0 12", f"profile {profile}")
+    with pytest.raises(ParseError, match="exceeds abs-precision"):
+        parse(doc.replace("\n1 | 0 | ", "\n1 | 97 | "))
+    edge = parse(doc.replace("\n1 | 0 | ", "\n1 | 96 | "))
+    assert edge.coefficient((1,)).valuation() == 96
+
+
 def test_context_refuses_a_huge_prime():
     """2^61 - 1 is prime, but deciding that by trial division takes about
     10^9 steps: the context refuses p at or above 2^32 at once."""
