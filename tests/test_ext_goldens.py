@@ -1,8 +1,9 @@
 """Byte-identity goldens for extension-field arithmetic.
 
-Every coefficient of every result is pinned as its stored ``(v, unit, rel)``
-triple, so any change in the digits or in the certified precision of
-``ExtScalar`` arithmetic shows here.  The cases: the roots of [9]_M in the
+Every result is pinned by its precision floor and by the residue of each
+coefficient modulo the precision that floor certifies for it, so any change
+in the digits or in the certified precision of ``ExtScalar`` arithmetic
+shows here, and a change of internal representation alone does not.  The cases: the roots of [9]_M in the
 level-2 cyclotomic field at p=3, ``ms_eval`` of fixed 2-variable polynomials
 at points of the p=5 base field and the e=4 and e=20 cyclotomic fields, and
 one inverse and one quotient in each of those fields.
@@ -11,6 +12,7 @@ A change argued sound (and logged) rewrites the golden with ``render()``.
 """
 
 import math
+from fractions import Fraction
 from pathlib import Path
 
 from fglab.dynamics import torsion_probe_dim1
@@ -18,7 +20,7 @@ from fglab.errors import FglabError
 from fglab.padic import ExtensionModulus, ExtScalar, PointTuple, PrecisionContext
 from fglab.series import MultiSeries, ms_eval
 
-from conftest import cyclotomic_modulus
+from conftest import cyclotomic_modulus, ref_valuation
 
 GOLDEN = Path(__file__).parent / "golden" / "ext_arith.txt"
 
@@ -30,8 +32,29 @@ POLYS = (
 )
 
 
+def _residue(c: Fraction, k: int, p: int) -> str:
+    """c modulo p^k, written r or r/p^j with r an integer in [0, p^(k+j))."""
+    if c == 0 or ref_valuation(c, p) >= k:
+        return "0"
+    j = max(0, -ref_valuation(c, p))
+    scaled = c * p ** j
+    r = scaled.numerator * pow(scaled.denominator, -1, p ** (k + j)) \
+        % p ** (k + j)
+    return str(r) if j == 0 else f"{r}/{p}^{j}"
+
+
 def _state(x: ExtScalar) -> str:
-    return " ".join(f"{c.v},{c.unit},{c.rel}" for c in x.coeffs)
+    """The floor F, then coefficient i modulo p^ceil(F - i v(t)): the digits
+    F certifies for it, whatever precision the coefficient stores."""
+    floor = x.precision_floor()
+    mod = x.modulus
+    if floor == math.inf:
+        return "floor=inf: " + " ".join("0" for _ in range(mod.degree))
+    step = Fraction(1 if mod.tag == "eisenstein" else 0, mod.ram_index)
+    p = mod.ctx.p
+    return f"floor={floor}: " + " ".join(
+        _residue(c.lift(), math.ceil(floor - i * step), p)
+        for i, c in enumerate(x.coeffs))
 
 
 def _torsion_lines():
@@ -43,8 +66,8 @@ def _torsion_lines():
     lines = [f"torsion p=3 level=2 N=14 D=12 verdict={ts.verdict} "
              f"failures={ts.lift_failures} roots={len(ts.roots)}"]
     for r in ts.roots:
-        lines.append(f"  root simple={r.simple} floor={r.residual_floor}: "
-                     f"{_state(r.point)}")
+        lines.append(f"  root simple={r.simple} "
+                     f"residual={r.residual_floor} {_state(r.point)}")
     return lines
 
 
@@ -70,12 +93,12 @@ def _field_lines():
                 except FglabError as exc:
                     lines.append(f"{head} raises {type(exc).__name__}: {exc}")
                     continue
-                lines.append(f"{head} tail={res.tail_valuation}: "
+                lines.append(f"{head} tail={res.tail_valuation} "
                              f"{_state(res.value)}")
         x = pi * pi * (pi * 4 + 3)
         y = pi + 2
-        lines.append(f"inverse {name}: {_state(x.inverse())}")
-        lines.append(f"div {name}: {_state(y / x)}")
+        lines.append(f"inverse {name} {_state(x.inverse())}")
+        lines.append(f"div {name} {_state(y / x)}")
     return lines
 
 
