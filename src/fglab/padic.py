@@ -68,6 +68,13 @@ def _vp(n: int, p: int) -> int:
 # longer than any desk computation
 _P_LIMIT = 2 ** 32
 
+# the largest N and D a context accepts: a stored entry p^v with v up to
+# N * D, the bound a document's header sets, stays below 2^22 bits
+# (under a second to build at p near 2^32) instead of growing with
+# whatever header a document states
+_N_LIMIT = 256
+_D_LIMIT = 512
+
 
 @dataclass(frozen=True)
 class PrecisionContext:
@@ -80,10 +87,10 @@ class PrecisionContext:
     def __post_init__(self):
         if not (self.p < _P_LIMIT and _is_prime(self.p)):
             raise BadArgument(f"p = {self.p} is not a prime below 2^32")
-        if self.abs_precision < 1:
-            raise BadArgument("abs_precision must be >= 1")
-        if self.degree_cap < 2:
-            raise BadArgument("degree_cap must be >= 2")
+        if not 1 <= self.abs_precision <= _N_LIMIT:
+            raise BadArgument(f"abs_precision must be in 1..{_N_LIMIT}")
+        if not 2 <= self.degree_cap <= _D_LIMIT:
+            raise BadArgument(f"degree_cap must be in 2..{_D_LIMIT}")
 
     def require_same(self, other: "PrecisionContext"):
         if self is not other and self != other:

@@ -297,6 +297,20 @@ def test_non_integer_document_fields_exit_13(tmp_path, capsys):
         assert err.startswith("fglab: line ")
 
 
+def test_header_precision_beyond_the_context_limits_exits_13(tmp_path,
+                                                            capsys):
+    """abs-precision: 1000000 is refused as a malformed document before
+    its entries are read."""
+    ctx = PrecisionContext(5, 12, 8)
+    doc = serialize(MultiSeries.from_terms(ctx, 1, {(0,): 5, (1,): 1}))
+    bad = tmp_path / "bad.doc"
+    bad.write_text(doc.replace("abs-precision: 12", "abs-precision: 1000000"))
+    code, out, err = run(capsys, "copolygon", "--in", str(bad),
+                         "--xi", "1", "--format", "machine")
+    assert code == 13 and out == ""
+    assert "abs_precision" in err
+
+
 def test_build_lt2_with_explicit_degree(tmp_path, capsys):
     group = tmp_path / "g8.doc"
     code, out, _ = run(capsys, "build-lt2", "--p", "2", "--h1", "1",

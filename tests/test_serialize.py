@@ -251,6 +251,25 @@ def test_parse_refuses_a_valuation_beyond_the_header_bound(profile):
     assert edge.coefficient((1,)).valuation() == 96
 
 
+def test_parse_refuses_a_header_precision_beyond_the_context_limits():
+    """abs-precision: 1000000 with a matching profile used to admit a
+    valuation of 4000000, a 9.3-million-bit entry; N and D above the
+    context's limits are now a parse error before any entry is read, and
+    the limits themselves still parse."""
+    ctx = PrecisionContext(5, 12, 8)
+    doc = serialize(MultiSeries.from_terms(ctx, 1, {(1,): 1}))
+    assert "abs-precision: 12\n" in doc and "degree-cap: 8\n" in doc
+    huge = doc.replace("abs-precision: 12\n", "abs-precision: 1000000\n")
+    huge = huge.replace("profile 12 0 12", "profile 4000001 0 4000001")
+    with pytest.raises(ParseError, match="abs_precision"):
+        parse(huge.replace("\n1 | 0 | ", "\n1 | 4000000 | "))
+    with pytest.raises(ParseError, match="degree_cap"):
+        parse(doc.replace("degree-cap: 8\n", "degree-cap: 100000\n"))
+    edge = doc.replace("abs-precision: 12\n", "abs-precision: 256\n")
+    edge = edge.replace("degree-cap: 8\n", "degree-cap: 512\n")
+    assert parse(edge).ctx == PrecisionContext(5, 256, 512)
+
+
 def test_context_refuses_a_huge_prime():
     """2^61 - 1 is prime, but deciding that by trial division takes about
     10^9 steps: the context refuses p at or above 2^32 at once."""
