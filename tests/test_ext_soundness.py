@@ -4,21 +4,31 @@ Every digit that ``+``, ``-``, ``*``, ``/``, ``inverse`` and ``** 3``
 certify must agree with the exact result in Q[t]/(e(t)), computed with
 Fractions from the inputs' stored representatives.  A typed FglabError is
 an acceptable outcome; a false certified digit is not.
+
+The second half moves each input to another point of the ball it claims
+before the oracle reads it: a claim about x + y, x * y, x / y, ``ms_eval``
+or a torsion root's residual must hold for every value the inputs may
+stand for, not only for their stored representatives.
 """
 
+import functools
+import math
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fglab.dynamics import torsion_probe_dim1
 from fglab.errors import FglabError
 from fglab.padic import (
     INFINITE,
     ExtensionModulus,
     ExtScalar,
     PadicScalar,
+    PointTuple,
     PrecisionContext,
 )
+from fglab.series import MultiSeries, ms_eval
 
 from conftest import (
     assert_ext_certified,
@@ -29,6 +39,7 @@ from conftest import (
     qt_inverse,
     qt_mul,
     qt_sub,
+    ref_valuation,
 )
 
 #: t^2 + c irreducible modulo p: an unramified quadratic extension
@@ -128,3 +139,132 @@ def test_inverse_of_a_base_field_element_stays_in_the_base_field():
         exact = qt_inverse(ext_representative(x, 3), cyclotomic_coeffs(3, 2))
         assert_ext_certified(y, exact, 3)
     assert y.coeffs[0] == PadicScalar.exact(ctx, Fraction(27, 2))
+
+
+# ---------------------------------------------------------------------------
+# inputs moved within their claimed precision
+# ---------------------------------------------------------------------------
+
+#: the p = 5 fields of the extension goldens: e = 1, 4 and 20
+P5_FIELDS = {1: ([-1, 1], "unramified"),
+             4: (cyclotomic_coeffs(5, 1), "eisenstein"),
+             20: (cyclotomic_coeffs(5, 2), "eisenstein")}
+
+moves = st.lists(st.integers(-125, 125), min_size=20, max_size=20)
+
+
+def _moved(x, move, p):
+    """A point of x's claimed ball as Fractions: coefficient i moved by
+    move[i] * p^k, k the precision x certifies for that coefficient."""
+    out = []
+    for c, r in zip(x.coeffs, move):
+        q = c.lift()
+        if c.known_precision != INFINITE:
+            q += r * Fraction(p) ** c.known_precision
+        out.append(q)
+    return out
+
+
+def _qt_eval(terms, point, e):
+    """sum c * x1^i * x2^j in Q[t]/(e(t))."""
+    d = len(e) - 1
+    acc = [Fraction(0)] * d
+    for (i, j), c in terms.items():
+        term = [Fraction(c)] + [Fraction(0)] * (d - 1)
+        for x, k in ((point[0], i), (point[1], j)):
+            for _ in range(k):
+                term = qt_mul(term, x, e)
+        acc = qt_add(acc, term)
+    return acc
+
+
+def _at_least(a, floor, mod, p):
+    """Every coefficient of a in Q[t]/(e(t)) has valuation >= floor - i v(t):
+    the element a has valuation >= floor."""
+    step = Fraction(1 if mod.tag == "eisenstein" else 0, mod.ram_index)
+    for i, c in enumerate(a):
+        assert c == 0 or ref_valuation(c, p) >= math.ceil(floor - i * step), \
+            f"coefficient {i} = {c} below valuation floor {floor}"
+
+
+@settings(max_examples=60)
+@given(e=st.sampled_from(sorted(P5_FIELDS)), N=st.integers(4, 12),
+       xs=st.lists(st.integers(-625, 625), min_size=1, max_size=20),
+       ys=st.lists(st.integers(-625, 625), min_size=1, max_size=20),
+       caps=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+       lifts=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       terms=st.dictionaries(
+           st.tuples(st.integers(0, 4), st.integers(0, 4)),
+           st.integers(-50, 50), min_size=1, max_size=5),
+       mx=moves, my=moves)
+def test_claims_hold_across_the_input_ball(e, N, xs, ys, caps, lifts, terms,
+                                           mx, my):
+    """x + y, x * y, x / y and ms_eval(f, (pi^a x, pi^b y), polynomial=True)
+    in the p = 5 fields with e = 1, 4 and 20, on inputs capped below full
+    precision, certify only digits true at every point of the inputs'
+    balls."""
+    p = 5
+    coeffs, tag = P5_FIELDS[e]
+    ctx = PrecisionContext(p, N, 8)
+    mod = ExtensionModulus(ctx, coeffs, tag)
+    try:
+        x = ExtScalar.from_poly(mod, xs).cap_precision(Fraction(caps[0]))
+        y = ExtScalar.from_poly(mod, ys).cap_precision(Fraction(caps[1]))
+    except FglabError:
+        return
+    qx, qy = _moved(x, mx, p), _moved(y, my, p)
+
+    def quotient(a, b):
+        inv = qt_inverse(b, coeffs)
+        return None if inv is None else qt_mul(a, inv, coeffs)
+
+    _check(p, lambda: x + y, lambda: qt_add(qx, qy))
+    _check(p, lambda: x * y, lambda: qt_mul(qx, qy, coeffs))
+    _check(p, lambda: x / y, lambda: quotient(qx, qy))
+
+    pi = ExtScalar.uniformizer(mod)
+    try:
+        theta = [pi ** lifts[0] * x, pi ** lifts[1] * y]
+    except FglabError:
+        return
+    moved = [_moved(c, m, p) for c, m in zip(theta, (mx, my))]
+    f = MultiSeries.from_terms(ctx, 2, terms)
+    _check(p, lambda: ms_eval(f, PointTuple(theta), polynomial=True).value,
+           lambda: _qt_eval(terms, moved, coeffs))
+
+
+@functools.cache
+def _torsion_probes():
+    """The benchmark's three probes: [p^level]_M in Q_p(zeta_(p^level))."""
+    out = []
+    for p, level, D in ((3, 2, 12), (2, 3, 8), (5, 1, 8)):
+        ctx = PrecisionContext(p, 14, D)
+        a = p ** level
+        G = {k: math.comb(a, k) for k in range(1, a + 1)}
+        probe = torsion_probe_dim1(
+            MultiSeries.from_terms(ctx, 1, {(k,): c for k, c in G.items()}),
+            level, cyclotomic_modulus(ctx, level), expected=a,
+            polynomial=True)
+        assert len(probe.roots) == a
+        out.append((p, [0] + [G[k] for k in range(1, a + 1)], probe))
+    return out
+
+
+@settings(max_examples=20)
+@given(move=moves)
+def test_torsion_residual_floors_hold_across_each_root_ball(move):
+    """Each root of [p^level]_M certifies v([p^level](r)) >= its residual
+    floor; that must hold at every point of the root's claimed ball."""
+    for p, G, probe in _torsion_probes():
+        mod = probe.modulus
+        e = [c.lift() for c in mod.coeffs]
+        for root in probe.roots:
+            r = _moved(root.point, move, p)
+            acc = [Fraction(G[-1])] + [Fraction(0)] * (mod.degree - 1)
+            for c in reversed(G[:-1]):
+                acc = qt_mul(acc, r, e)
+                acc[0] += c
+            if root.residual_floor == INFINITE:
+                assert not any(acc), f"exact root {r} is not a root"
+            else:
+                _at_least(acc, root.residual_floor, mod, p)
