@@ -11,13 +11,14 @@ Extensions are user-supplied monic moduli over Z_p tagged ``eisenstein``
 (totally ramified, v(t) = 1/e) or ``unramified`` (residue degree f); no
 factorization or automatic extension discovery happens here.
 
-One integer kernel carries the scalar rules for both classes: the
-module-level functions ``_build``, ``_zero_at``, ``_mul_add`` (with its
-special cases ``_mul`` and ``_add``) and ``_neg`` work on plain
-``(v, unit, rel)`` triples.  ``PadicScalar``'s operators coerce, call the
-kernel and wrap the triple; ``ExtScalar`` runs its coefficient loops on
-triples, one ``_mul_add`` per product term, and wraps only its d output
-coefficients.
+A scalar kernel carries the rules of ``PadicScalar``: the module-level
+functions ``_build``, ``_zero_at``, ``_mul_add`` (with its special cases
+``_mul`` and ``_add``) and ``_neg`` work on plain ``(v, unit, rel)``
+triples, and the operators coerce, call the kernel and wrap the triple.
+An ``ExtScalar`` is plain integers instead: one p-shift, d coefficients
+and one absolute precision in powers of the uniformizer, computed once
+per operation (the "flat" precision of Caruso, "Computations with p-adic
+numbers", arXiv:1701.06794).
 """
 
 from __future__ import annotations
@@ -512,90 +513,53 @@ def _poly_mul_mod_p(a, b, p):
     return out
 
 
-def _poly_divmod_mod_p(a, b, p):
-    """Quotient and remainder (trailing zeros stripped) modulo p."""
+def _poly_mod_p(a, b, p):
+    """Remainder of a modulo b over F_p, trailing zeros stripped."""
     a = [c % p for c in a]
     b = [c % p for c in b]
     while b and b[-1] == 0:
         b.pop()
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
-    q = [0] * max(1, len(a) - db)
     while True:
         while a and a[-1] == 0:
             a.pop()
         if len(a) - 1 < db or not any(a):
-            break
+            return a
         c = a[-1] * inv % p
         shift = len(a) - 1 - db
-        q[shift] = c
         for i, bi in enumerate(b):
             a[shift + i] = (a[shift + i] - c * bi) % p
-    return q, a
-
-
-def _poly_sub_mod_p(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return [(x - y) % p for x, y in zip(a, b)]
 
 
 def _poly_gcd_mod_p(a, b, p):
-    a, b = [c % p for c in a], [c % p for c in b]
     while any(b):
-        a, b = b, _poly_divmod_mod_p(a, b, p)[1]
-        while a and a[-1] == 0:
-            a.pop()
-        while b and b[-1] == 0:
-            b.pop()
+        a, b = b, _poly_mod_p(a, b, p)
     return a
 
 
 def _poly_powmod_mod_p(base, e, m, p):
     result = [1]
-    base = _poly_divmod_mod_p(base, m, p)[1]
+    base = _poly_mod_p(base, m, p)
     while e:
         if e & 1:
-            result = _poly_divmod_mod_p(
-                _poly_mul_mod_p(result, base, p), m, p)[1]
-        base = _poly_divmod_mod_p(_poly_mul_mod_p(base, base, p), m, p)[1]
+            result = _poly_mod_p(_poly_mul_mod_p(result, base, p), m, p)
+        base = _poly_mod_p(_poly_mul_mod_p(base, base, p), m, p)
         e >>= 1
     return result
 
 
 def _irreducible_mod_p(coeffs, p) -> bool:
-    """Rabin test for a monic integer polynomial modulo p."""
-    n = len(coeffs) - 1
-    if n < 1:
-        return False
+    """Whether a monic integer polynomial of degree n >= 1 is irreducible
+    modulo p: it has no factor of degree k <= n/2, so it is prime to
+    x^(p^k) - x, the product of the monic irreducibles of degree dividing k."""
     m = [c % p for c in coeffs]
-    x = _poly_divmod_mod_p([0, 1], m, p)[1]
-    # x^(p^n) == x mod (m, p)
-    t = x
-    for _ in range(n):
+    t = [0, 1]
+    for _ in range((len(m) - 1) // 2):
         t = _poly_powmod_mod_p(t, p, m, p)
-    if any(_poly_sub_mod_p(t, x, p)):
-        return False
-    # gcd(x^(p^(n/q)) - x, m) must be constant for every prime q | n
-    q = 2
-    nn = n
-    primes = set()
-    while q * q <= nn:
-        if nn % q == 0:
-            primes.add(q)
-            while nn % q == 0:
-                nn //= q
-        q += 1
-    if nn > 1:
-        primes.add(nn)
-    for q in primes:
-        t = x
-        for _ in range(n // q):
-            t = _poly_powmod_mod_p(t, p, m, p)
-        d = _poly_sub_mod_p(t, x, p)
-        g = _poly_gcd_mod_p(d, m, p)
-        if len(g) > 1:
+        diff = t + [0] * (2 - len(t))
+        diff[1] -= 1
+        if len(_poly_gcd_mod_p(diff, m, p)) > 1:
             return False
     return True
 
@@ -604,7 +568,7 @@ class ExtensionModulus:
     """A validated monic modulus e(t) over Z_p defining O = Z_p[t]/(e(t))."""
 
     __slots__ = ("ctx", "coeffs", "tag", "degree", "ram_index", "res_degree",
-                 "_neg_low")
+                 "_step", "_low")
 
     def __init__(self, ctx: PrecisionContext, coeffs, tag: str):
         self.ctx = ctx
@@ -614,6 +578,10 @@ class ExtensionModulus:
         lead = scalars[-1]
         if lead.is_zero or not lead.same_at_working_precision(1):
             raise BadModulus("modulus must be monic")
+        if any(c.v is None and c.rel is not None
+               or c.v is not None and c.rel < ctx.abs_precision
+               for c in scalars):
+            raise BadModulus("modulus coefficients must be known to N digits")
         self.coeffs = scalars
         self.degree = len(scalars) - 1
         self.tag = tag
@@ -640,8 +608,14 @@ class ExtensionModulus:
             self.res_degree = self.degree
         else:
             raise BadModulus(f"unknown tag {tag!r}")
-        # -c_i as kernel triples: reducing t^d subtracts c_i t^i, i < d
-        self._neg_low = tuple(_neg(ctx.p, (c.v, c.unit, c.rel)) for c in low)
+        # coefficient i of an element weighs i * step powers of pi extra
+        self._step = 1 if tag == "eisenstein" else 0
+        # t^d folds to -(c_0 + ... + c_(d-1) t^(d-1)) by the lifts of the
+        # c_i, each O(p^(v + N)) off with v >= 1 (eisenstein) or v >= 0
+        # (unramified): folding terms of valuation >= W errs by
+        # O(pi^(W + e N)), which the relative cap already forgets
+        self._low = tuple((i, int(c.lift())) for i, c in enumerate(low)
+                          if not c.is_zero)
 
     @classmethod
     def base(cls, ctx: PrecisionContext) -> "ExtensionModulus":
@@ -664,36 +638,99 @@ class ExtensionModulus:
         return f"ExtensionModulus(deg={self.degree}, tag={self.tag})"
 
 
+def _fold(modulus: ExtensionModulus, z: list, q: int) -> list:
+    """The d coefficients of the integer polynomial z modulo e(t), each
+    term of degree >= d first reduced modulo q; z is consumed."""
+    d = modulus.degree
+    low = modulus._low
+    for k in range(len(z) - 1 - d, -1, -1):
+        top = z.pop() % q
+        if top:
+            for i, c in low:
+                z[k + i] -= top * c
+    z.extend([0] * (d - len(z)))
+    return z
+
+
 class ExtScalar:
-    """Element of Z_p[t]/(e(t)) as a coefficient vector of PadicScalars."""
+    """p^shift * sum(ints[i] t^i) in Z_p[t]/(e(t)), known modulo pi^prec.
 
-    __slots__ = ("modulus", "coeffs")
+    ``prec`` is one absolute precision in powers of the uniformizer pi,
+    that is in units of 1/e of valuation; it is None only for the exact
+    zero.  The ints are held modulo p^(ceil(prec / e) - shift), and
+    ``shift`` is their least valuation.  ``val`` is the valuation in powers
+    of pi, None when the element is zero at its precision.  A nonzero
+    element is known to at most e N powers of pi beyond its valuation, so
+    a unit is known modulo p^N.
+    """
 
-    def __init__(self, modulus: ExtensionModulus, coeffs):
-        self.modulus = modulus
-        self.coeffs = tuple(coeffs)
+    __slots__ = ("modulus", "shift", "ints", "prec", "val")
 
-    @property
-    def ctx(self):
-        return self.modulus.ctx
+    @classmethod
+    def _normal(cls, modulus, shift, ints, prec) -> "ExtScalar":
+        """p^shift * sum(ints[i] t^i) + O(pi^prec) with its valuation found,
+        the relative cap applied, the shift moved to the least valuation
+        of the ints and the ints reduced.  Raises PrecisionExhausted when
+        not even pi^1 is certified."""
+        out = object.__new__(cls)
+        out.modulus = modulus
+        p, e, step = modulus.ctx.p, modulus.ram_index, modulus._step
+        # a digit at or beyond pi^prec gives a term of valuation >= prec,
+        # so the ints need no reduction to find the valuation below prec
+        best = None
+        if prec is not None:
+            low = e * shift
+            for i, a in enumerate(ints):
+                if best is not None and low + i * step >= best:
+                    break
+                if a:
+                    w = low + i * step if a % p else \
+                        low + e * _vp(a, p) + i * step
+                    if best is None or w < best:
+                        best = w
+            if best is not None and best < prec:
+                cap = best + e * modulus.ctx.abs_precision
+                if cap < prec:
+                    prec = cap
+            else:
+                best = None
+            if prec < 1:
+                raise PrecisionExhausted(
+                    f"known only modulo pi^{prec}: no certified digit remains")
+        if best is None:
+            out.shift, out.ints, out.prec, out.val = \
+                0, (0,) * modulus.degree, prec, None
+            return out
+        k = best // e - shift
+        q = p ** (-(-prec // e) - shift - k)
+        if k:
+            pk = p ** k
+            ints = tuple([a // pk % q for a in ints])
+        else:
+            ints = tuple([a % q for a in ints])
+        out.shift, out.ints, out.prec, out.val = shift + k, ints, prec, best
+        return out
 
     @classmethod
     def from_poly(cls, modulus: ExtensionModulus, coeffs) -> "ExtScalar":
         """Reduce an arbitrary polynomial in t modulo the modulus."""
         ctx = modulus.ctx
-        work = []
-        for c in coeffs:
-            if isinstance(c, PadicScalar):
-                ctx.require_same(c.ctx)
-            else:
-                c = PadicScalar.exact(ctx, c)
-            work.append((c.v, c.unit, c.rel))
-        return cls(modulus, _reduce(modulus, work))
+        p, e, step = ctx.p, modulus.ram_index, modulus._step
+        scalars = [PadicScalar.exact(ctx, c) for c in coeffs]
+        prec = min((e * c.known_precision + i * step
+                    for i, c in enumerate(scalars) if c.rel is not None),
+                   default=None)
+        if prec is None:
+            return cls.zero(modulus)
+        shift = min((c.v for c in scalars if c.v is not None), default=0)
+        ints = [0 if c.v is None else c.unit * p ** (c.v - shift)
+                for c in scalars]
+        return cls._normal(modulus, shift, _fold(
+            modulus, ints, p ** max(1, -(-prec // e) - shift)), prec)
 
     @classmethod
     def zero(cls, modulus) -> "ExtScalar":
-        z = PadicScalar.zero(modulus.ctx)
-        return cls(modulus, [z] * modulus.degree)
+        return cls._normal(modulus, 0, [0] * modulus.degree, None)
 
     @classmethod
     def one(cls, modulus) -> "ExtScalar":
@@ -710,75 +747,66 @@ class ExtScalar:
     def from_base(cls, modulus, scalar) -> "ExtScalar":
         return cls.from_poly(modulus, [scalar])
 
+    @property
+    def ctx(self):
+        return self.modulus.ctx
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as PadicScalars, built on each call; pi^prec
+        certifies coefficient i modulo p^ceil((prec - i step) / e), where
+        step is 1 for an eisenstein modulus and 0 for an unramified one.
+        A coefficient that leaves no digit below p^0 reads as O(p^0)."""
+        ctx = self.modulus.ctx
+        if self.prec is None:
+            return tuple(PadicScalar.zero(ctx) for _ in self.ints)
+        p, e, step = ctx.p, self.modulus.ram_index, self.modulus._step
+        out = []
+        for i, a in enumerate(self.ints):
+            k = -((i * step - self.prec) // e)
+            v = None if a == 0 else self.shift + _vp(a, p)
+            if v is None or v >= k:
+                out.append(PadicScalar(ctx, None, 0, k))
+            else:
+                unit = a // p ** (v - self.shift) % p ** (k - v)
+                out.append(PadicScalar(ctx, v, unit, k - v))
+        return tuple(out)
+
     # -- state -------------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        return self.val is None
 
     @property
     def is_exact_zero(self) -> bool:
-        return all(c.is_exact_zero for c in self.coeffs)
+        return self.prec is None
 
     def valuation(self):
         """Exact valuation as a Fraction (denominator | e), or INFINITE.
 
-        For an eisenstein modulus the candidate valuations v(a_i) + i/e have
-        pairwise distinct fractional parts, so the minimum is exact; for an
-        unramified modulus the residue field argument makes min exact.
+        Terms a_i t^i of an eisenstein modulus have pairwise distinct
+        fractional valuations, and the residue field argument covers an
+        unramified one, so the minimum over the terms is exact.
         """
-        e, step = self._scale()
-        best = None
-        uncertain = []
-        for i, c in enumerate(self.coeffs):
-            if c.rel is None:
-                continue
-            if c.v is None:
-                uncertain.append(c.rel * e + i * step)
-            else:
-                cand = c.v * e + i * step
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            if not uncertain:
-                return INFINITE
+        if self.prec is None:
+            return INFINITE
+        if self.val is None:
             raise ImpreciseValuation(
-                f"zero modulo precision floor {Fraction(min(uncertain), e)}")
-        for bound in uncertain:
-            if bound <= best:
-                raise ImpreciseValuation(
-                    f"uncertain coefficient bound {Fraction(bound, e)} "
-                    f"<= minimum {Fraction(best, e)}")
-        return Fraction(best, e)
-
-    def _scale(self):
-        """(e, step): coefficient i of valuation w has valuation
-        (w e + i step) / e."""
-        mod = self.modulus
-        return mod.ram_index, 1 if mod.tag == "eisenstein" else 0
+                f"zero modulo precision floor {self.precision_floor()}")
+        return Fraction(self.val, self.modulus.ram_index)
 
     def valuation_lower_bound(self):
-        e, step = self._scale()
-        best = None
-        for i, c in enumerate(self.coeffs):
-            if c.rel is None:
-                continue
-            cand = (c.rel if c.v is None else c.v) * e + i * step
-            if best is None or cand < best:
-                best = cand
-        return INFINITE if best is None else Fraction(best, e)
+        if self.prec is None:
+            return INFINITE
+        return Fraction(self.prec if self.val is None else self.val,
+                        self.modulus.ram_index)
 
     def precision_floor(self):
         """Certified valuation floor of the representation's uncertainty."""
-        e, step = self._scale()
-        best = None
-        for i, c in enumerate(self.coeffs):
-            if c.rel is None:
-                continue
-            cand = (c.rel if c.v is None else c.v + c.rel) * e + i * step
-            if best is None or cand < best:
-                best = cand
-        return INFINITE if best is None else Fraction(best, e)
+        if self.prec is None:
+            return INFINITE
+        return Fraction(self.prec, self.modulus.ram_index)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -790,64 +818,72 @@ class ExtScalar:
             return ExtScalar.from_poly(self.modulus, [other])
         return None
 
+    def _add(self, b: "ExtScalar", sign: int) -> "ExtScalar":
+        """self + sign * b, known to the weaker of the two precisions."""
+        if b.prec is None:
+            return self
+        if self.prec is None:
+            return b if sign > 0 else -b
+        p = self.modulus.ctx.p
+        s, t = self.shift, b.shift
+        if s <= t:
+            f = sign * p ** (t - s)
+            ints = [x + f * y for x, y in zip(self.ints, b.ints)]
+        else:
+            f = p ** (s - t)
+            ints = [f * x + sign * y for x, y in zip(self.ints, b.ints)]
+            s = t
+        return ExtScalar._normal(self.modulus, s, ints,
+                                 min(self.prec, b.prec))
+
     def __add__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        ctx = self.modulus.ctx
-        p, N = ctx.p, ctx.abs_precision
-        return ExtScalar(self.modulus, [
-            PadicScalar(ctx, *_add(p, N, (x.v, x.unit, x.rel),
-                                   (y.v, y.unit, y.rel)))
-            for x, y in zip(self.coeffs, b.coeffs)])
+        return self._add(b, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtScalar(self.modulus, [-c for c in self.coeffs])
+        if self.prec is None:
+            return self
+        return ExtScalar._normal(self.modulus, self.shift,
+                                 [-a for a in self.ints], self.prec)
 
     def __sub__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        ctx = self.modulus.ctx
-        p, N = ctx.p, ctx.abs_precision
-        return ExtScalar(self.modulus, [
-            PadicScalar(ctx, *_add(p, N, (x.v, x.unit, x.rel),
-                                   _neg(p, (y.v, y.unit, y.rel))))
-            for x, y in zip(self.coeffs, b.coeffs)])
+        return self._add(b, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        mod = self.modulus
-        ctx = mod.ctx
-        p, N = ctx.p, ctx.abs_precision
-        if isinstance(other, (int, Fraction, PadicScalar)) and \
-                not isinstance(other, ExtScalar):
-            if isinstance(other, PadicScalar):
-                ctx.require_same(other.ctx)
-                s = other
-            else:
-                s = PadicScalar.exact(ctx, other)
-            ts = (s.v, s.unit, s.rel)
-            return ExtScalar(mod, [
-                PadicScalar(ctx, *_mul(p, N, (c.v, c.unit, c.rel), ts))
-                for c in self.coeffs])
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        conv = [_EXACT_ZERO] * (2 * mod.degree - 1)
-        tb = [(c.v, c.unit, c.rel) for c in b.coeffs]
-        for i, a in enumerate(self.coeffs):
-            if a.rel is None:
-                continue
-            ta = (a.v, a.unit, a.rel)
-            for j, y in enumerate(tb):
-                if y[2] is not None:
-                    conv[i + j] = _mul_add(p, N, conv[i + j], ta, y)
-        return ExtScalar(mod, _reduce(mod, conv))
+        mod = self.modulus
+        if self.prec is None or b.prec is None:
+            return ExtScalar.zero(mod)
+        # x y - x0 y0 = x0 dy + dx y0 + dx dy has valuation at least
+        # min(P_x + v(y), P_y + v(x)), with v read as a lower bound
+        px = self.prec + (b.prec if b.val is None else b.val)
+        py = b.prec + (self.prec if self.val is None else self.val)
+        prec = px if px < py else py
+        d = mod.degree
+        if self.val is None or b.val is None:
+            return ExtScalar._normal(mod, 0, [0] * d, prec)
+        shift = self.shift + b.shift
+        e = mod.ram_index
+        z = [0] * (2 * d - 1)
+        ys = b.ints
+        for i, a in enumerate(self.ints):
+            if a:
+                for j, c in enumerate(ys, i):
+                    z[j] += a * c
+        q = mod.ctx.p ** max(1, -(-prec // e) - shift)
+        return ExtScalar._normal(mod, shift, _fold(mod, z, q), prec)
 
     __rmul__ = __mul__
 
@@ -865,33 +901,12 @@ class ExtScalar:
         return out
 
     def _unit_inverse(self) -> "ExtScalar":
-        """Newton inverse of a unit (valuation 0)."""
+        """Newton inverse of a unit (valuation 0), started at
+        x^(p^f - 2), the inverse of x in the residue field F_(p^f)."""
         mod = self.modulus
-        p = self.ctx.p
-        if mod.tag == "unramified" and mod.degree > 1:
-            ints = [0 if c.is_zero else c.residue(1) for c in self.coeffs]
-            while ints and ints[-1] == 0:
-                ints.pop()
-            if not ints:
-                raise DivisionByZero("not a unit in the residue field")
-            mints = [0 if c.is_zero else c.residue(1) for c in mod.coeffs]
-            # extended euclid over F_p[t]
-            r0, r1 = mints, ints
-            s0, s1 = [0], [1]
-            while any(r1) and len(r1) > 1:
-                q, rem = _poly_divmod_mod_p(r0, r1, p)
-                r0, r1 = r1, rem
-                s0, s1 = s1, _poly_sub_mod_p(s0, _poly_mul_mod_p(q, s1, p), p)
-            if not any(r1):
-                raise DivisionByZero("not a unit in the residue field")
-            c = pow(r1[0], -1, p)
-            inv0 = [x * c % p for x in s1]
-            y = ExtScalar.from_poly(mod, inv0)
-        else:
-            c0 = self.coeffs[0]
-            if c0.is_zero or c0.valuation() != 0:
-                raise DivisionByZero("not a unit at working precision")
-            y = ExtScalar.from_poly(mod, [pow(c0.residue(1), -1, p)])
+        if self.val != 0:
+            raise DivisionByZero("not a unit at working precision")
+        y = self ** (self.ctx.p ** mod.res_degree - 2)
         one = ExtScalar.one(mod)
         steps = max(1, (self.ctx.abs_precision * mod.ram_index).bit_length() + 1)
         for _ in range(steps):
@@ -908,19 +923,18 @@ class ExtScalar:
     def inverse(self) -> "ExtScalar":
         if self.is_zero:
             raise DivisionByZero("inverse of zero at working precision")
-        if all(c.is_exact_zero for c in self.coeffs[1:]):
-            # a base-field element: its inverse stays in the base field,
-            # so the upper coefficients stay exact zeros
-            return ExtScalar.from_base(self.modulus, self.coeffs[0].inverse())
-        val = self.valuation()
         mod = self.modulus
-        e = mod.ram_index
-        m = math.floor(val)
-        r = int((val - m) * e)
+        if not any(self.ints[1:]):
+            # p^s u in the base field: its inverse p^-s u^-1 stays there,
+            # at the same relative precision
+            m = -(-self.prec // mod.ram_index) - self.shift
+            return ExtScalar._normal(
+                mod, -self.shift, [pow(self.ints[0], -1, mod.ctx.p ** m)]
+                + [0] * (mod.degree - 1), self.prec - 2 * self.val)
+        m, r = divmod(self.val, mod.ram_index)
         x = self
         if m:
             x = x * PadicScalar.exact(self.ctx, 1).shift(-m)
-        tinv_r = None
         if r:
             tinv_r = _t_inverse(mod) ** r
             x = x * tinv_r
@@ -932,14 +946,8 @@ class ExtScalar:
         return out
 
     def __truediv__(self, other):
-        b = self._coerce(other) if isinstance(other, ExtScalar) else None
+        b = self._coerce(other)
         if b is None:
-            if isinstance(other, (int, Fraction, PadicScalar)):
-                s = other if isinstance(other, PadicScalar) \
-                    else PadicScalar.exact(self.ctx, other)
-                if s.is_zero:
-                    raise DivisionByZero("divisor is zero at working precision")
-                return self * s.inverse()
             return NotImplemented
         return self * b.inverse()
 
@@ -954,24 +962,20 @@ class ExtScalar:
     def cap_precision(self, tau) -> "ExtScalar":
         """Forget everything beyond valuation tau (a Fraction).
 
-        Raises PrecisionExhausted when the cap leaves some coefficient with
-        no certified digit at all: the element would carry a false claim.
-        An infinite tau forgets nothing.
+        Raises PrecisionExhausted when the cap leaves not even pi^1
+        certified: the element would carry a false claim.  An infinite tau
+        forgets nothing.
         """
         if tau == INFINITE:
             return self
-        e, step = self._scale()
         t = Fraction(tau)
-        out = []
-        for i, c in enumerate(self.coeffs):
-            # ceil(tau - i step / e)
-            cap = -((i * step * t.denominator - t.numerator * e)
-                    // (t.denominator * e))
-            if cap < 1:
-                raise PrecisionExhausted(
-                    f"cap at valuation {tau} leaves coefficient {i} uncertified")
-            out.append(c.reduce_abs_precision(cap))
-        return ExtScalar(self.modulus, out)
+        prec = -(-t.numerator * self.modulus.ram_index // t.denominator)
+        if prec < 1:
+            raise PrecisionExhausted(
+                f"cap at valuation {tau} leaves no certified digit")
+        if self.prec is not None and self.prec <= prec:
+            return self
+        return ExtScalar._normal(self.modulus, self.shift, self.ints, prec)
 
     def same_at_working_precision(self, other) -> bool:
         b = self._coerce(other)
@@ -979,8 +983,9 @@ class ExtScalar:
 
     def __eq__(self, other):
         if isinstance(other, ExtScalar):
-            return self.modulus.same_as(other.modulus) and all(
-                a.identical(b) for a, b in zip(self.coeffs, other.coeffs))
+            return self.modulus.same_as(other.modulus) and \
+                (self.prec, self.shift, self.ints) == \
+                (other.prec, other.shift, other.ints)
         if isinstance(other, (int, Fraction, PadicScalar)):
             return self.same_at_working_precision(other)
         return NotImplemented
@@ -989,39 +994,17 @@ class ExtScalar:
     __hash__ = None
 
     def __repr__(self):
-        parts = [f"({c!r})*t^{i}" for i, c in enumerate(self.coeffs)
-                 if not c.is_zero]
-        return " + ".join(parts) if parts else "0"
-
-
-def _reduce(modulus: ExtensionModulus, work: list) -> list:
-    """Reduce a list of kernel triples modulo the modulus, in place, and
-    wrap the d remaining coefficients as PadicScalars."""
-    ctx = modulus.ctx
-    p, N = ctx.p, ctx.abs_precision
-    d = modulus.degree
-    neg_low = modulus._neg_low
-    while len(work) > d:
-        top = work.pop()
-        if top[2] is None:
-            continue
-        shift = len(work) - d
-        for i in range(d):
-            k = shift + i
-            work[k] = _mul_add(p, N, work[k], top, neg_low[i])
-    work.extend([_EXACT_ZERO] * (d - len(work)))
-    return [PadicScalar(ctx, v, u, rel) for v, u, rel in work]
+        if self.prec is None:
+            return "0"
+        terms = " + ".join(f"{a}*t^{i}" for i, a in enumerate(self.ints) if a)
+        head = f"{self.ctx.p}^{self.shift}*({terms}) + " if terms else ""
+        return f"{head}O(pi^{self.prec})"
 
 
 def _t_inverse(modulus: ExtensionModulus) -> ExtScalar:
-    """t^(-1) from t * (t^(e-1) + c_(e-1) t^(e-2) + ... + c_1) = -c_0."""
-    ctx = modulus.ctx
-    d = modulus.degree
-    body = [modulus.coeffs[i] for i in range(1, d)] + \
-           [PadicScalar.exact(ctx, 1)]
-    c0 = modulus.coeffs[0]
-    num = ExtScalar.from_poly(modulus, body)
-    return num * (-c0.inverse())
+    """t^(-1) = -(c_1 + c_2 t + ... + t^(d-1)) / c_0, as e(t) = 0."""
+    body = ExtScalar.from_poly(modulus, modulus.coeffs[1:])
+    return body * (-modulus.coeffs[0].inverse())
 
 
 def ext_construct(modulus_coeffs, coeffs, ctx: PrecisionContext,

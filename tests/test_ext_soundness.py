@@ -54,6 +54,9 @@ element = st.lists(coefficient, min_size=1, max_size=20)
 def _modulus(p, kind):
     if kind == "unramified":
         return UNRAMIFIED[p], "unramified"
+    if kind == "fractional":
+        # t^2 + (p/7) t + p: a coefficient known only to N digits
+        return [p, Fraction(p, 7), 1], "eisenstein"
     return cyclotomic_coeffs(p, 1 if kind == "level1" else 2), "eisenstein"
 
 
@@ -75,7 +78,8 @@ def _check(p, compute, exact):
 
 @settings(max_examples=150)
 @given(p=st.sampled_from([2, 3, 5]),
-       kind=st.sampled_from(["level1", "level2", "unramified"]),
+       kind=st.sampled_from(["level1", "level2", "unramified",
+                             "fractional"]),
        N=st.integers(3, 10), xs=element, ys=element,
        shift=st.integers(-1, 1))
 @example(p=2, kind="level2", N=6, xs=[8, -64], ys=[1], shift=0)
@@ -115,7 +119,10 @@ def test_inverse_certifies_only_true_digits():
     assert exact[1] == Fraction(1, 145)
     y = x.inverse()
     assert_ext_certified(y, exact, 2)
-    assert y.coeffs[1].v == 0 and y.coeffs[1].rel == 3
+    # floor 3 certifies coefficient 1 modulo 2^ceil(3 - 1/2) = 2^3, the
+    # three digits 1/145 = 1 mod 8 that are true, and no more
+    assert y.precision_floor() == 3
+    assert y.coeffs[1].lift() % 8 == 1
 
 
 def test_cap_precision_at_infinity_keeps_the_element():
@@ -128,15 +135,18 @@ def test_cap_precision_at_infinity_keeps_the_element():
 
 
 def test_inverse_of_a_base_field_element_stays_in_the_base_field():
-    """1/(1 + O(3^14)) in Q_3(zeta_9): the upper coefficients are exact
-    zeros, not O(3^14)."""
+    """1/c for c = 1, 7, 9, 2/27 in Q_3(zeta_9) at N = 14 keeps all 14
+    digits of relative precision: the floor is v(1/c) + 14 (17 for 27/2,
+    not the 14 that O(3^14) upper coefficients would leave), and the upper
+    coefficients certify zero digits."""
     ctx = PrecisionContext(3, 14, 8)
     mod = cyclotomic_modulus(ctx, 2)
     for c in (1, 7, 9, Fraction(2, 27)):
         x = ExtScalar.from_base(mod, c)
         y = x.inverse()
-        assert all(u.is_exact_zero for u in y.coeffs[1:]), y
+        assert y.precision_floor() == ref_valuation(1 / Fraction(c), 3) + 14
         exact = qt_inverse(ext_representative(x, 3), cyclotomic_coeffs(3, 2))
+        assert exact[1:] == [0] * 5
         assert_ext_certified(y, exact, 3)
     assert y.coeffs[0] == PadicScalar.exact(ctx, Fraction(27, 2))
 

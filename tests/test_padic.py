@@ -144,6 +144,12 @@ def test_ext_construct_bad_modulus(ctx5):
         ext_construct([-1, 0, 1], [1], ctx5, "unramified")
     with pytest.raises(BadModulus):
         ext_construct([5, 2, 1], [1], ctx5, "bogus-tag")
+    # a coefficient known to fewer than N digits, or only as zero modulo
+    # p^k, would leave the modulus itself less certain than its elements
+    for c in (PadicScalar.exact(ctx5, 5).reduce_abs_precision(3),
+              PadicScalar.zero_at(ctx5, 4)):
+        with pytest.raises(BadModulus, match="known to N digits"):
+            ext_construct([5, c, 1], [1], ctx5, "eisenstein")
 
 
 def test_eisenstein_valuation_rule():
