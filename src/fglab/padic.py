@@ -753,10 +753,11 @@ class ExtScalar:
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as PadicScalars, built on each call; pi^prec
-        certifies coefficient i modulo p^ceil((prec - i step) / e), where
-        step is 1 for an eisenstein modulus and 0 for an unramified one.
-        A coefficient that leaves no digit below p^0 reads as O(p^0)."""
+        """The coefficients as PadicScalars, built on each call: pi^prec
+        certifies coefficient i modulo p^k, k = ceil((prec - i step) / e),
+        step 1 for an eisenstein modulus and 0 for an unramified one.  At
+        k = 0 (prec < e) a coefficient is known only as an integer: it
+        reads as zero modulo p^0, or by its digits below p^0."""
         ctx = self.modulus.ctx
         if self.prec is None:
             return tuple(PadicScalar.zero(ctx) for _ in self.ints)
