@@ -756,8 +756,8 @@ class ExtScalar:
         """The coefficients as PadicScalars, built on each call: pi^prec
         certifies coefficient i modulo p^k, k = ceil((prec - i step) / e),
         step 1 for an eisenstein modulus and 0 for an unramified one.  At
-        k = 0 (prec < e) a coefficient is known only as an integer: it
-        reads as zero modulo p^0, or by its digits below p^0."""
+        k = 0 (i >= prec, so prec < e) a coefficient is known only as an
+        integer: it reads as zero modulo p^0, or by its digits below p^0."""
         ctx = self.modulus.ctx
         if self.prec is None:
             return tuple(PadicScalar.zero(ctx) for _ in self.ints)
@@ -902,12 +902,17 @@ class ExtScalar:
         return out
 
     def _unit_inverse(self) -> "ExtScalar":
-        """Newton inverse of a unit (valuation 0), started at
-        x^(p^f - 2), the inverse of x in the residue field F_(p^f)."""
+        """Newton inverse of a unit (valuation 0), started at its inverse
+        in the residue field F_(p^f): 1/a_0 mod p when f = 1, else
+        x^(p^f - 2)."""
         mod = self.modulus
+        p = self.ctx.p
         if self.val != 0:
             raise DivisionByZero("not a unit at working precision")
-        y = self ** (self.ctx.p ** mod.res_degree - 2)
+        if mod.res_degree == 1:
+            y = ExtScalar.from_poly(mod, [pow(self.ints[0], -1, p)])
+        else:
+            y = self ** (p ** mod.res_degree - 2)
         one = ExtScalar.one(mod)
         steps = max(1, (self.ctx.abs_precision * mod.ram_index).bit_length() + 1)
         for _ in range(steps):
