@@ -407,9 +407,9 @@ def lt2_build(params: LubinTate2Params) -> Lt2Result:
         raise PrecisionExhausted("the group law is not p-integral")
 
     def certified(t, num_vars):
-        return TupleSeries([MultiSeries.from_terms(
-            ctx, num_vars, {c.unpack(k): Fraction(v, p ** c.shift)
-                            for k, v in c.coeffs.items()}) for c in t])
+        return TupleSeries([MultiSeries.from_terms(ctx, num_vars,
+                                                   dict(c.terms()))
+                            for c in t])
 
     group = FormalGroupLaw(2, certified(F_exact, 4), AxiomCertificate(
         degree=ctx.degree_cap,

@@ -11,14 +11,10 @@ Extensions are user-supplied monic moduli over Z_p tagged ``eisenstein``
 (totally ramified, v(t) = 1/e) or ``unramified`` (residue degree f); no
 factorization or automatic extension discovery happens here.
 
-A scalar kernel carries the rules of ``PadicScalar``: the module-level
-functions ``_build``, ``_zero_at``, ``_mul_add`` (with its special cases
-``_mul`` and ``_add``) and ``_neg`` work on plain ``(v, unit, rel)``
-triples, and the operators coerce, call the kernel and wrap the triple.
-An ``ExtScalar`` is plain integers instead: one p-shift, d coefficients
-and one absolute precision in powers of the uniformizer, computed once
-per operation (the "flat" precision of Caruso, "Computations with p-adic
-numbers", arXiv:1701.06794).
+Both scalar types compute their precision once per operation (the "flat"
+precision of Caruso, "Computations with p-adic numbers", arXiv:1701.06794).
+An ``ExtScalar`` is plain integers: one p-shift, d coefficients and one
+absolute precision in powers of the uniformizer.
 """
 
 from __future__ import annotations
@@ -64,6 +60,14 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def _split(q: Fraction, p: int, n: int):
+    """(v, u) for a nonzero rational q = p^v * unit, u = unit mod p^n."""
+    num, den = q.numerator, q.denominator
+    a, b = _vp(num, p), _vp(den, p)
+    mod = p ** n
+    return a - b, num // p ** a * pow(den // p ** b, -1, mod) % mod
+
+
 # the largest prime modulus a context accepts: trial division decides
 # primality below it in milliseconds, where a prime near 10^30 would take
 # longer than any desk computation
@@ -96,112 +100,6 @@ class PrecisionContext:
     def require_same(self, other: "PrecisionContext"):
         if self is not other and self != other:
             raise MixedContext(f"contexts differ: {self} vs {other}")
-
-
-# ---------------------------------------------------------------------------
-# scalar kernel
-# ---------------------------------------------------------------------------
-# The rules of PadicScalar arithmetic on (v, unit, rel) triples, in the three
-# states of PadicScalar: (None, 0, None) is the exact zero, (None, 0, k) is
-# zero modulo p^k, and (v, unit, rel) is p^v * unit known modulo p^(v + rel).
-# Only the exact zero has rel None.  p is the prime and N the cap on rel.
-
-_EXACT_ZERO = (None, 0, None)
-
-
-def _build(p, N, v, unit, rel):
-    """Normalized nonzero triple; raises if no certified digit remains."""
-    if rel > N:
-        rel = N
-    if rel < 1:
-        raise PrecisionExhausted(
-            f"result at valuation {v} retains {rel} certified digits")
-    if v + rel < 1:
-        raise PrecisionExhausted(
-            f"known precision p^{v + rel} dropped below p^1")
-    return (v, unit % p ** rel, rel)
-
-
-def _zero_at(N, prec):
-    """Zero modulo p^prec with nothing certified beyond."""
-    if prec < 1:
-        raise PrecisionExhausted(
-            f"zero certified only modulo p^{prec}: no digits remain")
-    return (None, 0, prec if prec < N else N)
-
-
-def _mul_add(p, N, c, a, b):
-    """c + a * b: the product rule, then the addition rule.
-
-    The sum is known modulo the weaker of the two precisions, the product
-    at the smaller relative precision of its factors.
-    """
-    av, au, ar = a
-    bv, bu, br = b
-    if ar is None or br is None:
-        return c
-    if av is None or bv is None:
-        wv, wu, wr = _zero_at(N, (ar if av is None else av)
-                              + (br if bv is None else bv))
-        wk = wr
-    else:
-        wr = ar if ar < br else br
-        if wr > N:
-            wr = N
-        wv = av + bv
-        if wr < 1 or wv + wr < 1:       # no digit left: _build raises
-            return _build(p, N, wv, au * bu, wr)
-        # digits of au * bu beyond p^wr drop out of the sum's modulus
-        wu = au * bu
-        wk = wv + wr
-    cv, cu, cr = c
-    if cr is None:
-        return (wv, wu % p ** wr, wr) if wv is not None else (wv, wu, wr)
-    ck = cr if cv is None else cv + cr
-    absprec = ck if ck < wk else wk
-    # a zero, or a digit at or beyond absprec, adds nothing modulo p^absprec
-    va = absprec if cv is None else cv
-    vb = absprec if wv is None else wv
-    vmin = va if va < vb else vb
-    if vmin >= absprec:
-        return _zero_at(N, absprec)
-    if va == vmin:
-        r = cu
-    else:
-        r = cu * p ** (va - vmin) if va < absprec else 0
-    if vb == vmin:
-        r += wu
-    elif vb < absprec:
-        r += wu * p ** (vb - vmin)
-    r %= p ** (absprec - vmin)
-    if r == 0:
-        return _zero_at(N, absprec)
-    v = vmin
-    while r % p == 0:
-        r //= p
-        v += 1
-    rel = absprec - v
-    if absprec < 1 or rel > N:      # r < p^rel already: _build only checks
-        return _build(p, N, v, r, rel)
-    return (v, r, rel)
-
-
-def _mul(p, N, a, b):
-    """a * b."""
-    return _mul_add(p, N, _EXACT_ZERO, a, b)
-
-
-def _add(p, N, a, b):
-    """a + b, as a + b * 1 (b * 1 is b, its rel never exceeding N)."""
-    return _mul_add(p, N, a, b, (0, 1, N))
-
-
-def _neg(p, a):
-    """-a, at the precision of a."""
-    v, u, rel = a
-    if v is None:
-        return a
-    return (v, -u % p ** rel, rel)
 
 
 class PadicScalar:
@@ -237,18 +135,8 @@ class PadicScalar:
         q = Fraction(value)
         if q == 0:
             return cls.zero(ctx)
-        p = ctx.p
-        v = _vp(q.numerator, p) - _vp(q.denominator, p)
-        rel = ctx.abs_precision
-        mod = p ** rel
-        if v > 0:
-            num, den = q.numerator // p ** v, q.denominator
-        elif v < 0:
-            num, den = q.numerator, q.denominator // p ** (-v)
-        else:
-            num, den = q.numerator, q.denominator
-        unit = num * pow(den, -1, mod) % mod
-        return cls._build(ctx, v, unit, rel)
+        N = ctx.abs_precision
+        return cls._build(ctx, *_split(q, ctx.p, N), N)
 
     @classmethod
     def zero(cls, ctx: PrecisionContext) -> "PadicScalar":
@@ -256,13 +144,26 @@ class PadicScalar:
 
     @classmethod
     def zero_at(cls, ctx: PrecisionContext, prec: int) -> "PadicScalar":
-        """Zero modulo p^prec with nothing certified beyond."""
-        return cls(ctx, *_zero_at(ctx.abs_precision, prec))
+        """Zero modulo p^prec with nothing certified beyond, capped at p^N."""
+        if prec < 1:
+            raise PrecisionExhausted(
+                f"zero certified only modulo p^{prec}: no digits remain")
+        N = ctx.abs_precision
+        return cls(ctx, None, 0, prec if prec < N else N)
 
     @classmethod
     def _build(cls, ctx, v, unit, rel) -> "PadicScalar":
-        """Normalized nonzero scalar; raises if no certified digit remains."""
-        return cls(ctx, *_build(ctx.p, ctx.abs_precision, v, unit, rel))
+        """Normalized nonzero scalar, rel capped at N; raises if no
+        certified digit remains."""
+        if rel > ctx.abs_precision:
+            rel = ctx.abs_precision
+        if rel < 1:
+            raise PrecisionExhausted(
+                f"result at valuation {v} retains {rel} certified digits")
+        if v + rel < 1:
+            raise PrecisionExhausted(
+                f"known precision p^{v + rel} dropped below p^1")
+        return cls(ctx, v, unit % ctx.p ** rel, rel)
 
     # -- predicates and accessors -----------------------------------------
 
@@ -344,49 +245,72 @@ class PadicScalar:
             return PadicScalar.exact(self.ctx, other)
         return None
 
+    def _add(self, b: "PadicScalar", sign: int) -> "PadicScalar":
+        """self + sign * b, known to the weaker of the two precisions, with
+        a zero b read at most to p^N, as zero_at caps it."""
+        if b.rel is None:
+            return self
+        ctx = self.ctx
+        p = ctx.p
+        prec = min(self.known_precision, b.known_precision if b.v is not None
+                   else min(b.rel, ctx.abs_precision))
+        # a zero, or a digit at or beyond prec, adds nothing modulo p^prec
+        va = prec if self.v is None else self.v
+        vb = prec if b.v is None else b.v
+        v = va if va < vb else vb
+        if v >= prec:
+            return PadicScalar.zero_at(ctx, prec)
+        r = 0
+        if va < prec:
+            r = self.unit * p ** (va - v)
+        if vb < prec:
+            r += sign * b.unit * p ** (vb - v)
+        r %= p ** (prec - v)
+        if r == 0:
+            return PadicScalar.zero_at(ctx, prec)
+        w = _vp(r, p)
+        return PadicScalar._build(ctx, v + w, r // p ** w, prec - v - w)
+
     def __add__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        ctx = self.ctx
-        return PadicScalar(ctx, *_add(ctx.p, ctx.abs_precision,
-                                      (self.v, self.unit, self.rel),
-                                      (b.v, b.unit, b.rel)))
+        return self._add(b, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.v is None:
             return self
-        return PadicScalar(self.ctx, *_neg(self.ctx.p,
-                                           (self.v, self.unit, self.rel)))
+        return PadicScalar(self.ctx, self.v,
+                           -self.unit % self.ctx.p ** self.rel, self.rel)
 
     def __sub__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        ctx = self.ctx
-        return PadicScalar(ctx, *_add(ctx.p, ctx.abs_precision,
-                                      (self.v, self.unit, self.rel),
-                                      _neg(ctx.p, (b.v, b.unit, b.rel))))
+        return self._add(b, -1)
 
     def __rsub__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        ctx = self.ctx
-        return PadicScalar(ctx, *_add(ctx.p, ctx.abs_precision,
-                                      _neg(ctx.p, (self.v, self.unit, self.rel)),
-                                      (b.v, b.unit, b.rel)))
+        return (-self)._add(b, 1)
 
     def __mul__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
         ctx = self.ctx
-        return PadicScalar(ctx, *_mul(ctx.p, ctx.abs_precision,
-                                      (self.v, self.unit, self.rel),
-                                      (b.v, b.unit, b.rel)))
+        if self.rel is None or b.rel is None:
+            return PadicScalar.zero(ctx)
+        # a product is known to min(k_a + v(b), k_b + v(a)), v read as a
+        # lower bound: p^(v_a + v_b) times the smaller relative precision
+        if self.v is None or b.v is None:
+            return PadicScalar.zero_at(ctx, self.valuation_lower_bound()
+                                       + b.valuation_lower_bound())
+        return PadicScalar._build(ctx, self.v + b.v, self.unit * b.unit,
+                                  self.rel if self.rel < b.rel else b.rel)
 
     __rmul__ = __mul__
 

@@ -48,6 +48,7 @@ from .padic import (
     ExtScalar,
     PadicScalar,
     PointTuple,
+    _split,
     _vp,
 )
 
@@ -93,13 +94,6 @@ def _slope_min(an: int, ad: int, bn: int, bd: int):
 def _reduced(n: int, d: int):
     g = math.gcd(n, d)
     return n // g, d // g
-
-
-def _scaled_from_fraction(q: Fraction, shift: int, modexp: int, p: int) -> int:
-    """Integer congruent to q * p^shift modulo p^modexp (p-integral after shift)."""
-    q2 = q * Fraction(p) ** shift
-    mod = p ** modexp
-    return q2.numerator * pow(q2.denominator, -1, mod) % mod
 
 
 class MultiSeries:
@@ -178,24 +172,15 @@ class MultiSeries:
                 raise ValueError("negative exponent")
             if sum(exps) > D:
                 continue
-            if isinstance(c, PadicScalar):
-                ctx.require_same(c.ctx)
-                if c.is_exact_zero:
-                    continue
-                if c.v is None:
-                    anchor = c.rel if anchor is None else min(anchor, c.rel)
-                    continue
-                q = c.lift()
-                v = c.v
-                absprec = c.known_precision
-            else:
-                q = Fraction(c)
-                if q == 0:
-                    continue
-                v = _vp(q.numerator, ctx.p) - _vp(q.denominator, ctx.p)
-                absprec = v + ctx.abs_precision
-            entries.append((exps, q, absprec))
-            vmin = min(vmin, v)
+            c = PadicScalar.exact(ctx, c)
+            if c.is_exact_zero:
+                continue
+            if c.v is None:
+                anchor = c.rel if anchor is None else min(anchor, c.rel)
+                continue
+            absprec = c.known_precision
+            entries.append((exps, c, absprec))
+            vmin = min(vmin, c.v)
             if sum(exps) == 0:
                 anchor = absprec if anchor is None else min(anchor, absprec)
         if not entries:
@@ -206,21 +191,18 @@ class MultiSeries:
         p0 = N if anchor is None else min(N, anchor)
         sn, sd = 0, 1
         flat = p0 if anchor is not None else None
-        for exps, q, absprec in entries:
+        for exps, _, absprec in entries:
             d = sum(exps)
             if d:
                 sn, sd = _slope_min(sn, sd, absprec - p0, d)
             flat = absprec if flat is None else min(flat, absprec)
         profile = Profile(p0, *_reduced(sn, sd), flat)
         shift = max(0, -vmin)
-        modexp = max(p0, flat) + shift   # flat may exceed p0 when all v > 0
-        coeffs = {}
-        tmp = cls(ctx, num_vars, shift, profile, {})
-        for exps, q, _ in entries:
-            c = _scaled_from_fraction(q, shift, modexp, ctx.p)
-            if c:
-                coeffs[tmp.pack(exps)] = c
-        return cls(ctx, num_vars, shift, profile, coeffs)._normalized()
+        out = cls(ctx, num_vars, shift, profile, {})
+        p = ctx.p
+        out.coeffs = {out.pack(exps): c.unit * p ** (c.v + shift)
+                      for exps, c, _ in entries}
+        return out._normalized()
 
     @classmethod
     def from_exact_terms(cls, ctx, num_vars, terms) -> "MultiSeries":
@@ -508,9 +490,7 @@ class MultiSeries:
                 prof = Profile(s.rel + vhat, rn, rd, s.rel + lbD)
                 return MultiSeries(self.ctx, self.num_vars, 0, prof,
                                    {})._normalized()
-            q = s.lift()
-            vq = _vp(q.numerator, p) - _vp(q.denominator, p)
-            s_abs = s.known_precision
+            vq, u, s_abs = s.v, s.unit, s.known_precision
         else:
             q = Fraction(s)
             if q == 0:
@@ -521,7 +501,9 @@ class MultiSeries:
                                    None, {key: c * q.numerator for key, c
                                           in self.coeffs.items()}
                                    )._normalized()
-            vq = _vp(q.numerator, p) - k
+            # a rational is its unit to N digits at any valuation, even
+            # one that leaves PadicScalar.exact no digit at p^1 or above
+            vq, u = _split(q, p, N)
             s_abs = vq + N
         # Three channels, each the max of its lower-bound lines, combined by
         # min at degree 0 and at D: (1) the series' own profile, shifted by
@@ -545,8 +527,6 @@ class MultiSeries:
         mod = p ** max(1, profile.p0 + target_shift,
                        profile.flat + target_shift)
         a = vq + target_shift - self.shift
-        q_unit = q * Fraction(p) ** (-vq)
-        u = q_unit.numerator * pow(q_unit.denominator, -1, mod) % mod
         out = {}
         if a >= 0:
             pa = p ** a
@@ -1106,11 +1086,15 @@ def mat_det(rows) -> PadicScalar:
             if pivval is None or v < pivval:
                 piv, pivval = r, v
         if piv is None:
-            column = [m[r][col] for r in range(col, n)]
-            if any(not x.is_exact_zero for x in column):
-                prec = min(x.rel for x in column if not x.is_exact_zero)
-                return PadicScalar.zero_at(ctx, prec)
-            return PadicScalar.zero(ctx)
+            # each term of the remaining minor takes one entry from every
+            # column, so its valuation is at least the sum of the columns'
+            # least valuation bounds
+            bound = det.valuation() + sum(
+                min(m[r][c].valuation_lower_bound() for r in range(col, n))
+                for c in range(col, n))
+            if bound == INFINITE:
+                return PadicScalar.zero(ctx)
+            return PadicScalar.zero_at(ctx, bound)
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             det = -det

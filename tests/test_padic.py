@@ -296,19 +296,37 @@ def test_scalar_arithmetic_certifies_only_true_digits(pair):
     arithmetic on inputs moved anywhere within their precision: each
     certified digit of the result is a digit of the moved result.  An
     operation may instead raise an FglabError (no digit left, a divisor
-    that is zero at its precision)."""
+    that is zero at its precision).
+
+    +, -, * and negation also lose no digit: a sum is known to
+    min(k_a, k_b), a product to min(k_a + lb(b), k_b + lb(a)) with k the
+    known precision and lb the valuation lower bound, and then a nonzero
+    result is capped at v + N and a zero one at N."""
     (a, x), (b, y) = pair
-    cases = [(lambda: a + b, lambda: x + y),
-             (lambda: a - b, lambda: x - y),
-             (lambda: a * b, lambda: x * y),
-             (lambda: a / b, lambda: x / y),
-             (lambda: -a, lambda: -x)]
-    for op, exact in cases:
+    ka, kb = a.known_precision, b.known_precision
+    la, lb = a.valuation_lower_bound(), b.valuation_lower_bound()
+    cases = [(lambda: a + b, lambda: x + y, min(ka, kb)),
+             (lambda: a - b, lambda: x - y, min(ka, kb)),
+             (lambda: a * b, lambda: x * y, min(ka + lb, kb + la)),
+             (lambda: a / b, lambda: x / y, None),
+             (lambda: -a, lambda: -x, ka)]
+    for op, exact, k in cases:
         try:
             out = op()
         except FglabError:
             continue
         assert _certifies(out, exact()), (a, b, out, exact())
+        if k is not None:
+            assert out.known_precision == _capped(out, k), (a, b, out, k)
+
+
+def _capped(out, k):
+    """k under the relative cap: v + N for a nonzero scalar, N for a zero
+    at a precision; an exact zero has no cap."""
+    N = out.ctx.abs_precision
+    if out.is_exact_zero:
+        return k
+    return min(k, N if out.v is None else out.v + N)
 
 
 def test_digits_little_endian(ctx5):

@@ -1044,6 +1044,26 @@ def test_mat_det_pivoting(ctx5):
     assert det.same_at_working_precision(-1)
 
 
+def test_mat_det_without_pivot_bounds_the_whole_minor():
+    """A column that is zero at its precision leaves a determinant known
+    only to the bound every term of the remaining minor obeys: one entry
+    from each column, so v(pivots so far) plus each column's least
+    valuation bound, not the precision of that one column."""
+    ctx = PrecisionContext(5, 6, 4)
+    zero, one, five = (PadicScalar.exact(ctx, q) for q in (0, 1, 5))
+    o5, o25 = PadicScalar.zero_at(ctx, 1), PadicScalar.zero_at(ctx, 2)
+    # the lift [[0, 1/125], [5, 1]] has det -1/25: no digit is certified
+    with pytest.raises(PrecisionExhausted):
+        mat_det([[o5, PadicScalar.exact(ctx, Fraction(1, 125))], [o5, one]])
+    det = mat_det([[five, one, one],
+                   [zero, o5, five * five],
+                   [zero, o25, five]])
+    # the bound is attained: the lift with 5 and 0 in the middle column
+    # has det 5 * (5 * 5 - 25 * 0) = 5^3
+    assert det.is_zero and det.known_precision == 3
+    assert mat_det([[one, one], [zero, zero]]).is_exact_zero
+
+
 def test_positive_valuation_fraction_coefficient_digits():
     # coefficients with v > 0 claim precision beyond N; every claimed digit
     # must match the independent modular residue
