@@ -246,14 +246,13 @@ class PadicScalar:
         return None
 
     def _add(self, b: "PadicScalar", sign: int) -> "PadicScalar":
-        """self + sign * b, known to the weaker of the two precisions, with
-        a zero b read at most to p^N, as zero_at caps it."""
+        """self + sign * b, known to the weaker of the two precisions, each
+        operand read at its own, so the sum is symmetric."""
         if b.rel is None:
             return self
         ctx = self.ctx
         p = ctx.p
-        prec = min(self.known_precision, b.known_precision if b.v is not None
-                   else min(b.rel, ctx.abs_precision))
+        prec = min(self.known_precision, b.known_precision)
         # a zero, or a digit at or beyond prec, adds nothing modulo p^prec
         va = prec if self.v is None else self.v
         vb = prec if b.v is None else b.v

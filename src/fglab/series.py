@@ -31,9 +31,7 @@ computes and caches; the profile bookkeeping never builds a Fraction.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain
 
 from .errors import (
     BadArgument,
@@ -84,6 +82,15 @@ class Profile:
 
     def __repr__(self):
         return f"Profile(p0={self.p0}, slope={self.slope}, flat={self.flat})"
+
+
+def _certifying(profile: Profile) -> Profile:
+    """``profile``, or PrecisionExhausted when it certifies no digit at any
+    degree: ``Profile.at`` is nonincreasing, so degree 0 decides."""
+    if profile.at(0) < 1:
+        raise PrecisionExhausted(
+            f"certified only to p^{profile.at(0)} at every degree")
+    return profile
 
 
 def _slope_min(an: int, ad: int, bn: int, bd: int):
@@ -428,46 +435,7 @@ class MultiSeries:
         self._require_compatible(other)
         D = self.ctx.degree_cap if cap is None else min(cap,
                                                         self.ctx.degree_cap)
-        a, b = self, other
-        if a.profile is None and not a.coeffs:
-            return a
-        if b.profile is None and not b.coeffs:
-            return b
-        profile = _mul_profile(a, b, D)
-        if not a.coeffs or not b.coeffs:
-            return MultiSeries(self.ctx, self.num_vars, 0, profile,
-                               {})._normalized()
-        if len(a.coeffs) < len(b.coeffs):
-            a, b = b, a
-        bkeys = sorted(b.coeffs)
-        bds = b.degshift
-        bdegs = [k >> bds for k in bkeys]
-        bvals = [b.coeffs[k] for k in bkeys]
-        ds = a.degshift
-        out = {}
-        get = out.get
-        for ea, ca in a.coeffs.items():
-            limit = D - (ea >> ds)
-            if limit < 0:
-                continue
-            hi = bisect_right(bdegs, limit)
-            for i in range(hi):
-                e = ea + bkeys[i]
-                out[e] = get(e, 0) + ca * bvals[i]
-        shift = a.shift + b.shift
-        p = self.ctx.p
-        target_shift = max(0, -(a.vmin + b.vmin))
-        drop = shift - target_shift
-        res = {}
-        if drop:
-            pd = p ** drop
-            for k, c in out.items():
-                if c:
-                    res[k] = c // pd
-        else:
-            res = {k: c for k, c in out.items() if c}
-        return MultiSeries(self.ctx, self.num_vars, target_shift, profile,
-                           res)._normalized()
+        return _sum_of_products(((self, other),), D)
 
     def scale(self, s) -> "MultiSeries":
         """Multiply by a scalar (int, Fraction, or PadicScalar).
@@ -487,9 +455,8 @@ class MultiSeries:
                 return MultiSeries.zero(self.ctx, self.num_vars)
             if s.v is None:
                 lbD = min(vhat, rn * D // rd)
-                prof = Profile(s.rel + vhat, rn, rd, s.rel + lbD)
-                return MultiSeries(self.ctx, self.num_vars, 0, prof,
-                                   {})._normalized()
+                prof = _certifying(Profile(s.rel + vhat, rn, rd, s.rel + lbD))
+                return MultiSeries(self.ctx, self.num_vars, 0, prof, {})
             vq, u, s_abs = s.v, s.unit, s.known_precision
         else:
             q = Fraction(s)
@@ -521,7 +488,7 @@ class MultiSeries:
             p0 = min(pr.at(0) + vq, p0)
             sn, sd = _slope_min(pr.sn, pr.sd, rn, rd)
             flat = min(pr.at(D) + vq, flat)
-        profile = Profile(p0, sn, sd, flat)
+        profile = _certifying(Profile(p0, sn, sd, flat))
         target_shift = max(0, -(vmin + vq))
         # headroom covers every per-degree modulus (flat may exceed p0)
         mod = p ** max(1, profile.p0 + target_shift,
@@ -632,34 +599,77 @@ class MultiSeries:
 
 
 def _sum(addends):
-    """Sum of compatible series, taken one addend at a time.
+    """Sum of compatible series (at least one): the no-product case of
+    ``_sum_of_products``."""
+    return _sum_of_products(((s, None) for s in addends), None)
 
-    Their integers, aligned to the largest shift, go into one dict whose
-    profile is the ``Profile.min_with`` of theirs; it is normalized once.
-    Exact zeros are skipped; a lone remaining addend comes back as it is.
+
+def _sum_of_products(terms, cap):
+    """Sum of compatible addends and products truncated at total degree
+    ``cap``, accumulated in one dict at one shift and normalized once.
+
+    Each term is a pair (a, b): the product a*b, or the addend a when b is
+    None (``cap`` is unused when no term is a product).  The profile is the
+    ``Profile.min_with`` of every addend's profile and every product's
+    ``_mul_profile``.  It lies at or below each term's own profile at every
+    degree, so reducing the sum once leaves the residues that reducing each
+    product first would: the result is the ``_sum`` of the ``mul`` of each
+    product.  Only where the sum certifies below p^1 at some degree through
+    ``cap`` can the two differ, in whether a coefficient there is nonzero
+    and so raises PrecisionExhausted; there each product is formed and
+    normalized on its own first.  ``Profile.at`` is nonincreasing in the
+    degree, so the degree ``cap`` alone decides.  Terms with an exact-zero
+    factor are skipped; a lone remaining addend comes back as it is.
     """
-    addends = iter(addends)
-    first = next(addends)
-    rest = (s for s in addends if s.profile is not None or s.coeffs)
-    if first.profile is None and not first.coeffs:
-        first = next(rest, first)
-    second = next(rest, None)
-    if second is None:
-        return first
+    live = []
+    first = profile = None
+    for a, b in terms:
+        if first is None:
+            first = a
+        if a.profile is None and not a.coeffs:
+            continue
+        if b is None:
+            pr = a.profile
+        elif b.profile is None and not b.coeffs:
+            continue
+        else:
+            pr = _mul_profile(a, b, cap)
+        if pr is not None:
+            profile = pr if profile is None else profile.min_with(pr)
+        live.append((a, b))
+    if not live:
+        return MultiSeries.zero(first.ctx, first.num_vars)
+    if len(live) == 1 and live[0][1] is None:
+        return live[0][0]
+    if cap is not None and len(live) > 1 and profile is not None \
+            and profile.at(cap) < 1:
+        live = [(a if b is None else _sum_of_products(((a, b),), cap), None)
+                for a, b in live]
     p = first.ctx.p
-    out, shift, profile = dict(first.coeffs), first.shift, first.profile
-    for s in chain((second,), rest):
-        if s.profile is not None:
-            profile = s.profile if profile is None \
-                else profile.min_with(s.profile)
-        if s.shift > shift:
-            f = p ** (s.shift - shift)
-            out = {k: c * f for k, c in out.items()}
-            shift = s.shift
-        f = p ** (shift - s.shift)
-        get = out.get
-        for k, c in s.coeffs.items():
-            out[k] = get(k, 0) + c * f
+    shift = max(a.shift + (0 if b is None else b.shift) for a, b in live)
+    out = {}
+    get = out.get
+    for a, b in live:
+        if b is None:
+            f = p ** (shift - a.shift)
+            for k, c in a.coeffs.items():
+                out[k] = get(k, 0) + c * f
+            continue
+        if len(a.coeffs) < len(b.coeffs):
+            a, b = b, a
+        if not b.coeffs:
+            continue
+        # the shift factor rides on the smaller factor's integers
+        f = p ** (shift - a.shift - b.shift)
+        ds = b.degshift
+        bterms = [(k >> ds, k, c * f) for k, c in sorted(b.coeffs.items())]
+        for ea, ca in a.coeffs.items():
+            limit = cap - (ea >> ds)
+            for db, kb, cb in bterms:
+                if db > limit:
+                    break
+                e = ea + kb
+                out[e] = get(e, 0) + ca * cb
     return MultiSeries(first.ctx, first.num_vars, shift, profile,
                        {k: c for k, c in out.items() if c})._normalized()
 
@@ -673,6 +683,9 @@ def _mul_profile(a: MultiSeries, b: MultiSeries, cap: int) -> Profile:
     channel their pointwise max is sound, across channels (independent
     error sources) the min.  The result keeps the exact combined values at
     degree 0 (p0) and at the cap (flat), and the smallest slope of any line.
+    A factor's uncertainty sits at every degree from 0, so against it the
+    other factor's terms reach the cap; only against its stored terms does
+    its minimum degree bound their room.
     """
     pa, pb = a.profile, b.profile
     if pa is None and pb is None:
@@ -680,7 +693,8 @@ def _mul_profile(a: MultiSeries, b: MultiSeries, cap: int) -> Profile:
     N = a.ctx.abs_precision
     vma, vha, ran, rad, mda = a._summary()
     vmb, vhb, rbn, rbd, mdb = b._summary()
-    # the other factor's minimum degree caps how much room denominators have
+    # data against data: the other factor's minimum degree caps how much
+    # room denominators have
     fa = ran * max(0, cap - mdb) // rad     # floor(room_a * rho_a)
     fb = rbn * max(0, cap - mda) // rbd
     # channel 3: lines (vha + vhb, min(ra, rb)), (vma + vmb, 0), (joint, 0)
@@ -690,7 +704,7 @@ def _mul_profile(a: MultiSeries, b: MultiSeries, cap: int) -> Profile:
     flat = N + max(vha + vhb + sn * cap // sd, vma + vmb, joint)
     if pa is not None:
         # lines (pa.p0 + vhb, min(pa, rb)), (pa.p0 + vmb, pa), (edge, 0)
-        edge = pa.flat + max(vmb, min(vhb, fb))
+        edge = pa.flat + max(vmb, min(vhb, rbn * cap // rbd))
         mn, md = _slope_min(pa.sn, pa.sd, rbn, rbd)
         p0 = min(p0, max(pa.p0 + vhb, pa.p0 + vmb, edge))
         flat = min(flat, max(pa.p0 + vhb + mn * cap // md,
@@ -698,7 +712,7 @@ def _mul_profile(a: MultiSeries, b: MultiSeries, cap: int) -> Profile:
         sn, sd = _slope_min(sn, sd, pa.sn, pa.sd)
     if pb is not None:
         # lines (pb.p0 + vha, min(pb, ra)), (pb.p0 + vma, pb), (edge, 0)
-        edge = pb.flat + max(vma, min(vha, fa))
+        edge = pb.flat + max(vma, min(vha, ran * cap // rad))
         mn, md = _slope_min(pb.sn, pb.sd, ran, rad)
         p0 = min(p0, max(pb.p0 + vha, pb.p0 + vma, edge))
         flat = min(flat, max(pb.p0 + vha + mn * cap // md,
@@ -835,9 +849,11 @@ def tuple_compose(f, g, cap=None):
     stable order, so ties keep index order).  The innermost level is paid
     once per monomial of f, the outermost once per distinct exponent, so
     the dense products run a few times instead of once per exponent
-    prefix.  The order only changes how the same terms are grouped: every
-    step is a certified ``mul`` or sum, each sound on its own, so any
-    order certifies only true digits; the profiles it reaches can differ
+    prefix.  Each level is one ``_sum_of_products`` of the inner levels
+    times cached powers of its g_i, normalized once and certified to the
+    min of each product's own profile.  The order only changes how the
+    same terms are grouped: each level is sound on its own, so any order
+    certifies only true digits; the profiles it reaches can differ
     slightly from those of another order.
     """
     single = isinstance(f, MultiSeries)
@@ -913,14 +929,12 @@ def _compose_one(f: MultiSeries, caches, cap, target_vars) -> MultiSeries:
         for exps, c in entries:
             groups.setdefault(exps[var], []).append((exps, c))
 
-        def parts():
-            for e in sorted(groups, reverse=True):
-                part = rec(groups[e], level + 1)
-                if e and not part.is_zero:
-                    part = part.mul(caches[var].get(e), cap=cap)
-                yield part
-
-        return _sum(parts())
+        terms = []
+        for e in sorted(groups, reverse=True):
+            part = rec(groups[e], level + 1)
+            terms.append((part, caches[var].get(e)
+                          if e and not part.is_zero else None))
+        return _sum_of_products(terms, cap)
 
     return rec(items, 0)
 
@@ -943,9 +957,11 @@ class _RelaxedCompose:
     The parts of every power h^I that f's monomials need are kept across
     calls.  For |I| >= 2, [h^I]_k = sum_j [h^A]_j [h^B]_(k-j) over a split
     I = A + B into nonzero exponents, so it needs only parts of degree
-    below k, which are final.  Every product is a certified ``mul`` with
-    cap k and every sum a ``_sum``, so each step is sound on its own; each
-    part keeps its own profile instead of the min over all of h.
+    below k, which are final.  That sum, and the degree-k part of f o h
+    with f's tail bound as one more addend, are each one
+    ``_sum_of_products`` with cap k, certified to the min of its products'
+    own profiles; so each part keeps its own profile instead of the min
+    over all of h.
     """
 
     def __init__(self, f: TupleSeries, start: TupleSeries):
@@ -991,27 +1007,24 @@ class _RelaxedCompose:
         else:
             a, b = exps[:i] + (0,) + exps[i + 1:], tuple(
                 e * x for x in self._units[i])
-        terms = []
+        terms = [(self.zero, None)]
         for j in range(sum(a), k - sum(b) + 1):
             pa = self._power(a, j)
-            if pa.profile is None and not pa.coeffs:
-                continue
-            pb = self._power(b, k - j)
-            if pb.profile is None and not pb.coeffs:
-                continue
-            terms.append(pa.mul(pb, cap=k))
-        return _sum(chain((self.zero,), terms))
+            if pa.profile is not None or pa.coeffs:
+                terms.append((pa, self._power(b, k - j)))
+        return _sum_of_products(terms, k)
 
     def at(self, k: int) -> TupleSeries:
         out = []
         for fc, leaves in zip(self.f, self._leaves):
-            terms = [leaf.mul(self._power(exps, k), cap=k)
-                     for exps, leaf in leaves if sum(exps) <= k]
+            terms = [(self.zero, None)]
+            terms += [(leaf, self._power(exps, k))
+                      for exps, leaf in leaves if sum(exps) <= k]
             if fc.profile is not None:
-                terms.append(MultiSeries(
+                terms.append((MultiSeries(
                     fc.ctx, self.zero.num_vars, 0,
-                    _tail_profile(fc.profile, self._inner, k), {}))
-            out.append(_sum(chain((self.zero,), terms)))
+                    _tail_profile(fc.profile, self._inner, k), {}), None))
+            out.append(_sum_of_products(terms, k))
         return TupleSeries(out)
 
 

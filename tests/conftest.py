@@ -383,8 +383,10 @@ def ref_mul_profile(a, b, cap):
     vmb, vhb, rb, mdb = ref_summary(b)
     room_a = max(0, cap - mdb)
     room_b = max(0, cap - mda)
-    lb_a = max(vma, min(vha, math.floor(room_a * ra)))
-    lb_b = max(vmb, min(vhb, math.floor(room_b * rb)))
+    # against the other factor's uncertainty, which sits at every degree
+    # from 0, a factor's terms reach the cap
+    lb_a = max(vma, min(vha, math.floor(cap * ra)))
+    lb_b = max(vmb, min(vhb, math.floor(cap * rb)))
     channels = []
     if a.profile is not None:
         pa = a.profile

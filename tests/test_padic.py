@@ -251,17 +251,19 @@ def test_round_trips(a, b):
 
 
 @st.composite
-def moved_scalars(draw, ctx):
+def moved_scalars(draw, ctx, zero_top=None):
     """(x, y): x an inexact scalar (a value with an absolute precision, a
-    zero at a precision, or the exact zero) and y a rational anywhere in
-    the class x certifies, y = lift(x) + p^k t with t a p-adic integer."""
+    zero at a precision up to p^zero_top, default p^N, or the exact zero)
+    and y a rational anywhere in the class x certifies, y = lift(x) + p^k t
+    with t a p-adic integer.  A zero above p^N is built directly, as
+    ``ExtScalar.coeffs`` builds one."""
     p, N = ctx.p, ctx.abs_precision
     kind = draw(st.sampled_from(["value", "value", "zero_at", "exact_zero"]))
     if kind == "exact_zero":
         return PadicScalar.zero(ctx), Fraction(0)
     coprime = st.integers(1, 60).filter(lambda n: n % p)
     if kind == "zero_at":
-        x = PadicScalar.zero_at(ctx, draw(st.integers(1, N)))
+        x = PadicScalar(ctx, None, 0, draw(st.integers(1, zero_top or N)))
     else:
         # a scalar certifies at least one digit: v + rel >= 1
         v = draw(st.integers(max(-3, 1 - N), 4))
@@ -284,9 +286,11 @@ def _certifies(out, exact):
 
 @st.composite
 def moved_pairs(draw):
+    """Two moved scalars; the right one may be a zero above p^N."""
     ctx = PrecisionContext(draw(st.sampled_from([2, 3, 5])),
                            draw(st.integers(1, 8)), 2)
-    return draw(moved_scalars(ctx)), draw(moved_scalars(ctx))
+    return (draw(moved_scalars(ctx)),
+            draw(moved_scalars(ctx, ctx.abs_precision + 4)))
 
 
 @given(moved_pairs())
@@ -318,6 +322,21 @@ def test_scalar_arithmetic_certifies_only_true_digits(pair):
         assert _certifies(out, exact()), (a, b, out, exact())
         if k is not None:
             assert out.known_precision == _capped(out, k), (a, b, out, k)
+
+
+def test_sum_reads_a_zero_operand_at_its_own_precision_on_both_sides():
+    """a +- z and z +- a agree for a zero z above p^N, such as a coefficient
+    of an ExtScalar over the base field: each operand is read at its own
+    precision, so both are known to p^12, a's own precision."""
+    ctx = PrecisionContext(5, 8, 2)
+    base = ExtensionModulus.base(ctx)
+    z, = (ExtScalar.from_base(base, PadicScalar.zero_at(ctx, 5))
+          * ExtScalar.from_poly(base, [5 ** 10])).coeffs
+    assert z.is_zero and z.known_precision == 15
+    a = PadicScalar.exact(ctx, 3 * 5 ** 4)
+    for left, right in ((a + z, z + a), (a - z, -(z - a))):
+        assert (left.v, left.unit, left.rel) == (right.v, right.unit,
+                                                 right.rel) == (4, 3, 8)
 
 
 def _capped(out, k):

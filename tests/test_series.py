@@ -42,6 +42,7 @@ from fglab.series import (
     TupleSeries,
     _RelaxedCompose,
     _sum,
+    _sum_of_products,
     apply_matrix,
     coeff_extract,
     compositional_inverse,
@@ -63,6 +64,7 @@ from conftest import (
     poly_inverse,
     poly_mul,
     poly_scale,
+    ref_mul_profile,
     ref_profile_at,
     ref_valuation,
     series_to_fractions,
@@ -403,12 +405,13 @@ def test_sum_is_the_fraction_sum_at_the_min_profile(data, p, n, N, D):
     assert got.shift == 0 or any(c % p for c in got.coeffs.values())
 
 
-def _drawn_certified(data, ctx, n):
-    """A certified series (never an exact one): up to six monomials, a
-    constant allowed, with coefficients u p^k, -2 <= k <= 2, either as
-    Fractions or as PadicScalars cut to a drawn absolute precision."""
-    terms = _drawn_terms(data, ctx.p, n, data.draw(st.integers(1, 6)), -2,
-                         ctx.degree_cap, True)
+def _drawn_certified(data, ctx, n, size=None):
+    """A certified series (never an exact one): up to ``size`` (default a
+    drawn 1-6) monomials, a constant allowed, with coefficients u p^k,
+    -2 <= k <= 2, either as Fractions or as PadicScalars cut to a drawn
+    absolute precision."""
+    size = size or data.draw(st.integers(1, 6))
+    terms = _drawn_terms(data, ctx.p, n, size, -2, ctx.degree_cap, True)
     if data.draw(st.booleans()):
         terms = {e: PadicScalar.exact(ctx, q).reduce_abs_precision(
             data.draw(st.integers(1, ctx.abs_precision + 2)))
@@ -437,6 +440,110 @@ def test_mul_certifies_only_true_digits(data, p, n, N, D):
     exact = poly_mul(_drawn_value(data, a, True), _drawn_value(data, b, True),
                      top)
     assert_series_certified(got, exact, top)
+
+
+def test_capped_mul_reads_a_factors_uncertainty_from_degree_0():
+    """(1 + x/2)(2x + O(2^2)) at p=2, N=2, cut at degree 1.  The second
+    factor is also 4 + 2x, and (1 + x/2)(4 + 2x) has x coefficient 4, so
+    the product's x coefficient is known only mod 2: the 1/2 meets the
+    uncertainty of the second factor from degree 0, not only from its
+    lowest stored degree."""
+    ctx = PrecisionContext(2, 2, 2)
+    value = {(0,): Fraction(1), (1,): Fraction(1, 2)}
+    a = MultiSeries.from_exact_terms(ctx, 1, value)
+    b = MultiSeries.from_terms(ctx, 1, {
+        (1,): PadicScalar.exact(ctx, 2).reduce_abs_precision(2)})
+    got = a.mul(b, cap=1)
+    for lift in ({(1,): 2}, {(0,): 4, (1,): 2}):
+        assert_series_certified(got, poly_mul(value, lift, 1), 1)
+
+
+def _drawn_factor(data, ctx, n):
+    """A product factor: an exact series, its denominators small enough
+    that each coefficient reads as a scalar, or a certified one with one
+    term or with up to six."""
+    kind = data.draw(st.sampled_from(["exact", "one-term", "certified"]))
+    if kind == "exact":
+        return MultiSeries.from_exact_terms(ctx, n, _drawn_terms(
+            data, ctx.p, n, data.draw(st.integers(0, 5)),
+            max(-2, 1 - ctx.abs_precision), ctx.degree_cap, True))
+    return _drawn_certified(data, ctx, n, 1 if kind == "one-term" else None)
+
+
+def _mul_then_sum(terms, cap):
+    """The sum of the terms with each product formed on its own."""
+    return _sum([a if b is None else a.mul(b, cap=cap) for a, b in terms])
+
+
+@settings(max_examples=300)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5]), n=st.integers(1, 2),
+       N=st.integers(2, 8), D=st.integers(2, 5))
+def test_sum_of_products_is_the_fraction_sum_at_the_min_profile(data, p, n,
+                                                                N, D):
+    """_sum_of_products over 1-5 terms, each an addend or a product capped
+    at one drawn cap: its profile is the min, line by line, of the
+    addends' profiles and of ref_mul_profile for each product (None when
+    all are exact).  Every digit it certifies, stored or absent, agrees
+    with the poly_mul and poly_add oracle on any inputs the terms' own
+    claims allow.  It is identical to forming each product with ``mul``
+    and taking the ``_sum``, and raises PrecisionExhausted exactly when
+    that does."""
+    ctx = PrecisionContext(p, N, D)
+    cap = data.draw(st.integers(1, D))
+    try:
+        terms = [(_drawn_addend(data, ctx, n), None)
+                 if data.draw(st.booleans())
+                 else (_drawn_factor(data, ctx, n), _drawn_factor(data, ctx, n))
+                 for _ in range(data.draw(st.integers(1, 5)))]
+    except FglabError:
+        return
+    try:
+        want = _mul_then_sum(terms, cap)
+    except PrecisionExhausted:
+        with pytest.raises(PrecisionExhausted):
+            _sum_of_products(terms, cap)
+        return
+    got = _sum_of_products(terms, cap)
+    assert got.identical(want)
+    lines, exact = [], {}
+    for a, b in terms:
+        if b is None:
+            if a.profile is not None:
+                pr = a.profile
+                lines.append((pr.p0, pr.slope, pr.flat))
+            exact = poly_add(exact, _drawn_value(data, a, True))
+        elif (a.profile is not None or a.coeffs) \
+                and (b.profile is not None or b.coeffs):
+            if a.profile is not None or b.profile is not None:
+                lines.append(ref_mul_profile(a, b, cap))
+            exact = poly_add(exact, poly_mul(_drawn_value(data, a, True),
+                                             _drawn_value(data, b, True),
+                                             cap))
+    if not lines:
+        assert got.profile is None
+    else:
+        pr = got.profile
+        assert (pr.p0, pr.slope, pr.flat) == tuple(min(x) for x in
+                                                   zip(*lines))
+    assert_series_certified(got, exact, D)
+    for k, c in got.coeffs.items():
+        assert c and (got.profile is None
+                      or 0 < c < p ** (got.prof(k >> got.degshift)
+                                       + got.shift))
+    assert got.shift == 0 or any(c % p for c in got.coeffs.values())
+
+
+def test_sum_of_products_raises_where_a_product_on_its_own_raises():
+    """x/2 times x/2 at p=2, N=2 certifies its x^2/4 only to p^0, so the
+    product alone raises PrecisionExhausted; so does the sum with an
+    addend that cancels the coefficient exactly."""
+    ctx = PrecisionContext(2, 2, 2)
+    a = MultiSeries.from_terms(ctx, 1, {(1,): Fraction(1, 2)})
+    cancel = MultiSeries.from_exact_terms(ctx, 1, {(2,): Fraction(-1, 4)})
+    with pytest.raises(PrecisionExhausted):
+        a.mul(a)
+    with pytest.raises(PrecisionExhausted):
+        _sum_of_products([(a, a), (cancel, None)], 2)
 
 
 def test_compose_and_apply_matrix_never_fold_add(monkeypatch):
@@ -510,6 +617,24 @@ def test_exact_ring_operations_match_fraction_oracle(p):
                           (sa.mul(sb, cap=4), poly_mul(a, b, 4))):
             assert got.profile is None
             assert _exact_value(got) == want
+
+
+def test_scale_raises_where_no_digit_is_left():
+    """At p=2, N=1, O(2) times -15/14 (valuation -1) and 1/2 + O(2^2)
+    (at N=2) times a zero O(2) are known to no digit at any degree, so
+    both raise PrecisionExhausted; (4 + O(2^3)) x times 93/4 is still
+    93 x + O(2)."""
+    ctx = PrecisionContext(2, 1, 3)
+    zero = MultiSeries.from_terms(ctx, 1, {(0,): PadicScalar.zero_at(ctx, 1)})
+    with pytest.raises(PrecisionExhausted):
+        zero.scale(Fraction(-15, 14))
+    ctx2 = PrecisionContext(2, 2, 3)
+    half = MultiSeries.from_terms(ctx2, 1, {(0,): Fraction(1, 2)})
+    with pytest.raises(PrecisionExhausted):
+        half.scale(PadicScalar.zero_at(ctx2, 1))
+    four = PadicScalar.exact(ctx, 4).reduce_abs_precision(3)
+    got = MultiSeries.from_terms(ctx, 1, {(1,): four}).scale(Fraction(93, 4))
+    assert got.prof(1) == 1 and got.coefficient((1,)).residue() == 1
 
 
 def test_exact_scale_by_z_1_over_p_stays_exact():
