@@ -28,7 +28,6 @@ from .errors import (
 from .padic import INFINITE, PadicScalar, PrecisionContext
 from .series import (
     MultiSeries,
-    Profile,
     TupleSeries,
     lift_by_degree,
     tuple_compose,
@@ -237,8 +236,8 @@ def fg_multiplication_map(F: FormalGroupLaw, a) -> EndoSeries:
         raise PrecisionExhausted(
             f"multiplier precision p^{known} cannot certify one digit of "
             f"[a]_F at degree cap {D}")
-    cap = Profile.const(target)
-    return EndoSeries(TupleSeries([c._with_profile(cap) for c in
+    cap = (target,) * (D + 1)
+    return EndoSeries(TupleSeries([c._with_precision(cap) for c in
                                    _int_multiple(F, a.residue(known))]), F)
 
 

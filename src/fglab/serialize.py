@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import ParseError, VersionMismatch
 from .formal_group import AxiomCertificate, FormalGroupLaw
 from .padic import ExtensionModulus, PrecisionContext
-from .series import MultiSeries, Profile, TupleSeries
+from .series import Envelope, MultiSeries, TupleSeries
 
 FORMAT_VERSION = "v1"
 SERIES_MAGIC = "fglab-series"
@@ -26,13 +26,6 @@ def _fmt_fraction(q: Fraction) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else \
         f"{q.numerator}/{q.denominator}"
-
-
-def _profile_header(comp: MultiSeries) -> str:
-    pr = comp.profile
-    if pr is None:
-        return "exact"
-    return f"{pr.p0} {_fmt_fraction(pr.slope)} {pr.flat}"
 
 
 def serialize(obj, kind: str | None = None) -> str:
@@ -66,7 +59,15 @@ def serialize(obj, kind: str | None = None) -> str:
         if cert.commutative is not None:
             lines.append(f"commutative: {'yes' if cert.commutative else 'no'}")
     for idx, comp in enumerate(tup.components):
-        lines.append(f"component {idx} profile {_profile_header(comp)}")
+        # a certified component is written at its Envelope: the header, and
+        # each entry with the digits the header certifies at its degree
+        env = comp.profile
+        if env is None:
+            lines.append(f"component {idx} profile exact")
+        else:
+            lines.append(f"component {idx} profile {env.p0} "
+                         f"{_fmt_fraction(env.slope)} {env.flat}")
+            comp = comp._with_precision(env.vector(ctx.degree_cap))
         for exps, coeff in comp.terms():
             digits = " ".join(str(d) for d in coeff.digits())
             expstr = " ".join(str(e) for e in exps)
@@ -180,16 +181,16 @@ def parse(text: str):
                 or parts[2] != "profile":
             raise ParseError(ln, f"expected 'component {idx} profile ...'")
         if parts[3] == "exact":
-            profile = None
+            prec = None
         else:
             if len(parts) != 6:
                 raise ParseError(ln, "profile needs p0, slope, flat")
             slope = _parse_fraction(parts[4], ln)
             if slope > 0:
                 raise ParseError(ln, "profile slope must not be positive")
-            profile = Profile(_parse_int(parts[3], ln, "profile p0"),
-                              slope.numerator, slope.denominator,
-                              _parse_int(parts[5], ln, "profile flat"))
+            prec = Envelope(_parse_int(parts[3], ln, "profile p0"), slope,
+                            _parse_int(parts[5], ln, "profile flat")
+                            ).vector(degcap)
         entries = {}
         vmin = 0
         while True:
@@ -220,8 +221,8 @@ def parse(text: str):
                 raise ParseError(ln, "unit part divisible by p")
             # the writer emits min(prof(d) - v, N) digits, as coefficient()
             # certifies them; any other count claims digits nobody checked
-            want = absprec if profile is None \
-                else min(profile.at(sum(exps)) - v, absprec)
+            want = absprec if prec is None \
+                else min(prec[sum(exps)] - v, absprec)
             if len(digits) != want:
                 raise ParseError(ln, f"{len(digits)} digits where the profile "
                                      f"certifies {want}")
@@ -237,11 +238,11 @@ def parse(text: str):
             entries[exps] = (v, unit, len(digits))
             vmin = min(vmin, v)
         shift = max(0, -vmin)
-        tmp = MultiSeries(ctx, num_vars, shift, profile, {})
+        tmp = MultiSeries(ctx, num_vars, shift, prec, {})
         coeffs = {}
         for exps, (v, unit, rel) in entries.items():
             coeffs[tmp.pack(exps)] = unit * p ** (v + shift)
-        comps.append(MultiSeries(ctx, num_vars, shift, profile, coeffs))
+        comps.append(MultiSeries(ctx, num_vars, shift, prec, coeffs))
         if idx + 1 < ncomp:
             line, ln = r.next()
     line, ln = r.next()

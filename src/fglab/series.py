@@ -8,30 +8,32 @@ coefficient is held as a p-shifted integer:
 
     stored value c  represents  c * p^(-shift).
 
-Certified precision is tracked per series as a degree-weighted profile
+Certified precision is one vector per series, prec[d] for d = 0..D: every
+coefficient of total degree d, stored or absent, is known modulo
+p^prec[d].  An INFINITE entry, and every degree past the vector's end, is
+exact: a product truncated at a cap, a homogeneous part and a truncation
+are exactly zero at the degrees they drop.  An exact series has no vector
+(None).  This is the "jagged" precision of Caruso, "Computations with
+p-adic numbers" (arXiv:1701.06794): a Lubin-Tate logarithm's 1/p^k at
+degree p^k lowers that degree only.  Every update below is conservative:
+a sum takes the pointwise min of its terms' vectors, and a product the
+min-plus convolution of each factor's precision against the other
+factor's per-degree valuations.  Scalar-level arithmetic keeps sharper
+per-element tracking; this layer trades that for a multiplication loop on
+plain machine integers.
 
-    prof(d) = max(flat, p0 + floor(slope * d)),   slope <= 0:
-
-the coefficient of any total-degree-d monomial is certified to absolute
-precision prof(d).  The sloped line absorbs denominators that ride on
-high-degree terms (a Lubin-Tate logarithm has 1/p^k only at degree p^k),
-while the flat floor keeps follow-up compositions from compounding the
-slope.  Every profile update below is conservative: a bound is never
-reported higher than what the contributing scalars justify.  Scalar-level
-arithmetic keeps sharper per-element tracking; this layer trades that for
-a multiplication loop on plain machine integers.
-
-Slopes are exact rationals, held as reduced integer pairs n/d with d > 0:
-floor(slope * x) is n * x // d, and two slopes compare by cross
-multiplication.  The same holds for each series' summary (smallest
-valuation, rho, smallest degree), which one pass over the coefficients
-computes and caches; the profile bookkeeping never builds a Fraction.
+One pass over the coefficients caches each degree's smallest valuation;
+the bookkeeping never builds a Fraction.  A document writes the vector as
+its lower envelope ``p0 slope flat`` (``Envelope``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, count, zip_longest
+from typing import NamedTuple
 
 from .errors import (
     BadArgument,
@@ -50,71 +52,52 @@ from .padic import (
     _vp,
 )
 
-class Profile:
-    """Concave two-line certified-precision profile over total degree.
 
-    The slope is the rational sn/sd in lowest terms with sd > 0.
-    """
+class Envelope(NamedTuple):
+    """A precision vector's document form, the line max(flat, p0 +
+    floor(slope * d)) at or below it at every degree 0..D: p0 is the
+    degree-0 entry, flat the least entry, and slope <= 0 the largest n/q,
+    q <= D, that keeps p0 + floor(slope * d) at or below every entry.
+    Exact entries count as the largest finite one (N if none)."""
 
-    __slots__ = ("p0", "sn", "sd", "flat")
-
-    def __init__(self, p0: int, sn: int, sd: int, flat: int):
-        self.p0 = p0
-        self.sn = sn
-        self.sd = sd
-        self.flat = flat
+    p0: int
+    slope: Fraction
+    flat: int
 
     @classmethod
-    def const(cls, value: int) -> "Profile":
-        return cls(value, 0, 1, value)
+    def of(cls, prec, ctx) -> "Envelope":
+        D = ctx.degree_cap
+        top = max((x for x in prec if x != INFINITE),
+                  default=ctx.abs_precision)
+        vec = [min(x, top) for x in prec] + [top] * (D + 1 - len(prec))
+        p0 = vec[0]
+        # p0 + floor(s * d) <= vec[d]  iff  s < (vec[d] - p0 + 1) / d
+        bound = min((Fraction(x - p0 + 1, d) for d, x in enumerate(vec) if d),
+                    default=1)
+        slope = Fraction(0) if bound > 0 else max(
+            Fraction(math.ceil(bound * q) - 1, q) for q in range(1, D + 1))
+        return cls(p0, slope, min(vec))
 
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(self.sn, self.sd)
-
-    def at(self, d: int) -> int:
-        return max(self.flat, self.p0 + self.sn * d // self.sd)
-
-    def min_with(self, other: "Profile") -> "Profile":
-        sn, sd = _slope_min(self.sn, self.sd, other.sn, other.sd)
-        return Profile(min(self.p0, other.p0), sn, sd,
-                       min(self.flat, other.flat))
-
-    def __repr__(self):
-        return f"Profile(p0={self.p0}, slope={self.slope}, flat={self.flat})"
-
-
-def _certifying(profile: Profile) -> Profile:
-    """``profile``, or PrecisionExhausted when it certifies no digit at any
-    degree: ``Profile.at`` is nonincreasing, so degree 0 decides."""
-    if profile.at(0) < 1:
-        raise PrecisionExhausted(
-            f"certified only to p^{profile.at(0)} at every degree")
-    return profile
-
-
-def _slope_min(an: int, ad: int, bn: int, bd: int):
-    """The smaller of the slopes an/ad and bn/bd (denominators positive)."""
-    return (bn, bd) if bn * ad < an * bd else (an, ad)
-
-
-def _reduced(n: int, d: int):
-    g = math.gcd(n, d)
-    return n // g, d // g
+    def vector(self, D: int) -> tuple:
+        return tuple(max(self.flat, self.p0 + math.floor(self.slope * d))
+                     for d in range(D + 1))
 
 
 class MultiSeries:
     """Sparse truncated power series in ``num_vars`` variables."""
 
-    __slots__ = ("ctx", "num_vars", "shift", "profile", "coeffs", "_summ")
+    __slots__ = ("ctx", "num_vars", "shift", "prec", "coeffs", "_summ",
+                 "_pe_c", "_w_c", "_v_c")
 
-    def __init__(self, ctx, num_vars, shift, profile, coeffs):
+    def __init__(self, ctx, num_vars, shift, prec, coeffs):
         self.ctx = ctx
         self.num_vars = num_vars
         self.shift = shift
-        self.profile = profile    # Profile, or None for an exact series
+        self.prec = prec          # precision vector (tuple), None when exact
         self.coeffs = coeffs      # dict[packed key, scaled int]
-        self._summ = None         # cached _summary(); reset on any rewrite
+        # caches of _summary(), _pe(), _w() and _v(); reset on any rewrite
+        self._summ = self._w_c = self._v_c = None
+        self._pe_c = False
 
     # -- packing helpers -----------------------------------------------------
 
@@ -144,14 +127,18 @@ class MultiSeries:
 
     def prof(self, d: int):
         """Certified absolute precision for degree-d coefficients."""
-        if self.profile is None:
-            return INFINITE
-        return self.profile.at(d)
+        prec = self.prec
+        return INFINITE if prec is None or d >= len(prec) else prec[d]
 
     @property
     def floor(self):
         """Weakest certified precision over the whole degree range."""
-        return self.prof(self.ctx.degree_cap)
+        return min(self.prec or (), default=INFINITE)
+
+    @property
+    def profile(self):
+        """The precision vector's ``Envelope``, None for an exact series."""
+        return None if self.prec is None else Envelope.of(self.prec, self.ctx)
 
     # -- constructors ----------------------------------------------------------
 
@@ -163,13 +150,14 @@ class MultiSeries:
     def from_terms(cls, ctx, num_vars, terms) -> "MultiSeries":
         """Series from {exponent tuple: coefficient}.
 
-        Coefficients may be ints, Fractions, or PadicScalars; the certified
-        profile is the steepest line needed so that every entry's absolute
-        precision is honored.
+        Coefficients may be ints, Fractions, or PadicScalars.  Each degree
+        is certified to its entries' least absolute precision, capped at
+        the larger of the least one overall and of N (or the degree-0
+        entries' precision, if less); a degree without entries gets that.
         """
         D = ctx.degree_cap
+        least = [INFINITE] * (D + 1)
         entries = []
-        anchor = None     # precision available at degree 0
         vmin = 0
         for exps, c in terms.items():
             exps = tuple(exps)
@@ -177,43 +165,31 @@ class MultiSeries:
                 raise ValueError("exponent arity mismatch")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            if sum(exps) > D:
+            d = sum(exps)
+            if d > D:
                 continue
             c = PadicScalar.exact(ctx, c)
             if c.is_exact_zero:
                 continue
-            if c.v is None:
-                anchor = c.rel if anchor is None else min(anchor, c.rel)
-                continue
-            absprec = c.known_precision
-            entries.append((exps, c, absprec))
-            vmin = min(vmin, c.v)
-            if sum(exps) == 0:
-                anchor = absprec if anchor is None else min(anchor, absprec)
-        if not entries:
-            if anchor is None:
-                return cls(ctx, num_vars, 0, None, {})
-            return cls(ctx, num_vars, 0, Profile.const(anchor), {})
-        N = ctx.abs_precision
-        p0 = N if anchor is None else min(N, anchor)
-        sn, sd = 0, 1
-        flat = p0 if anchor is not None else None
-        for exps, _, absprec in entries:
-            d = sum(exps)
-            if d:
-                sn, sd = _slope_min(sn, sd, absprec - p0, d)
-            flat = absprec if flat is None else min(flat, absprec)
-        profile = Profile(p0, *_reduced(sn, sd), flat)
+            least[d] = min(least[d], c.known_precision)
+            if c.v is not None:
+                entries.append((exps, c))
+                vmin = min(vmin, c.v)
+        if min(least) == INFINITE:
+            return cls(ctx, num_vars, 0, None, {})
+        fill = max(min(ctx.abs_precision, least[0]), min(least))
         shift = max(0, -vmin)
-        out = cls(ctx, num_vars, shift, profile, {})
+        out = cls(ctx, num_vars, shift, tuple(min(fill, x) for x in least),
+                  {})
         p = ctx.p
         out.coeffs = {out.pack(exps): c.unit * p ** (c.v + shift)
-                      for exps, c, _ in entries}
+                      for exps, c in entries}
         return out._normalized()
 
     @classmethod
     def from_exact_terms(cls, ctx, num_vars, terms) -> "MultiSeries":
-        """Exact series (profile None) from {exponent tuple: coefficient}.
+        """Exact series (no precision vector) from {exponent tuple:
+        coefficient}.
 
         Coefficients are ints or Fractions in Z[1/p], stored as integers
         over one common power of p; any other denominator raises
@@ -248,30 +224,33 @@ class MultiSeries:
     def _normalized(self) -> "MultiSeries":
         """Reduce per-degree, drop certified zeros, minimize the shift."""
         if not self.coeffs:
-            return MultiSeries(self.ctx, self.num_vars, 0, self.profile, {})
+            return MultiSeries(self.ctx, self.num_vars, 0, self.prec, {})
         p = self.ctx.p
-        ds = self.degshift
-        if self.profile is not None:
+        prec = self.prec
+        if prec is not None:
+            ds = self.degshift
             mods = {}
             out = {}
             for k, c in self.coeffs.items():
                 d = k >> ds
                 m = mods.get(d)
                 if m is None:
-                    pf = self.profile.at(d)
+                    pf = INFINITE if d >= len(prec) else prec[d]
                     if pf < 1:
                         raise PrecisionExhausted(
                             f"degree-{d} coefficients certified only to p^{pf}")
-                    m = p ** (pf + self.shift)
-                    mods[d] = m
-                c %= m
+                    # 0: an exact degree keeps its integers whole
+                    m = mods[d] = 0 if pf == INFINITE else \
+                        p ** (pf + self.shift)
+                if m:
+                    c %= m
                 if c:
                     out[k] = c
             self.coeffs = out
-            self._summ = None
+            self._summ = self._w_c = self._v_c = None
+            self._pe_c = False
             if not out:
-                return MultiSeries(self.ctx, self.num_vars, 0, self.profile,
-                                   {})
+                return MultiSeries(self.ctx, self.num_vars, 0, prec, {})
         if self.shift > 0:
             # the summary's valuation pass also gives the smallest valuation
             # of the stored integers; its v = w - shift survives the rescale
@@ -286,44 +265,64 @@ class MultiSeries:
 
     @property
     def is_zero(self) -> bool:
-        """Zero at the certified profile (empty support)."""
+        """Zero at the certified precision (empty support)."""
         return not self.coeffs
 
     def _summary(self):
-        """(vmin, vhat, rho numerator, rho denominator, mindeg), cached.
-
-        One pass takes one valuation per coefficient.  vmin is the smallest
-        coefficient valuation, vhat = min(0, valuation of the constant
-        term), rho = min(0, v(coeff)/degree over positive-degree terms) in
-        lowest terms, mindeg the smallest degree in the support; each is 0
-        for the empty series (and vhat when there is no constant term).
-        """
+        """(vmin, vals), cached: vals lists (degree, least valuation) for
+        each stored degree in degree order, the valuation of the gcd of the
+        degree's integers, and vmin is the least (0 for the empty series)."""
         summ = self._summ
-        if summ is not None:
-            return summ
-        coeffs = self.coeffs
-        if not coeffs:
-            summ = self._summ = (0, 0, 0, 1, 0)
-            return summ
-        p = self.ctx.p
-        ds = self.degshift
-        shift = self.shift
-        vmin = mindeg = None
-        vhat, rn, rd = 0, 0, 1
-        for key, c in coeffs.items():
-            v = _vp(c, p) - shift
-            d = key >> ds
-            if vmin is None or v < vmin:
-                vmin = v
-            if mindeg is None or d < mindeg:
-                mindeg = d
-            if v < 0:
-                if not d:
-                    vhat = v
-                elif v * rd < rn * d:
-                    rn, rd = v, d
-        summ = self._summ = (vmin, vhat, *_reduced(rn, rd), mindeg)
+        if summ is None:
+            ds = self.degshift
+            degrees = {}
+            for key, c in self.coeffs.items():
+                degrees.setdefault(key >> ds, []).append(c)
+            p, shift = self.ctx.p, self.shift
+            vals = sorted((d, _vp(math.gcd(*cs), p) - shift)
+                          for d, cs in degrees.items())
+            summ = self._summ = (min((v for _, v in vals), default=0), vals)
         return summ
+
+    # A product reads a factor through cached views of its degrees: vals[d]
+    # (the least valuation stored at d), w[d] = min(vals[d], prec(d)), which
+    # bounds the whole degree-d part, and pe[d] = min(prec(d), N + vals[d]),
+    # the precision capped at N digits past the data.
+
+    def _lowered_to_data(self, offset: int) -> list:
+        """prec(d) as a list, lowered to vals[d] + offset where d is stored."""
+        vals = self._summary()[1]
+        out = list(self.prec)
+        out += [INFINITE] * (vals[-1][0] + 1 - len(out) if vals else 0)
+        for d, v in vals:
+            if v + offset < out[d]:
+                out[d] = v + offset
+        return out
+
+    def _pe(self):
+        """pe split by ``_split_at_top``, cached; None for an exact series."""
+        if self._pe_c is False and self.prec is not None:
+            prec, N = self.prec, self.ctx.abs_precision
+            vmin, vals = self._summary()
+            if vmin + N < max(prec, default=0) or \
+                    vals and len(prec) <= vals[-1][0]:
+                prec = tuple(self._lowered_to_data(N))
+            self._pe_c = _split_at_top(prec, self.ctx.degree_cap)
+        return self._pe_c or None
+
+    def _w(self):
+        """w's finite (degree, value) entries, ``_with_low``, cached."""
+        if self._w_c is None:
+            self._w_c = self._v() if self.prec is None else _with_low(
+                [(d, x) for d, x in enumerate(self._lowered_to_data(0))
+                 if x != INFINITE])
+        return self._w_c
+
+    def _v(self):
+        """vals' (degree, value) entries, ``_with_low``, cached."""
+        if self._v_c is None:
+            self._v_c = _with_low(self._summary()[1])
+        return self._v_c
 
     @property
     def vmin(self) -> int:
@@ -333,20 +332,16 @@ class MultiSeries:
     @property
     def rho(self) -> Fraction:
         """min over positive-degree terms of v(coeff)/degree, capped at 0."""
-        _, _, rn, rd, _ = self._summary()
-        return Fraction(rn, rd)
-
-    @property
-    def mindeg(self) -> int:
-        """Smallest total degree in the support (0 for the empty series)."""
-        return self._summary()[4]
+        vals = self._summary()[1]
+        return min([Fraction(0)] + [Fraction(v, d) for d, v in vals if d])
 
     def support(self) -> list:
         """Exponent tuples in canonical (degree, lex) order."""
         return [self.unpack(k) for k in sorted(self.coeffs)]
 
     def coefficient(self, exps) -> PadicScalar:
-        """Materialize one coefficient; absent means zero at the profile."""
+        """Materialize one coefficient; absent means zero at its degree's
+        precision."""
         exps = tuple(exps)
         d = sum(exps)
         if d > self.ctx.degree_cap:
@@ -355,7 +350,7 @@ class MultiSeries:
         c = self.coeffs.get(key)
         pf = self.prof(d)
         if c is None:
-            if pf is INFINITE:
+            if pf == INFINITE:
                 return PadicScalar.zero(self.ctx)
             return PadicScalar.zero_at(self.ctx, pf)
         p = self.ctx.p
@@ -384,9 +379,10 @@ class MultiSeries:
         if self.num_vars != other.num_vars:
             raise MixedContext("variable counts differ")
 
-    def _with_profile(self, extra: Profile) -> "MultiSeries":
-        """Weaken to the min with ``extra``: add a zero certified to it."""
-        return _sum((self, MultiSeries(self.ctx, self.num_vars, 0, extra, {})))
+    def _with_precision(self, prec) -> "MultiSeries":
+        """Weaken to the pointwise min with ``prec``: add a zero certified
+        to it."""
+        return _sum((self, MultiSeries(self.ctx, self.num_vars, 0, prec, {})))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, PadicScalar)):
@@ -402,7 +398,7 @@ class MultiSeries:
     def __neg__(self):
         if not self.coeffs:
             return self
-        return MultiSeries(self.ctx, self.num_vars, self.shift, self.profile,
+        return MultiSeries(self.ctx, self.num_vars, self.shift, self.prec,
                            {k: -c for k, c in self.coeffs.items()})._normalized()
 
     def __sub__(self, other):
@@ -428,9 +424,9 @@ class MultiSeries:
     def mul(self, other: "MultiSeries", cap=None) -> "MultiSeries":
         """Product truncated at total degree ``cap`` (default: the ctx cap).
 
-        With cap below the context cap, the certified claims of the result
-        are meaningful through degree cap only; internal degree-by-degree
-        recursions use this and never read beyond their cap.
+        Below the context cap the result is the truncation of the product:
+        exactly zero past ``cap``.  Internal degree-by-degree recursions use
+        this and never read beyond their cap.
         """
         self._require_compatible(other)
         D = self.ctx.degree_cap if cap is None else min(cap,
@@ -438,97 +434,69 @@ class MultiSeries:
         return _sum_of_products(((self, other),), D)
 
     def scale(self, s) -> "MultiSeries":
-        """Multiply by a scalar (int, Fraction, or PadicScalar).
-
-        An exact series times an int or a Fraction in Z[1/p] stays exact,
-        as under ``+``, ``-`` and ``mul``; any other product is certified.
+        """Multiply by a scalar (int, Fraction, or PadicScalar): the product
+        with s as a constant series.  An exact series times an int or a
+        Fraction in Z[1/p] stays exact, as under ``+``, ``-`` and ``mul``;
+        a product certified to no digit at any degree raises
+        PrecisionExhausted.
         """
-        if self.profile is None and not self.coeffs:
+        if self.prec is None and not self.coeffs:
             return self
-        N = self.ctx.abs_precision
-        D = self.ctx.degree_cap
-        p = self.ctx.p
-        vmin, vhat, rn, rd, _ = self._summary()
+        ctx, n = self.ctx, self.num_vars
+        p, N = ctx.p, ctx.abs_precision
         if isinstance(s, PadicScalar):
-            self.ctx.require_same(s.ctx)
+            ctx.require_same(s.ctx)
             if s.is_exact_zero:
-                return MultiSeries.zero(self.ctx, self.num_vars)
-            if s.v is None:
-                lbD = min(vhat, rn * D // rd)
-                prof = _certifying(Profile(s.rel + vhat, rn, rd, s.rel + lbD))
-                return MultiSeries(self.ctx, self.num_vars, 0, prof, {})
-            vq, u, s_abs = s.v, s.unit, s.known_precision
+                return MultiSeries.zero(ctx, n)
+            v, u = (0, 0) if s.v is None else (s.v, s.unit)
+            prec = (s.known_precision,)
         else:
             q = Fraction(s)
             if q == 0:
-                return MultiSeries.zero(self.ctx, self.num_vars)
-            k = _vp(q.denominator, p)
-            if self.profile is None and q.denominator == p ** k:
-                return MultiSeries(self.ctx, self.num_vars, self.shift + k,
-                                   None, {key: c * q.numerator for key, c
-                                          in self.coeffs.items()}
-                                   )._normalized()
-            # a rational is its unit to N digits at any valuation, even
-            # one that leaves PadicScalar.exact no digit at p^1 or above
-            vq, u = _split(q, p, N)
-            s_abs = vq + N
-        # Three channels, each the max of its lower-bound lines, combined by
-        # min at degree 0 and at D: (1) the series' own profile, shifted by
-        # v(s); (2) s's uncertainty on the data and (3) the relative-digit
-        # cap N, both the lines (vhat, rho) and (vmin, 0), offset by s_abs
-        # and by v(s) + N.
-        # An exact series (profile None, as a parsed ``profile exact``
-        # document gives) has no channel (1), as in ``add``.
-        pr = self.profile
-        offset = min(s_abs, vq + N)
-        p0 = offset + max(vhat, vmin)
-        sn, sd = rn, rd
-        flat = offset + max(vhat + rn * D // rd, vmin)
-        if pr is not None:
-            p0 = min(pr.at(0) + vq, p0)
-            sn, sd = _slope_min(pr.sn, pr.sd, rn, rd)
-            flat = min(pr.at(D) + vq, flat)
-        profile = _certifying(Profile(p0, sn, sd, flat))
-        target_shift = max(0, -(vmin + vq))
-        # headroom covers every per-degree modulus (flat may exceed p0)
-        mod = p ** max(1, profile.p0 + target_shift,
-                       profile.flat + target_shift)
-        a = vq + target_shift - self.shift
-        out = {}
-        if a >= 0:
-            pa = p ** a
-            for k, c in self.coeffs.items():
-                r = c * u * pa % mod
-                if r:
-                    out[k] = r
-        else:
-            pa = p ** (-a)
-            for k, c in self.coeffs.items():
-                r = (c // pa) * u % mod
-                if r:
-                    out[k] = r
-        return MultiSeries(self.ctx, self.num_vars, target_shift, profile,
-                           out)._normalized()
+                return MultiSeries.zero(ctx, n)
+            v = -_vp(q.denominator, p)
+            if q.denominator == p ** -v:
+                u, prec = q.numerator, None
+            else:
+                # a rational is its unit to N digits at any valuation, even
+                # one that leaves PadicScalar.exact no digit at p^1 or above
+                v, u = _split(q, p, N)
+                prec = (v + N,)
+        shift = max(0, -v)
+        out = self.mul(MultiSeries(ctx, n, shift, prec,
+                                   {0: u * p ** (v + shift)} if u else {}))
+        if out.prec is not None and max(out.prec, default=INFINITE) < 1:
+            raise PrecisionExhausted(
+                f"certified only to p^{max(out.prec)} at every degree")
+        return out
 
     def truncate(self, cap: int) -> "MultiSeries":
-        """Drop terms of total degree above cap."""
+        """The terms of total degree up to cap: exactly zero above it."""
         ds = self.degshift
         out = {k: c for k, c in self.coeffs.items() if (k >> ds) <= cap}
-        return MultiSeries(self.ctx, self.num_vars, self.shift, self.profile,
+        prec = None if self.prec is None else self.prec[:cap + 1]
+        return MultiSeries(self.ctx, self.num_vars, self.shift, prec,
                            out)._normalized()
 
     def homogeneous_part(self, d: int) -> "MultiSeries":
+        """The degree-d part: exactly zero at every other degree."""
         ds = self.degshift
         out = {k: c for k, c in self.coeffs.items() if (k >> ds) == d}
-        return MultiSeries(self.ctx, self.num_vars, self.shift, self.profile,
-                           out)._normalized()
+        return MultiSeries(self.ctx, self.num_vars, self.shift, self.prec,
+                           out)._normalized()._only_at(d)
+
+    def _only_at(self, d: int) -> "MultiSeries":
+        """This series, stored at degree d only, exact at other degrees."""
+        if self.prec is None:
+            return self
+        out = MultiSeries(self.ctx, self.num_vars, self.shift,
+                          (INFINITE,) * d + (self.prof(d),), self.coeffs)
+        out._summ = self._summ
+        return out
 
     def derivative(self, var: int) -> "MultiSeries":
-        """Partial derivative with respect to variable ``var``.
-
-        A degree-d output coefficient comes from degree d+1, so the line is
-        re-anchored one step down while the flat floor carries over.
-        """
+        """Partial derivative with respect to variable ``var``: a degree-d
+        coefficient comes from degree d+1, so the vector moves down one."""
         k = self.kbits
         m = self.num_vars
         pos = k * (m - 1 - var)
@@ -540,11 +508,8 @@ class MultiSeries:
             if e == 0:
                 continue
             out[key - dec] = c * e
-        profile = self.profile
-        if profile is not None and profile.sn:
-            profile = Profile(profile.p0 + profile.sn // profile.sd,
-                              profile.sn, profile.sd, profile.flat)
-        return MultiSeries(self.ctx, self.num_vars, self.shift, profile,
+        prec = None if self.prec is None else self.prec[1:]
+        return MultiSeries(self.ctx, self.num_vars, self.shift, prec,
                            out)._normalized()
 
     def map_variables(self, new_num_vars: int, positions) -> "MultiSeries":
@@ -560,7 +525,7 @@ class MultiSeries:
                 nexps[positions[i]] += e
             nk = tmp.pack(nexps)
             out[nk] = out.get(nk, 0) + c
-        return MultiSeries(self.ctx, new_num_vars, self.shift, self.profile,
+        return MultiSeries(self.ctx, new_num_vars, self.shift, self.prec,
                            out)._normalized()
 
     def substitute_zero(self, positions) -> "MultiSeries":
@@ -571,7 +536,7 @@ class MultiSeries:
             exps = self.unpack(key)
             if all(exps[i] == 0 for i in pos):
                 out[key] = c
-        return MultiSeries(self.ctx, self.num_vars, self.shift, self.profile,
+        return MultiSeries(self.ctx, self.num_vars, self.shift, self.prec,
                            out)._normalized()
 
     # -- comparisons ------------------------------------------------------------
@@ -580,12 +545,8 @@ class MultiSeries:
         return (self - other).is_zero
 
     def identical(self, other: "MultiSeries") -> bool:
-        pa, pb = self.profile, other.profile
-        prof_same = (pa is None and pb is None) or (
-            pa is not None and pb is not None and pa.p0 == pb.p0
-            and pa.sn == pb.sn and pa.sd == pb.sd and pa.flat == pb.flat)
         return (self.ctx == other.ctx and self.num_vars == other.num_vars
-                and self.shift == other.shift and prof_same
+                and self.shift == other.shift and self.prec == other.prec
                 and self.coeffs == other.coeffs)
 
     def __repr__(self):
@@ -609,40 +570,46 @@ def _sum_of_products(terms, cap):
     ``cap``, accumulated in one dict at one shift and normalized once.
 
     Each term is a pair (a, b): the product a*b, or the addend a when b is
-    None (``cap`` is unused when no term is a product).  The profile is the
-    ``Profile.min_with`` of every addend's profile and every product's
-    ``_mul_profile``.  It lies at or below each term's own profile at every
-    degree, so reducing the sum once leaves the residues that reducing each
-    product first would: the result is the ``_sum`` of the ``mul`` of each
-    product.  Only where the sum certifies below p^1 at some degree through
-    ``cap`` can the two differ, in whether a coefficient there is nonzero
-    and so raises PrecisionExhausted; there each product is formed and
-    normalized on its own first.  ``Profile.at`` is nonincreasing in the
-    degree, so the degree ``cap`` alone decides.  Terms with an exact-zero
-    factor are skipped; a lone remaining addend comes back as it is.
+    None.  The precision is the pointwise min of the terms' (None when all
+    are exact).  A product is exact past ``cap``; through it, a*b - A*B =
+    ea*b + A*eb (A, B the stored parts, ea, eb the uncertainties), so
+    degree k is known to the least pe_a[i] + w_b[j] and v_a[i] + pe_b[j]
+    over i + j = k (v_a for w_a drops only prec_a[i] + pe_b[j], which the
+    first bounds).  Reducing the sum once so leaves the residues of the
+    ``_sum`` of each product's ``mul``, except where the sum certifies below
+    p^1 through ``cap``: a product there, formed on its own first, raises
+    PrecisionExhausted for a nonzero coefficient another term cancels.
+    Terms with an exact-zero factor are skipped; a lone addend comes back
+    as it is.
     """
     live = []
-    first = profile = None
+    first = prec = None
     for a, b in terms:
         if first is None:
             first = a
-        if a.profile is None and not a.coeffs:
+        if a.prec is None and not a.coeffs:
             continue
         if b is None:
-            pr = a.profile
-        elif b.profile is None and not b.coeffs:
+            if a.prec is not None:
+                prec = _lowered(prec, a.prec)
+        elif b.prec is None and not b.coeffs:
             continue
-        else:
-            pr = _mul_profile(a, b, cap)
-        if pr is not None:
-            profile = pr if profile is None else profile.min_with(pr)
+        elif a.prec is not None or b.prec is not None:
+            if prec is None:
+                prec = [INFINITE] * (cap + 1)
+            elif len(prec) <= cap:
+                prec += [INFINITE] * (cap + 1 - len(prec))
+            if a.prec is not None:
+                _min_plus(prec, a._pe_c or a._pe(), b._w_c or b._w(), cap)
+            if b.prec is not None:
+                _min_plus(prec, b._pe_c or b._pe(), a._v_c or a._v(), cap)
         live.append((a, b))
     if not live:
         return MultiSeries.zero(first.ctx, first.num_vars)
     if len(live) == 1 and live[0][1] is None:
         return live[0][0]
-    if cap is not None and len(live) > 1 and profile is not None \
-            and profile.at(cap) < 1:
+    if cap is not None and len(live) > 1 and prec is not None \
+            and min(prec[:cap + 1], default=INFINITE) < 1:
         live = [(a if b is None else _sum_of_products(((a, b),), cap), None)
                 for a, b in live]
     p = first.ctx.p
@@ -670,55 +637,73 @@ def _sum_of_products(terms, cap):
                     break
                 e = ea + kb
                 out[e] = get(e, 0) + ca * cb
-    return MultiSeries(first.ctx, first.num_vars, shift, profile,
-                       {k: c for k, c in out.items() if c})._normalized()
+    if prec is None:
+        return MultiSeries(first.ctx, first.num_vars, shift, None, {
+            k: c for k, c in out.items() if c})._normalized()
+    # reducing per degree drops the zeros
+    return MultiSeries(first.ctx, first.num_vars, shift, tuple(prec),
+                       out)._normalized()
 
 
-def _mul_profile(a: MultiSeries, b: MultiSeries, cap: int) -> Profile:
-    """Profile of a truncated product from three uncertainty channels.
+def _lowered(acc, prec) -> list:
+    """The pointwise min of the list ``acc`` (None: no vector yet) and the
+    vector ``prec``."""
+    return list(prec) if acc is None else [x if x < y else y for x, y in
+                                           zip_longest(acc, prec,
+                                                       fillvalue=INFINITE)]
 
-    Channel 1: a's uncertainty times b's data; channel 2 symmetric;
-    channel 3: the relative-digit cap N on top of the data valuations.
-    Each channel is a few lower-bound lines (offset, slope); within a
-    channel their pointwise max is sound, across channels (independent
-    error sources) the min.  The result keeps the exact combined values at
-    degree 0 (p0) and at the cap (flat), and the smallest slope of any line.
-    A factor's uncertainty sits at every degree from 0, so against it the
-    other factor's terms reach the cap; only against its stored terms does
-    its minimum degree bound their room.
-    """
-    pa, pb = a.profile, b.profile
-    if pa is None and pb is None:
-        return None
-    N = a.ctx.abs_precision
-    vma, vha, ran, rad, mda = a._summary()
-    vmb, vhb, rbn, rbd, mdb = b._summary()
-    # data against data: the other factor's minimum degree caps how much
-    # room denominators have
-    fa = ran * max(0, cap - mdb) // rad     # floor(room_a * rho_a)
-    fb = rbn * max(0, cap - mda) // rbd
-    # channel 3: lines (vha + vhb, min(ra, rb)), (vma + vmb, 0), (joint, 0)
-    sn, sd = _slope_min(ran, rad, rbn, rbd)
-    joint = min(vha + vhb, vha + fb, vhb + fa, sn * cap // sd)
-    p0 = N + max(vha + vhb, vma + vmb, joint)
-    flat = N + max(vha + vhb + sn * cap // sd, vma + vmb, joint)
-    if pa is not None:
-        # lines (pa.p0 + vhb, min(pa, rb)), (pa.p0 + vmb, pa), (edge, 0)
-        edge = pa.flat + max(vmb, min(vhb, rbn * cap // rbd))
-        mn, md = _slope_min(pa.sn, pa.sd, rbn, rbd)
-        p0 = min(p0, max(pa.p0 + vhb, pa.p0 + vmb, edge))
-        flat = min(flat, max(pa.p0 + vhb + mn * cap // md,
-                             pa.p0 + vmb + pa.sn * cap // pa.sd, edge))
-        sn, sd = _slope_min(sn, sd, pa.sn, pa.sd)
-    if pb is not None:
-        # lines (pb.p0 + vha, min(pb, ra)), (pb.p0 + vma, pb), (edge, 0)
-        edge = pb.flat + max(vma, min(vha, ran * cap // rad))
-        mn, md = _slope_min(pb.sn, pb.sd, ran, rad)
-        p0 = min(p0, max(pb.p0 + vha, pb.p0 + vma, edge))
-        flat = min(flat, max(pb.p0 + vha + mn * cap // md,
-                             pb.p0 + vma + pb.sn * cap // pb.sd, edge))
-        sn, sd = _slope_min(sn, sd, pb.sn, pb.sd)
-    return Profile(p0, sn, sd, flat)
+
+@lru_cache(maxsize=256)
+def _split_at_top(pe: tuple, D: int):
+    """pe as the min of two parts: (top, first, below), top[d] the largest
+    pe entry at degree d or above, finite from ``first`` (past D if
+    nowhere), and below the (degree, value) entries under top.  Memoized:
+    many products share one vector."""
+    if len(pe) <= D:                # exact past the end, and so is top
+        return (), D + 1, tuple((d, x) for d, x in enumerate(pe)
+                                if x != INFINITE)
+    if sorted(pe, reverse=True) == list(pe):
+        return pe, pe.count(INFINITE), ()
+    top = tuple(accumulate(reversed(pe), max))[::-1]
+    return top, top.count(INFINITE), tuple(
+        (d, x) for d, x, t in zip(count(), pe, top) if x < t)
+
+
+def _with_low(entries):
+    """(entries, those below every earlier one)."""
+    low = []
+    least = INFINITE
+    for d, x in entries:
+        if x < least:
+            low.append((d, x))
+            least = x
+    return entries, entries if len(low) == len(entries) else low
+
+
+def _min_plus(acc, pe, entries, cap: int):
+    """Lower acc[k], k <= cap, to the least pe[i] + y[j] over i + j = k:
+    pe split as ``_split_at_top`` gives, entries = (y, low) as
+    ``_with_low`` gives.  top is nonincreasing, so against it y[j] loses to
+    any earlier y[j'] <= y[j] (top[k - j'] <= top[k - j]): only low is
+    read."""
+    (top, first, below), (y, low) = pe, entries
+    for j, v in low:
+        if j > cap - first:
+            break
+        for k, t in enumerate(top[first:cap + 1 - j], first + j):
+            s = t + v
+            if s < acc[k]:
+                acc[k] = s
+    for i, u in below:
+        if i > cap:
+            break
+        room = cap - i
+        for j, v in y:
+            if j > room:
+                break
+            s = u + v
+            if s < acc[i + j]:
+                acc[i + j] = s
 
 
 class TupleSeries:
@@ -820,14 +805,18 @@ class TupleSeries:
 
 class _PowerCache:
     """Cached powers base^e, e >= 1, of one inner series, truncated at the
-    composition cap."""
+    composition cap.  The base's constant term is exactly zero, as
+    composition requires, so base^e is exactly zero below degree e."""
 
     __slots__ = ("base", "cap", "powers")
 
     def __init__(self, base: MultiSeries, cap: int):
         self.base = base
         self.cap = cap
-        self.powers = [base.truncate(cap)]     # powers[e - 1] = base^e
+        first = base.truncate(cap)              # powers[e - 1] = base^e
+        if first.prec is not None:
+            first.prec = (INFINITE,) + first.prec[1:]
+        self.powers = [first]
 
     def get(self, e: int) -> MultiSeries:
         while len(self.powers) < e:
@@ -841,7 +830,8 @@ def tuple_compose(f, g, cap=None):
 
     ``f`` is a TupleSeries (or a single MultiSeries) in m variables, ``g``
     a TupleSeries with m components over some other variable set; every
-    component of g must have certified-zero constant term.
+    component of g must have certified-zero constant term, which is then
+    taken as exactly zero.
 
     Each component of f is evaluated by a multivariate Horner scheme that
     nests f's variables by the density of their inner components: the g_i
@@ -851,10 +841,11 @@ def tuple_compose(f, g, cap=None):
     the dense products run a few times instead of once per exponent
     prefix.  Each level is one ``_sum_of_products`` of the inner levels
     times cached powers of its g_i, normalized once and certified to the
-    min of each product's own profile.  The order only changes how the
-    same terms are grouped: each level is sound on its own, so any order
-    certifies only true digits; the profiles it reaches can differ
-    slightly from those of another order.
+    pointwise min of each product's own precision.  The order only changes
+    how the same terms are grouped: each level is sound on its own, so any
+    order certifies only true digits; the precision it reaches can differ
+    slightly from that of another order.  A certified f adds the bound of
+    its unstored monomials (``_tail``).
     """
     single = isinstance(f, MultiSeries)
     fs = [f] if single else list(f.components)
@@ -876,44 +867,43 @@ def tuple_compose(f, g, cap=None):
     out = []
     for ft in fs:
         res = _compose_one(ft, caches, D, target_vars)
-        if ft.profile is not None:
-            res = res._with_profile(_tail_profile(ft.profile, gs, D))
+        if ft.prec is not None:
+            res = res._with_precision(_tail(ft, gs, D))
         out.append(res)
     return out[0] if single else TupleSeries(out)
 
 
-def _tail_profile(pf: Profile, inner, cap: int) -> Profile:
-    """Bound on what an outer series' unstored tail, certified to ``pf``,
-    adds through degree ``cap`` once composed with the ``inner`` series.
-
-    An absent degree-d monomial of the outer series is O(p^pf(d)); a
-    product of d inner terms lowers that by at most d * rho_g, rho_g the
-    smallest inner rho, so the slope is pf's plus rho_g.  The flat floor
-    moves by max(rho_g, vmin_g) * cap, vmin_g the smallest inner
-    valuation; both are capped at 0.
-    """
-    rn, rd, vmin = 0, 1, 0
+def _tail(f: MultiSeries, inner, cap: int) -> tuple:
+    """Precision through ``cap`` of f's unstored monomials composed with
+    the ``inner`` series: one of degree d >= 1 lands at degrees k >= d,
+    where inner products have valuation >= g*k, g the least w[j]/j over
+    inner degrees j = 1..cap; so degree k reads the least prec(d), 1 <= d
+    <= k, plus floor(g*k) (exact if every inner series is)."""
+    gn = gd = None                  # g = gn/gd
     for s in inner:
-        sv, _, n, d, _ = s._summary()
-        rn, rd = _slope_min(rn, rd, n, d)
-        vmin = min(vmin, sv)
-    amp = max(rn * cap // rd, cap * vmin)
-    return Profile(pf.p0, *_reduced(pf.sn * rd + rn * pf.sd, pf.sd * rd),
-                   pf.flat + amp)
+        for j, x in s._w()[0]:
+            if 0 < j <= cap and (gn is None or x * gd < gn * j):
+                gn, gd = x, j
+    out = [f.prof(0)]
+    least = INFINITE
+    for k in range(1, cap + 1):
+        least = min(least, f.prof(k))
+        out.append(INFINITE if gn is None else least + gn * k // gd)
+    return tuple(out)
 
 
 def _constant(f: MultiSeries, degree: int, c: int, target_vars: int):
     """f's stored integer c of one degree-``degree`` monomial as a constant
     in ``target_vars`` variables, certified at f's precision for that
-    degree, or exact when f is."""
-    prof = None if f.profile is None else Profile.const(f.prof(degree))
-    return MultiSeries(f.ctx, target_vars, f.shift, prof, {0: c})._normalized()
+    degree and exactly zero at every other degree, or exact when f is."""
+    prec = None if f.prec is None else (f.prof(degree),)
+    return MultiSeries(f.ctx, target_vars, f.shift, prec, {0: c})._normalized()
 
 
 def _compose_one(f: MultiSeries, caches, cap, target_vars) -> MultiSeries:
     ctx = f.ctx
     if not f.coeffs:
-        return MultiSeries(ctx, target_vars, 0, f.profile, {})
+        return MultiSeries.zero(ctx, target_vars)
     items = [(f.unpack(k), c) for k, c in f.coeffs.items()]
     m = f.num_vars
     # densest inner component outermost (stable: ties keep index order)
@@ -936,7 +926,9 @@ def _compose_one(f: MultiSeries, caches, cap, target_vars) -> MultiSeries:
                           if e and not part.is_zero else None))
         return _sum_of_products(terms, cap)
 
-    return rec(items, 0)
+    out = rec(items, 0)
+    del rec     # its closure refers to it: free the power caches now
+    return out
 
 
 class _RelaxedCompose:
@@ -949,19 +941,21 @@ class _RelaxedCompose:
     h is known by its homogeneous parts, pushed in degree order from the
     linear one: ``push(part)`` appends [h]_j, a TupleSeries whose
     components are exactly homogeneous of degree j (an exact zero for a
-    component that is complete already).  With parts 1..k-1 in, ``at(k)``
-    is the degree-k part of f o h_(<k), h_(<k) the sum of those parts, for
-    k >= 2: what tuple_compose(f, h_(<k), cap=k) gives at degree k.  f's
-    linear monomials add nothing there, since [h_(<k)]_k = 0.
+    component that is complete already), each kept as certified at degree
+    j and exactly zero at every other degree.  With parts 1..k-1 in,
+    ``at(k)`` is the degree-k part of f o h_(<k), h_(<k) the sum of those
+    parts, for k >= 2: what tuple_compose(f, h_(<k), cap=k) gives at degree
+    k, exactly zero at every other degree.  f's linear monomials add
+    nothing there, since [h_(<k)]_k = 0.
 
     The parts of every power h^I that f's monomials need are kept across
     calls.  For |I| >= 2, [h^I]_k = sum_j [h^A]_j [h^B]_(k-j) over a split
     I = A + B into nonzero exponents, so it needs only parts of degree
     below k, which are final.  That sum, and the degree-k part of f o h
     with f's tail bound as one more addend, are each one
-    ``_sum_of_products`` with cap k, certified to the min of its products'
-    own profiles; so each part keeps its own profile instead of the min
-    over all of h.
+    ``_sum_of_products`` with cap k, certified to the pointwise min of its
+    products' own precision; so each part keeps its own precision instead
+    of the min over all of h.
     """
 
     def __init__(self, f: TupleSeries, start: TupleSeries):
@@ -971,7 +965,7 @@ class _RelaxedCompose:
         m = f.num_vars
         self._units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
         self._parts = {e: [self.zero] for e in self._units}   # I -> by degree
-        self._inner = []            # every pushed part, for the tail profile
+        self._inner = []            # every pushed part, for the tail bound
         self._leaves = []           # per component: (I, its coefficient)
         for fc in f:
             leaves = []
@@ -983,6 +977,8 @@ class _RelaxedCompose:
         self.push(start)
 
     def push(self, part: TupleSeries):
+        j = len(self._parts[self._units[0]])
+        part = [c._only_at(j) for c in part]
         for unit, comp in zip(self._units, part):
             self._parts[unit].append(comp)
         self._inner.extend(part)
@@ -1010,7 +1006,7 @@ class _RelaxedCompose:
         terms = [(self.zero, None)]
         for j in range(sum(a), k - sum(b) + 1):
             pa = self._power(a, j)
-            if pa.profile is not None or pa.coeffs:
+            if pa.prec is not None or pa.coeffs:
                 terms.append((pa, self._power(b, k - j)))
         return _sum_of_products(terms, k)
 
@@ -1020,11 +1016,11 @@ class _RelaxedCompose:
             terms = [(self.zero, None)]
             terms += [(leaf, self._power(exps, k))
                       for exps, leaf in leaves if sum(exps) <= k]
-            if fc.profile is not None:
+            if fc.prec is not None:
                 terms.append((MultiSeries(
                     fc.ctx, self.zero.num_vars, 0,
-                    _tail_profile(fc.profile, self._inner, k), {}), None))
-            out.append(_sum_of_products(terms, k))
+                    _tail(fc, self._inner, k), {}), None))
+            out.append(_sum_of_products(terms, k)._only_at(k))
         return TupleSeries(out)
 
 
@@ -1259,7 +1255,7 @@ def ms_eval(f, theta: PointTuple, polynomial=False) -> EvalResult:
     if not minv > 0:
         raise DivergentPoint(f"coordinate valuation {minv} not > 0")
     D = fs[0].ctx.degree_cap
-    tail = INFINITE if (minv is INFINITE or polynomial) \
+    tail = INFINITE if (minv == INFINITE or polynomial) \
         else Fraction(D + 1) * Fraction(minv)
     caches = [[ExtScalar.one(theta.modulus), theta[i]] for i in range(m)]
 
@@ -1280,9 +1276,9 @@ def ms_eval(f, theta: PointTuple, polynomial=False) -> EvalResult:
             acc = acc + term
         cap = tail
         fl = ft.floor
-        if fl is not INFINITE:
-            cap = fl if cap is INFINITE else min(cap, Fraction(fl))
-        if cap is not INFINITE:
+        if fl != INFINITE:
+            cap = fl if cap == INFINITE else min(cap, Fraction(fl))
+        if cap != INFINITE:
             acc = acc.cap_precision(cap)
         values.append(acc)
     return EvalResult(values, tail)

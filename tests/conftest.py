@@ -346,78 +346,60 @@ def ref_valuation(q, p: int) -> int:
     return v
 
 
-def ref_summary(ms):
-    """(vmin, vhat, rho, mindeg) of a series, read off its terms().
+def ref_degree_valuations(ms) -> dict:
+    """{degree: least valuation of the stored coefficients of that degree},
+    read off the raw integers as Fractions."""
+    p = ms.ctx.p
+    out = {}
+    for k, c in ms.coeffs.items():
+        d = sum(ms.unpack(k))
+        out[d] = min(out.get(d, math.inf),
+                     ref_valuation(Fraction(c, p ** ms.shift), p))
+    return out
 
-    vmin: smallest coefficient valuation; vhat: min(0, valuation of the
-    constant term); rho: min(0, v/degree over positive-degree terms);
-    mindeg: smallest degree present.  Each is 0 for an empty series.
+
+def ref_mul_prec(a, b, cap) -> list:
+    """Precision of a*b truncated at cap, degrees 0..cap, by brute force
+    over every pair i + j = k (None when both factors are exact).
+
+    With A, B the stored parts and ea, eb the uncertainties, a*b - A*B =
+    ea*(B + eb) + A*eb; a certified product also keeps at most N digits
+    past the valuation of the data products A_i B_j.
     """
-    pairs = [(sum(e), c.valuation()) for e, c in ms.terms()]
-    return (min((v for _, v in pairs), default=0),
-            min([0] + [v for d, v in pairs if d == 0]),
-            min([Fraction(0)] + [Fraction(v, d) for d, v in pairs if d]),
-            min((d for d, _ in pairs), default=0))
-
-
-def ref_profile_at(p0: int, slope, flat: int, d: int) -> int:
-    return max(flat, p0 + math.floor(Fraction(slope) * d))
-
-
-def _ref_combine(channels, horizon):
-    """Max of the lines within a channel, min across channels, kept at
-    degree 0 and at the horizon; the slope is the smallest of all."""
-    p0 = min(max(v0 for v0, _ in ch) for ch in channels)
-    flat = min(max(v0 + math.floor(s * horizon) for v0, s in ch)
-               for ch in channels)
-    slope = min(s for ch in channels for _, s in ch)
-    return p0, Fraction(slope), flat
-
-
-def ref_mul_profile(a, b, cap):
-    """(p0, slope, flat) of the product a*b truncated at cap."""
-    if a.profile is None and b.profile is None:
+    if a.prec is None and b.prec is None:
         return None
     N = a.ctx.abs_precision
-    vma, vha, ra, mda = ref_summary(a)
-    vmb, vhb, rb, mdb = ref_summary(b)
-    room_a = max(0, cap - mdb)
-    room_b = max(0, cap - mda)
-    # against the other factor's uncertainty, which sits at every degree
-    # from 0, a factor's terms reach the cap
-    lb_a = max(vma, min(vha, math.floor(cap * ra)))
-    lb_b = max(vmb, min(vhb, math.floor(cap * rb)))
-    channels = []
-    if a.profile is not None:
-        pa = a.profile
-        channels.append([(pa.p0 + vhb, min(pa.slope, rb)),
-                         (pa.p0 + vmb, pa.slope), (pa.flat + lb_b, 0)])
-    if b.profile is not None:
-        pb = b.profile
-        channels.append([(pb.p0 + vha, min(pb.slope, ra)),
-                         (pb.p0 + vma, pb.slope), (pb.flat + lb_a, 0)])
-    joint = min(vha + vhb, vha + math.floor(room_b * rb),
-                vhb + math.floor(room_a * ra), math.floor(cap * min(ra, rb)))
-    channels.append([(vha + vhb + N, min(ra, rb)), (vma + vmb + N, 0),
-                     (joint + N, 0)])
-    return _ref_combine(channels, cap)
+    va, vb = ref_degree_valuations(a), ref_degree_valuations(b)
+    out = []
+    for k in range(cap + 1):
+        best = math.inf
+        for i in range(k + 1):
+            xa, xb = va.get(i, math.inf), vb.get(k - i, math.inf)
+            pa, pb = a.prof(i), b.prof(k - i)
+            best = min(best, pa + min(xb, pb), min(xa, pa) + pb,
+                       N + xa + xb)
+        out.append(best)
+    return out
 
 
-def ref_scale_profile(ms, s):
-    """(p0, slope, flat) of ms.scale(s) for a nonzero scalar s."""
-    N, D = ms.ctx.abs_precision, ms.ctx.degree_cap
-    vmin, vhat, rho, _ = ref_summary(ms)
+def ref_scale_prec(ms, s) -> list:
+    """Precision of ms.scale(s), degrees 0..D, for a nonzero scalar s: s
+    is known to p^s_abs (exact for a rational in Z[1/p], else to N digits)
+    and the product keeps at most N digits past its data."""
+    p, N, D = ms.ctx.p, ms.ctx.abs_precision, ms.ctx.degree_cap
     if isinstance(s, PadicScalar):
         vq, s_abs = s.valuation(), s.v + s.rel
     else:
-        vq = ref_valuation(s, ms.ctx.p)
-        s_abs = vq + N
-    pr = ms.profile
-    return _ref_combine([
-        [(pr.p0 + vq, pr.slope), (pr.flat + vq, 0)],
-        [(s_abs + vhat, rho), (s_abs + vmin, 0)],
-        [(vhat + vq + N, rho), (vmin + vq + N, 0)],
-    ], D)
+        q = Fraction(s)
+        vq = ref_valuation(q, p)
+        s_abs = math.inf if p ** ref_valuation(q.denominator, p) \
+            == q.denominator else vq + N
+    if ms.prec is None and s_abs == math.inf:
+        return None
+    vals = ref_degree_valuations(ms)
+    return [min(ms.prof(d) + vq,
+                s_abs + min(vals.get(d, math.inf), ms.prof(d)),
+                N + vq + vals.get(d, math.inf)) for d in range(D + 1)]
 
 
 @pytest.fixture

@@ -324,7 +324,7 @@ def test_general_operator_group_from_jacobian_against_the_fraction_solve():
     assert min(c.prof(6) for c in H) >= 10
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_reconstruct_accounts_for_absent_residual_terms():
     """At p=2, N=6, D=3, h commuting with [3]_M with J0(h) = 18/7 has x^3
     coefficient C(18/7, 3) = 132/343 of valuation 2, but the solve skips

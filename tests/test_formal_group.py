@@ -16,7 +16,6 @@ from fglab.errors import (
 from fglab.padic import INFINITE, PadicScalar, PrecisionContext
 from fglab.series import (
     MultiSeries,
-    Profile,
     TupleSeries,
     jacobian,
     tuple_compose,
@@ -116,7 +115,7 @@ def test_negation_certifies_no_more_than_the_law():
     F's at degree 2, and the negation may certify at most 7 digits there."""
     parsed = parse((GOLDEN / "lt2_p3_h11_group.doc").read_text())
     law = fg.FormalGroupLaw(2, TupleSeries(
-        [c._with_profile(Profile.const(7)) for c in parsed.law]),
+        [c._with_precision((7,) * 10) for c in parsed.law]),
         parsed.certificate)
     assert [c.prof(2) for c in law.law] == [7, 7]
     iota = fg_negation(law)

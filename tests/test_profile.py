@@ -1,10 +1,12 @@
 """The series precision bookkeeping against the Fraction reference.
 
-The library keeps profile slopes and series summaries as integer pairs;
-the reference in conftest recomputes them from ``terms()`` with Fraction
-and math.floor.  Both must agree exactly on random sparse series.
+The library keeps each series' per-degree valuations and precision vector
+as integers; the reference in conftest recomputes them from the stored
+integers with Fraction, and the precision of a product by brute force over
+every pair of degrees.  Both must agree exactly on random sparse series.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -12,26 +14,28 @@ from hypothesis import strategies as st
 
 from fglab.errors import PrecisionExhausted
 from fglab.padic import PadicScalar, PrecisionContext
-from fglab.series import MultiSeries, Profile, _mul_profile
+from fglab.series import MultiSeries
 
 from conftest import (
-    ref_mul_profile,
-    ref_profile_at,
-    ref_scale_profile,
-    ref_summary,
+    ref_degree_valuations,
+    ref_mul_prec,
+    ref_scale_prec,
+    ref_valuation,
 )
 
 
 def _summary(ms):
-    """The library's cached summary in the reference's shape."""
-    vmin, vhat, rn, rd, mindeg = ms._summary()
-    assert (ms.vmin, ms.rho, ms.mindeg) == (vmin, Fraction(rn, rd), mindeg)
-    return vmin, vhat, Fraction(rn, rd), mindeg
+    """The library's cached valuations in the reference's shape."""
+    vmin, vals = ms._summary()
+    assert ms.vmin == vmin
+    return vmin, dict(vals), ms.rho
 
 
-def _fields(profile):
-    return None if profile is None else \
-        (profile.p0, profile.slope, profile.flat)
+def _ref_summary(ms):
+    vals = ref_degree_valuations(ms)
+    return (min(vals.values(), default=0), vals,
+            min([Fraction(0)] + [Fraction(v, d) for d, v in vals.items()
+                                 if d]))
 
 
 @st.composite
@@ -42,9 +46,9 @@ def contexts(draw):
 
 
 def series_in(ctx, m):
-    """Sparse series: exact zero, an empty series carrying a profile,
+    """Sparse series: exact zero, an empty series carrying a precision,
     constant-only, or a few terms with negative valuations (a nonzero
-    shift) and reduced absolute precisions (sloped profiles)."""
+    shift) and reduced absolute precisions (jagged vectors)."""
     p, N, D = ctx.p, ctx.abs_precision, ctx.degree_cap
 
     @st.composite
@@ -80,84 +84,107 @@ def series_pairs(draw):
     return ctx, draw(series_in(ctx, m)), draw(series_in(ctx, m))
 
 
-def test_profile_at_rounds_toward_minus_infinity():
-    # -5/4 * 3 = -3.75 floors to -4, +5/4 * 3 = 3.75 to 3
-    assert Profile(10, -5, 4, -100).at(3) == 6
-    assert Profile(10, 5, 4, -100).at(3) == 13
-    assert Profile(10, -1, 3, -100).at(1) == 9
-    assert Profile(10, -2, 7, 8).at(14) == 8      # the flat floor wins
-    assert Profile.const(4).at(99) == 4
-
-
-@given(st.integers(-20, 20), st.integers(-30, 30), st.integers(1, 12),
-       st.integers(-20, 20), st.integers(0, 60))
-@settings(max_examples=300)
-def test_profile_at_matches_fraction_floor(p0, n, d, flat, x):
-    q = Fraction(n, d)
-    pr = Profile(p0, q.numerator, q.denominator, flat)
-    assert pr.slope == q
-    assert pr.at(x) == ref_profile_at(p0, q, flat, x)
-
-
-@given(st.tuples(st.integers(-9, 9), st.integers(-9, 0), st.integers(1, 9),
-                 st.integers(-9, 9)),
-       st.tuples(st.integers(-9, 9), st.integers(-9, 0), st.integers(1, 9),
-                 st.integers(-9, 9)))
-def test_profile_min_with_matches_fraction_min(a, b):
-    pa, pb = (Profile(p0, Fraction(n, d).numerator, Fraction(n, d).denominator,
-                      flat) for p0, n, d, flat in (a, b))
-    m = pa.min_with(pb)
-    assert _fields(m) == (min(pa.p0, pb.p0), min(pa.slope, pb.slope),
-                          min(pa.flat, pb.flat))
-
-
 @given(series_pairs())
 @settings(max_examples=150)
 def test_summary_matches_reference(args):
     _, a, b = args
     for ms in (a, b):
-        assert _summary(ms) == ref_summary(ms)
+        assert _summary(ms) == _ref_summary(ms)
 
 
-@given(series_pairs(), st.data())
-@settings(max_examples=150)
-def test_mul_profile_matches_reference(args, data):
-    ctx, a, b = args
+def vectors(ctx):
+    """A precision vector over degrees 0..D: constant, sloped (a line
+    max(flat, p0 + floor(slope d))), jagged (each degree drawn, some
+    exact), or None (an exact series)."""
+    N, D = ctx.abs_precision, ctx.degree_cap
+
+    @st.composite
+    def build(draw):
+        kind = draw(st.sampled_from(("constant", "sloped", "jagged",
+                                     "exact")))
+        if kind == "exact":
+            return None
+        if kind == "constant":
+            return (draw(st.integers(1, N + 2)),) * (D + 1)
+        if kind == "sloped":
+            p0 = draw(st.integers(2, N + 2))
+            slope = Fraction(-draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+            flat = draw(st.integers(1, p0))
+            return tuple(max(flat, p0 + math.floor(slope * d))
+                         for d in range(D + 1))
+        return tuple(draw(st.sampled_from((math.inf,) + tuple(range(1, N + 3))))
+                     for _ in range(D + 1))
+
+    return build()
+
+
+@st.composite
+def factors(draw, ctx, m):
+    """A series with a drawn vector and up to five stored terms whose
+    valuations lie from -2 up to just below their degree's precision."""
+    p, D = ctx.p, ctx.degree_cap
+    prec = draw(vectors(ctx))
+    shift = 2
+    ms = MultiSeries(ctx, m, shift, prec, {})
+    for _ in range(draw(st.integers(0, 5))):
+        exps = draw(st.lists(st.integers(0, D), min_size=m, max_size=m)
+                    .filter(lambda e: sum(e) <= D))
+        top = ms.prof(sum(exps))
+        v = draw(st.integers(-2, 4 if top == math.inf else top - 1))
+        unit = draw(st.integers(1, p ** 3).filter(lambda u: u % p))
+        ms.coeffs[ms.pack(exps)] = unit * p ** (v + shift)
+    return ms._normalized()
+
+
+@given(contexts(), st.data())
+@settings(max_examples=300)
+def test_product_and_scale_vectors_match_the_fraction_reference(cm, data):
+    """a.mul(b, cap) certifies degree k, k <= cap, to the least of
+    pe_a[i] + w_b[j], w_a[i] + pe_b[j] and N + v_a[i] + v_b[j] over
+    i + j = k, and is exact above the cap; a.scale(s) certifies each
+    degree from s's precision the same way.  Factors carry constant,
+    sloped, jagged or no vectors; caps run below D."""
+    ctx, m = cm
     D = ctx.degree_cap
-    for cap in (D, data.draw(st.integers(0, D))):
-        assert _fields(_mul_profile(a, b, cap)) == ref_mul_profile(a, b, cap)
-    cap = data.draw(st.sampled_from((None, 1, D - 1, D + 3)))
+    a = data.draw(factors(ctx, m))
+    b = data.draw(factors(ctx, m))
+    cap = data.draw(st.integers(0, D))
+    want = ref_mul_prec(a, b, cap)
     try:
-        prod = a.mul(b, cap=cap)
+        got = a.mul(b, cap=cap)
     except PrecisionExhausted:
+        assert want is not None and min(want) < 1
         return
-    if (a.profile is None and not a.coeffs) or \
-            (b.profile is None and not b.coeffs):
+    if (a.prec is None and not a.coeffs) or (b.prec is None and not b.coeffs):
         return      # the exact zero factor is returned as it is
-    eff = D if cap is None else min(cap, D)
-    assert _fields(prod.profile) == ref_mul_profile(a, b, eff)
+    if want is None:
+        assert got.prec is None
+    else:
+        assert [got.prof(k) for k in range(D + 1)] == \
+            want + [math.inf] * (D - cap)
     # products carry nonzero shifts; their summaries must hold as well
-    assert _summary(prod) == ref_summary(prod)
+    assert _summary(got) == _ref_summary(got)
 
-
-@given(series_pairs(), st.data())
-@settings(max_examples=100)
-def test_scale_profile_matches_reference(args, data):
-    ctx, a, _ = args
-    if a.profile is None:
-        return
     p = ctx.p
     q = data.draw(st.integers(1, p ** 2).filter(lambda u: u % p)) \
         * Fraction(p) ** data.draw(st.integers(-2, 2))
-    s = q if data.draw(st.booleans()) else \
-        PadicScalar.exact(ctx, q).reduce_abs_precision(
-            ctx.abs_precision // 2 + 1)
+    s = data.draw(st.sampled_from((
+        q, q / (p + 1), PadicScalar.exact(ctx, q).reduce_abs_precision(
+            ctx.abs_precision // 2 + 1))))
+    want = ref_scale_prec(a, s)
     try:
         out = a.scale(s)
     except PrecisionExhausted:
+        assert want is not None and (max(want) < 1 or any(
+            want[sum(a.unpack(k))] < 1 for k in a.coeffs))
         return
-    assert _fields(out.profile) == ref_scale_profile(a, s)
-    assert _summary(out) == ref_summary(out)
+    if a.prec is None and not a.coeffs:
+        return
+    if want is None:
+        assert out.prec is None
+    else:
+        assert [out.prof(d) for d in range(D + 1)] == want
+    assert _summary(out) == _ref_summary(out)
 
 
 @given(contexts(), st.data())
@@ -168,25 +195,29 @@ def test_normalized_never_leaves_a_stale_summary(cm, data):
     ctx, m = cm
     p, D = ctx.p, ctx.degree_cap
     ms = MultiSeries(ctx, m, data.draw(st.integers(0, 3)),
-                     Profile.const(data.draw(st.integers(1, 4))), {})
+                     (data.draw(st.integers(1, 4)),) * (D + 1), {})
     for _ in range(data.draw(st.integers(1, 5))):
         exps = data.draw(st.lists(st.integers(0, D), min_size=m, max_size=m)
                          .filter(lambda e: sum(e) <= D))
         ms.coeffs[ms.pack(exps)] = data.draw(st.integers(1, p ** 3)) \
             * p ** data.draw(st.integers(0, 6))
     ms._summary()
+    ms._pe(), ms._w(), ms._v()
     out = ms._normalized()
-    fresh = MultiSeries(ctx, m, out.shift, out.profile, dict(out.coeffs))
+    fresh = MultiSeries(ctx, m, out.shift, out.prec, dict(out.coeffs))
     assert out._summary() == fresh._summary()
-    assert _summary(out) == ref_summary(out)
+    assert (out._pe(), out._w(), out._v()) == \
+        (fresh._pe(), fresh._w(), fresh._v())
+    assert _summary(out) == _ref_summary(out)
 
 
 def test_normalized_drops_a_term_and_refreshes_mindeg():
     ctx = PrecisionContext(5, 12, 8)
-    ms = MultiSeries(ctx, 1, 2, Profile.const(2), {})
+    ms = MultiSeries(ctx, 1, 2, (2,) * 9, {})
     # x: 5^4 * 5^-2 = 25 vanishes at precision 5^2; x^2: 7 * 5^-2 stays
     ms.coeffs = {ms.pack((1,)): 5 ** 4, ms.pack((2,)): 7}
-    assert (ms.vmin, ms.rho, ms.mindeg) == (-2, -1, 1)
+    assert _summary(ms) == (-2, {1: 2, 2: -2}, -1)
     ms._normalized()
-    assert (ms.vmin, ms.rho, ms.mindeg) == (-2, -1, 2)
+    assert _summary(ms) == (-2, {2: -2}, -1)
     assert ms.coeffs == {ms.pack((2,)): 7}
+    assert ref_valuation(Fraction(7, 25), 5) == -2

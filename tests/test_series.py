@@ -64,8 +64,7 @@ from conftest import (
     poly_inverse,
     poly_mul,
     poly_scale,
-    ref_mul_profile,
-    ref_profile_at,
+    ref_mul_prec,
     ref_valuation,
     series_to_fractions,
 )
@@ -364,11 +363,12 @@ def _drawn_addend(data, ctx, n):
 @given(data=st.data(), p=st.sampled_from([2, 3, 5]), n=st.integers(1, 2),
        N=st.integers(2, 8), D=st.integers(2, 5))
 def test_sum_is_the_fraction_sum_at_the_min_profile(data, p, n, N, D):
-    """_sum over 1-6 addends: its profile is the min of the certified
-    addends' profiles, line by line (None when all are exact), and every
-    digit it certifies, stored or absent, agrees with the Fraction sum of
-    the stored values.  Stored coefficients are nonzero, reduced below
-    p^(prof(d) + shift) when certified, and the shift is minimal."""
+    """_sum over 1-6 addends: its precision is the pointwise min of the
+    certified addends' precision at every degree (None when all are
+    exact), and every digit it certifies, stored or absent, agrees with
+    the Fraction sum of the stored values.  Stored coefficients are
+    nonzero, reduced below p^(prof(d) + shift) when certified, and the
+    shift is minimal."""
     ctx = PrecisionContext(p, N, D)
     try:
         addends = [_drawn_addend(data, ctx, n)
@@ -380,28 +380,20 @@ def test_sum_is_the_fraction_sum_at_the_min_profile(data, p, n, N, D):
         for k, c in a.coeffs.items():
             e = a.unpack(k)
             exact[e] = exact.get(e, 0) + Fraction(c, p ** a.shift)
-    profiles = [a.profile for a in addends if a.profile is not None]
-    pointwise = [min((ref_profile_at(pr.p0, pr.slope, pr.flat, d)
-                      for pr in profiles), default=INFINITE)
-                 for d in range(D + 1)]
-    # the two-line form holds (min p0, min slope, min flat), at most the
-    # pointwise min at every degree
-    want = pointwise if not profiles else [ref_profile_at(
-        min(pr.p0 for pr in profiles), min(pr.slope for pr in profiles),
-        min(pr.flat for pr in profiles), d) for d in range(D + 1)]
-    assert all(w <= pw for w, pw in zip(want, pointwise))
+    certified = [a for a in addends if a.prec is not None]
+    want = [min((a.prof(d) for a in certified), default=INFINITE)
+            for d in range(D + 1)]
     try:
         got = _sum(a for a in addends)
     except PrecisionExhausted:
         assert any(c and want[sum(e)] < 1 for e, c in exact.items())
         return
-    assert (got.profile is None) == (not profiles)
+    assert (got.prec is None) == (not certified)
     assert [got.prof(d) for d in range(D + 1)] == want
     assert_series_certified(got, exact, D)
     for k, c in got.coeffs.items():
-        assert c and (got.profile is None
-                      or 0 < c < p ** (got.prof(k >> got.degshift)
-                                       + got.shift))
+        pf = got.prof(k >> got.degshift)
+        assert c and (pf == INFINITE or 0 < c < p ** (pf + got.shift))
     assert got.shift == 0 or any(c % p for c in got.coeffs.values())
 
 
@@ -435,7 +427,7 @@ def test_mul_certifies_only_true_digits(data, p, n, N, D):
         got = a.mul(b, cap=cap)
     except FglabError:
         return
-    assume(a.profile is not None and b.profile is not None)
+    assume(a.prec is not None and b.prec is not None)
     top = D if cap is None else cap
     exact = poly_mul(_drawn_value(data, a, True), _drawn_value(data, b, True),
                      top)
@@ -481,9 +473,9 @@ def _mul_then_sum(terms, cap):
 def test_sum_of_products_is_the_fraction_sum_at_the_min_profile(data, p, n,
                                                                 N, D):
     """_sum_of_products over 1-5 terms, each an addend or a product capped
-    at one drawn cap: its profile is the min, line by line, of the
-    addends' profiles and of ref_mul_profile for each product (None when
-    all are exact).  Every digit it certifies, stored or absent, agrees
+    at one drawn cap: its precision is the pointwise min, degree by
+    degree, of the addends' vectors and of ref_mul_prec for each product
+    (None when all are exact).  Every digit it certifies, stored or absent, agrees
     with the poly_mul and poly_add oracle on any inputs the terms' own
     claims allow.  It is identical to forming each product with ``mul``
     and taking the ``_sum``, and raises PrecisionExhausted exactly when
@@ -505,32 +497,44 @@ def test_sum_of_products_is_the_fraction_sum_at_the_min_profile(data, p, n,
         return
     got = _sum_of_products(terms, cap)
     assert got.identical(want)
-    lines, exact = [], {}
+    vectors, exact = [], {}
     for a, b in terms:
         if b is None:
-            if a.profile is not None:
-                pr = a.profile
-                lines.append((pr.p0, pr.slope, pr.flat))
+            if a.prec is not None:
+                vectors.append([a.prof(d) for d in range(D + 1)])
             exact = poly_add(exact, _drawn_value(data, a, True))
-        elif (a.profile is not None or a.coeffs) \
-                and (b.profile is not None or b.coeffs):
-            if a.profile is not None or b.profile is not None:
-                lines.append(ref_mul_profile(a, b, cap))
+        elif (a.prec is not None or a.coeffs) \
+                and (b.prec is not None or b.coeffs):
+            if a.prec is not None or b.prec is not None:
+                vectors.append(ref_mul_prec(a, b, cap)
+                               + [INFINITE] * (D - cap))
             exact = poly_add(exact, poly_mul(_drawn_value(data, a, True),
                                              _drawn_value(data, b, True),
                                              cap))
-    if not lines:
-        assert got.profile is None
+    if not vectors:
+        assert got.prec is None
     else:
-        pr = got.profile
-        assert (pr.p0, pr.slope, pr.flat) == tuple(min(x) for x in
-                                                   zip(*lines))
+        assert [got.prof(d) for d in range(D + 1)] == \
+            [min(x) for x in zip(*vectors)]
     assert_series_certified(got, exact, D)
     for k, c in got.coeffs.items():
-        assert c and (got.profile is None
-                      or 0 < c < p ** (got.prof(k >> got.degshift)
-                                       + got.shift))
+        pf = got.prof(k >> got.degshift)
+        assert c and (pf == INFINITE or 0 < c < p ** (pf + got.shift))
     assert got.shift == 0 or any(c % p for c in got.coeffs.values())
+
+
+def test_sum_keeps_each_degree_where_the_addends_cross():
+    """At p=2, N=3, D=2, O(2^2) at every degree plus x + x^2/4 (certified
+    to 2^3 at degrees 0 and 1 and to 2^1 at degree 2) is certified to 2^2,
+    2^2, 2^1, degree by degree: its x coefficient reads 1 + O(2^2), as both
+    addends certify it, where their two lines cross."""
+    ctx = PrecisionContext(2, 3, 2)
+    zero = MultiSeries.from_terms(ctx, 1, {(0,): PadicScalar.zero_at(ctx, 2)})
+    f = MultiSeries.from_terms(ctx, 1, {(1,): 1, (2,): Fraction(1, 4)})
+    got = zero + f
+    assert [got.prof(d) for d in range(3)] == [2, 2, 1]
+    x = got.coefficient((1,))
+    assert x.known_precision == 2 and x.residue(2) == 1
 
 
 def test_sum_of_products_raises_where_a_product_on_its_own_raises():
@@ -615,21 +619,22 @@ def test_exact_ring_operations_match_fraction_oracle(p):
                           (sa - sb, poly_add(a, {e: -c for e, c in b.items()})),
                           (sa.mul(sb), poly_mul(a, b, 6)),
                           (sa.mul(sb, cap=4), poly_mul(a, b, 4))):
-            assert got.profile is None
+            assert got.prec is None
             assert _exact_value(got) == want
 
 
 def test_scale_raises_where_no_digit_is_left():
-    """At p=2, N=1, O(2) times -15/14 (valuation -1) and 1/2 + O(2^2)
-    (at N=2) times a zero O(2) are known to no digit at any degree, so
-    both raise PrecisionExhausted; (4 + O(2^3)) x times 93/4 is still
-    93 x + O(2)."""
+    """At p=2, N=1, O(2) times -15/14 (valuation -1) and, at N=2, the
+    series (1 + x + x^2 + x^3)/2 times a zero O(2) are known to no digit at
+    any degree, so both raise PrecisionExhausted; (4 + O(2^3)) x times 93/4
+    is still 93 x + O(2)."""
     ctx = PrecisionContext(2, 1, 3)
     zero = MultiSeries.from_terms(ctx, 1, {(0,): PadicScalar.zero_at(ctx, 1)})
     with pytest.raises(PrecisionExhausted):
         zero.scale(Fraction(-15, 14))
     ctx2 = PrecisionContext(2, 2, 3)
-    half = MultiSeries.from_terms(ctx2, 1, {(0,): Fraction(1, 2)})
+    half = MultiSeries.from_terms(ctx2, 1, {(d,): Fraction(1, 2)
+                                            for d in range(4)})
     with pytest.raises(PrecisionExhausted):
         half.scale(PadicScalar.zero_at(ctx2, 1))
     four = PadicScalar.exact(ctx, 4).reduce_abs_precision(3)
@@ -646,10 +651,10 @@ def test_exact_scale_by_z_1_over_p_stays_exact():
     ms = MultiSeries.from_exact_terms(ctx, 2, terms)
     for s in (3, Fraction(2, 5), 25, Fraction(-1, 125)):
         got = ms.scale(s)
-        assert got.profile is None
+        assert got.prec is None
         assert _exact_value(got) == poly_scale(terms, Fraction(s))
     for s in (Fraction(1, 3), PadicScalar.exact(ctx, 3)):
-        assert ms.scale(s).profile is not None
+        assert ms.scale(s).prec is not None
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -664,7 +669,7 @@ def test_exact_capped_compose_matches_fraction_oracle(p):
             TupleSeries([MultiSeries.from_exact_terms(ctx, 3, t) for t in g]),
             cap=cap)
         for fi, out in zip(f, got):
-            assert out.profile is None
+            assert out.prec is None
             assert _exact_value(out) == poly_compose(fi, g, cap)
 
 
@@ -679,7 +684,7 @@ def test_exact_outer_compose_keeps_integer_coefficients():
     want = poly_compose(f, g, 4)
     exact = tuple_compose(outer, TupleSeries(
         [MultiSeries.from_exact_terms(ctx, 1, t) for t in g]))
-    assert exact.profile is None
+    assert exact.prec is None
     assert _exact_value(exact) == want
     certified = tuple_compose(outer, TupleSeries(
         [MultiSeries.from_terms(ctx, 1, t) for t in g]))
@@ -699,7 +704,7 @@ def test_exact_inverse_by_lifting_matches_fraction_oracle(p):
     hs = TupleSeries([MultiSeries.from_exact_terms(ctx, 2, t) for t in h])
     inv = lift_by_degree(hs, hs.truncate(1), lambda k, r: -r)
     for got, want in zip(inv, poly_inverse(h, D)):
-        assert got.profile is None
+        assert got.prec is None
         assert _exact_value(got) == want
 
 
@@ -718,11 +723,11 @@ def _per_cap_lift(x, residual, correct):
     return x
 
 
-def _seeded_invertible(rng, ctx, d):
-    """A p-integral d-in-d tuple at full precision, as the benchmark's
-    inverse round trips use: a unit-determinant linear part plus up to
-    five monomials of degree 2..D per component, coefficients u p^k with
-    0 <= k <= 2."""
+def _seeded_invertible(rng, ctx, d, lowest=0):
+    """A d-in-d tuple at full precision, as the benchmark's inverse round
+    trips use: a unit-determinant linear part plus up to five monomials of
+    degree 2..D per component, coefficients u p^k with lowest <= k <= 2
+    (p-integral for lowest = 0)."""
     p, D = ctx.p, ctx.degree_cap
     while True:
         lin = [[rng.randint(-p * p, p * p) for _ in range(d)]
@@ -738,7 +743,7 @@ def _seeded_invertible(rng, ctx, d):
             for _ in range(rng.randint(2, D)):
                 exps[rng.randrange(d)] += 1
             terms[tuple(exps)] = (rng.randint(-60, 60) or 1) \
-                * p ** rng.randint(0, 2)
+                * Fraction(p) ** rng.randint(lowest, 2)
         comps.append(MultiSeries.from_terms(ctx, d, terms))
     return TupleSeries(comps)
 
@@ -761,6 +766,30 @@ def test_inverse_is_identical_to_the_per_cap_lift(p, d):
                              lambda f, k: ident - tuple_compose(h, f, cap=k),
                              lambda k, r: apply_matrix(j0inv, r))
         assert compositional_inverse(h).identical(want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N", [10, 20])
+def test_inverse_certifies_at_least_the_per_cap_lift(p, d, N):
+    """With p-power denominators down to p^-2, compositional_inverse,
+    lifted relaxed, certifies at every degree at least what recomposing
+    h o f at every cap does, and succeeds wherever that does."""
+    ctx = PrecisionContext(p, N, 6)
+    rng = random.Random(100000 * p + 1000 * d + N)
+    ident = TupleSeries.identity(ctx, d)
+    for _ in range(3):
+        h = _seeded_invertible(rng, ctx, d, lowest=-2)
+        j0inv = mat_inverse(linear_part_matrix(h))
+        try:
+            want = _per_cap_lift(
+                apply_matrix(j0inv, ident),
+                lambda f, k: ident - tuple_compose(h, f, cap=k),
+                lambda k, r: apply_matrix(j0inv, r))
+        except PrecisionExhausted:
+            continue
+        for got, ref in zip(compositional_inverse(h), want):
+            assert all(got.prof(k) >= ref.prof(k) for k in range(7))
 
 
 def _lt2_params(p, h1, h2):
@@ -826,7 +855,7 @@ def test_exact_constructor_rejects_other_denominators():
         MultiSeries.from_exact_terms(ctx, 1, {(1,): Fraction(1, 6)})
     ms = MultiSeries.from_exact_terms(ctx, 1, {(1,): Fraction(3, 4),
                                                (5,): 1})
-    assert ms.profile is None and _exact_value(ms) == {(1,): Fraction(3, 4)}
+    assert ms.prec is None and _exact_value(ms) == {(1,): Fraction(3, 4)}
 
 
 def test_compose_associative_up_to_truncation(ctx5):
