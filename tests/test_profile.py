@@ -138,11 +138,10 @@ def factors(draw, ctx, m):
 
 @given(contexts(), st.data())
 @settings(max_examples=300)
-def test_product_and_scale_vectors_match_the_fraction_reference(cm, data):
+def test_mul_profile_matches_reference(cm, data):
     """a.mul(b, cap) certifies degree k, k <= cap, to the least of
     pe_a[i] + w_b[j], w_a[i] + pe_b[j] and N + v_a[i] + v_b[j] over
-    i + j = k, and is exact above the cap; a.scale(s) certifies each
-    degree from s's precision the same way.  Factors carry constant,
+    i + j = k, and is exact above the cap.  Factors carry constant,
     sloped, jagged or no vectors; caps run below D."""
     ctx, m = cm
     D = ctx.degree_cap
@@ -165,6 +164,16 @@ def test_product_and_scale_vectors_match_the_fraction_reference(cm, data):
     # products carry nonzero shifts; their summaries must hold as well
     assert _summary(got) == _ref_summary(got)
 
+
+@given(contexts(), st.data())
+@settings(max_examples=300)
+def test_scale_profile_matches_reference(cm, data):
+    """a.scale(s) certifies each degree from s's precision as a product
+    with the constant series s does, for exact, non-integral and
+    reduced-precision scalars."""
+    ctx, m = cm
+    D = ctx.degree_cap
+    a = data.draw(factors(ctx, m))
     p = ctx.p
     q = data.draw(st.integers(1, p ** 2).filter(lambda u: u % p)) \
         * Fraction(p) ** data.draw(st.integers(-2, 2))
