@@ -9,6 +9,10 @@ Core layers:
 * :mod:`fglab.dynamics`     copolygons, orbits, torsion probes
 * :mod:`fglab.serialize`    canonical text documents
 * :mod:`fglab.cli`          command-line driver
+
+``tuple_compose`` takes each inner component's constant term, which must be
+certified zero, as exactly zero: its degree-0 precision is not carried into
+the composite.
 """
 
 from .commutant import (

@@ -53,8 +53,6 @@ def _is_prime(n: int) -> bool:
 
 def _vp(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
-    if p == 2:
-        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p

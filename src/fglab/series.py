@@ -87,7 +87,7 @@ class MultiSeries:
     """Sparse truncated power series in ``num_vars`` variables."""
 
     __slots__ = ("ctx", "num_vars", "shift", "prec", "coeffs", "_summ",
-                 "_pe_c", "_w_c", "_v_c")
+                 "_views_c")
 
     def __init__(self, ctx, num_vars, shift, prec, coeffs):
         self.ctx = ctx
@@ -95,9 +95,8 @@ class MultiSeries:
         self.shift = shift
         self.prec = prec          # precision vector (tuple), None when exact
         self.coeffs = coeffs      # dict[packed key, scaled int]
-        # caches of _summary(), _pe(), _w() and _v(); reset on any rewrite
-        self._summ = self._w_c = self._v_c = None
-        self._pe_c = False
+        # caches of _summary() and _views(); reset on any rewrite
+        self._summ = self._views_c = None
 
     # -- packing helpers -----------------------------------------------------
 
@@ -247,8 +246,7 @@ class MultiSeries:
                 if c:
                     out[k] = c
             self.coeffs = out
-            self._summ = self._w_c = self._v_c = None
-            self._pe_c = False
+            self._summ = self._views_c = None
             if not out:
                 return MultiSeries(self.ctx, self.num_vars, 0, prec, {})
         if self.shift > 0:
@@ -269,60 +267,31 @@ class MultiSeries:
         return not self.coeffs
 
     def _summary(self):
-        """(vmin, vals), cached: vals lists (degree, least valuation) for
-        each stored degree in degree order, the valuation of the gcd of the
-        degree's integers, and vmin is the least (0 for the empty series)."""
+        """(vmin, vals), cached: vals is a tuple of (degree, least
+        valuation) for each stored degree in degree order, the valuation of
+        the gcd of the degree's integers, and vmin is the least (0 for the
+        empty series)."""
         summ = self._summ
         if summ is None:
             ds = self.degshift
-            degrees = {}
+            gcds = {}
+            get = gcds.get
             for key, c in self.coeffs.items():
-                degrees.setdefault(key >> ds, []).append(c)
+                d = key >> ds
+                gcds[d] = math.gcd(get(d, 0), c)
             p, shift = self.ctx.p, self.shift
-            vals = sorted((d, _vp(math.gcd(*cs), p) - shift)
-                          for d, cs in degrees.items())
-            summ = self._summ = (min((v for _, v in vals), default=0), vals)
+            vals = tuple([(d, _vp(g, p) - shift)
+                          for d, g in sorted(gcds.items())])
+            summ = self._summ = (min([v for _, v in vals], default=0), vals)
         return summ
 
-    # A product reads a factor through cached views of its degrees: vals[d]
-    # (the least valuation stored at d), w[d] = min(vals[d], prec(d)), which
-    # bounds the whole degree-d part, and pe[d] = min(prec(d), N + vals[d]),
-    # the precision capped at N digits past the data.
-
-    def _lowered_to_data(self, offset: int) -> list:
-        """prec(d) as a list, lowered to vals[d] + offset where d is stored."""
-        vals = self._summary()[1]
-        out = list(self.prec)
-        out += [INFINITE] * (vals[-1][0] + 1 - len(out) if vals else 0)
-        for d, v in vals:
-            if v + offset < out[d]:
-                out[d] = v + offset
-        return out
-
-    def _pe(self):
-        """pe split by ``_split_at_top``, cached; None for an exact series."""
-        if self._pe_c is False and self.prec is not None:
-            prec, N = self.prec, self.ctx.abs_precision
-            vmin, vals = self._summary()
-            if vmin + N < max(prec, default=0) or \
-                    vals and len(prec) <= vals[-1][0]:
-                prec = tuple(self._lowered_to_data(N))
-            self._pe_c = _split_at_top(prec, self.ctx.degree_cap)
-        return self._pe_c or None
-
-    def _w(self):
-        """w's finite (degree, value) entries, ``_with_low``, cached."""
-        if self._w_c is None:
-            self._w_c = self._v() if self.prec is None else _with_low(
-                [(d, x) for d, x in enumerate(self._lowered_to_data(0))
-                 if x != INFINITE])
-        return self._w_c
-
-    def _v(self):
-        """vals' (degree, value) entries, ``_with_low``, cached."""
-        if self._v_c is None:
-            self._v_c = _with_low(self._summary()[1])
-        return self._v_c
+    def _views(self):
+        """``_product_views`` of this series, cached."""
+        if self._views_c is None:
+            self._views_c = _product_views(
+                self.prec, self._summary()[1], self.ctx.abs_precision,
+                self.ctx.degree_cap)
+        return self._views_c
 
     @property
     def vmin(self) -> int:
@@ -573,9 +542,9 @@ def _sum_of_products(terms, cap):
     None.  The precision is the pointwise min of the terms' (None when all
     are exact).  A product is exact past ``cap``; through it, a*b - A*B =
     ea*b + A*eb (A, B the stored parts, ea, eb the uncertainties), so
-    degree k is known to the least pe_a[i] + w_b[j] and v_a[i] + pe_b[j]
-    over i + j = k (v_a for w_a drops only prec_a[i] + pe_b[j], which the
-    first bounds).  Reducing the sum once so leaves the residues of the
+    degree k is known to the least w_a[i] + pe_b[j] and pe_a[i] + v_b[j]
+    over i + j = k (``_product_views``; v_b for w_b drops only pe_a[i] +
+    prec_b[j], which the first bounds).  Reducing the sum once so leaves the residues of the
     ``_sum`` of each product's ``mul``, except where the sum certifies below
     p^1 through ``cap``: a product there, formed on its own first, raises
     PrecisionExhausted for a nonzero coefficient another term cancels.
@@ -599,10 +568,12 @@ def _sum_of_products(terms, cap):
                 prec = [INFINITE] * (cap + 1)
             elif len(prec) <= cap:
                 prec += [INFINITE] * (cap + 1 - len(prec))
-            if a.prec is not None:
-                _min_plus(prec, a._pe_c or a._pe(), b._w_c or b._w(), cap)
-            if b.prec is not None:
-                _min_plus(prec, b._pe_c or b._pe(), a._v_c or a._v(), cap)
+            pe_a, w_a, _ = a._views()
+            pe_b, _, v_b = b._views()
+            if pe_b is not None:
+                _min_plus(prec, pe_b, w_a, cap)
+            if pe_a is not None:
+                _min_plus(prec, pe_a, v_b, cap)
         live.append((a, b))
     if not live:
         return MultiSeries.zero(first.ctx, first.num_vars)
@@ -654,23 +625,37 @@ def _lowered(acc, prec) -> list:
 
 
 @lru_cache(maxsize=256)
-def _split_at_top(pe: tuple, D: int):
-    """pe as the min of two parts: (top, first, below), top[d] the largest
-    pe entry at degree d or above, finite from ``first`` (past D if
-    nowhere), and below the (degree, value) entries under top.  Memoized:
-    many products share one vector."""
-    if len(pe) <= D:                # exact past the end, and so is top
-        return (), D + 1, tuple((d, x) for d, x in enumerate(pe)
-                                if x != INFINITE)
-    if sorted(pe, reverse=True) == list(pe):
-        return pe, pe.count(INFINITE), ()
+def _product_views(prec, vals, N: int, D: int):
+    """A factor's views for ``_min_plus``: (pe, w, v), from its precision
+    vector and its (degree, least stored valuation) pairs ``vals``.
+
+    w[d] = min(vals[d], prec[d]) bounds the whole degree-d part and
+    pe[d] = min(prec[d], N + vals[d]) caps the precision at N digits past
+    the data.  pe is split as (top, first, below): top[d] is the largest pe
+    entry at degree d or above (through D), finite from ``first``, and
+    below lists the (degree, value) entries under top; pe is None for an
+    exact series.  w and v are ``_with_low`` of their finite entries.
+    Memoized by value: many series share a vector and a valuation pattern.
+    """
+    v = _with_low(vals)
+    if prec is None:
+        return None, v, v
+    pe = list(prec) + [INFINITE] * (D + 1 - len(prec))
+    w = pe[:]
+    for d, x in vals:
+        if x < w[d]:
+            w[d] = x
+        if x + N < pe[d]:
+            pe[d] = x + N
     top = tuple(accumulate(reversed(pe), max))[::-1]
-    return top, top.count(INFINITE), tuple(
-        (d, x) for d, x, t in zip(count(), pe, top) if x < t)
+    return (top, top.count(INFINITE),
+            [(d, x) for d, x, t in zip(count(), pe, top) if x < t]), \
+        _with_low([(d, x) for d, x in enumerate(w) if x != INFINITE]), v
 
 
 def _with_low(entries):
-    """(entries, those below every earlier one)."""
+    """(entries, those below every earlier one), for (degree, value) pairs
+    in degree order."""
     low = []
     least = INFINITE
     for d, x in entries:
@@ -682,7 +667,7 @@ def _with_low(entries):
 
 def _min_plus(acc, pe, entries, cap: int):
     """Lower acc[k], k <= cap, to the least pe[i] + y[j] over i + j = k:
-    pe split as ``_split_at_top`` gives, entries = (y, low) as
+    pe split as ``_product_views`` gives, entries = (y, low) as
     ``_with_low`` gives.  top is nonincreasing, so against it y[j] loses to
     any earlier y[j'] <= y[j] (top[k - j'] <= top[k - j]): only low is
     read."""
@@ -881,7 +866,7 @@ def _tail(f: MultiSeries, inner, cap: int) -> tuple:
     <= k, plus floor(g*k) (exact if every inner series is)."""
     gn = gd = None                  # g = gn/gd
     for s in inner:
-        for j, x in s._w()[0]:
+        for j, x in s._views()[1][0]:
             if 0 < j <= cap and (gn is None or x * gd < gn * j):
                 gn, gd = x, j
     out = [f.prof(0)]

@@ -211,12 +211,11 @@ def test_normalized_never_leaves_a_stale_summary(cm, data):
         ms.coeffs[ms.pack(exps)] = data.draw(st.integers(1, p ** 3)) \
             * p ** data.draw(st.integers(0, 6))
     ms._summary()
-    ms._pe(), ms._w(), ms._v()
+    ms._views()
     out = ms._normalized()
     fresh = MultiSeries(ctx, m, out.shift, out.prec, dict(out.coeffs))
     assert out._summary() == fresh._summary()
-    assert (out._pe(), out._w(), out._v()) == \
-        (fresh._pe(), fresh._w(), fresh._v())
+    assert out._views() == fresh._views()
     assert _summary(out) == _ref_summary(out)
 
 

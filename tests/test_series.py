@@ -121,6 +121,22 @@ def test_compose_rejects_constant_term(ctx5):
         tuple_compose(f, g)
 
 
+def test_compose_takes_a_certified_zero_inner_constant_as_exact():
+    """An inner constant term certified zero is composed as exactly zero:
+    x^2 composed with x + O(2) (uncertain at degree 0 only) is x^2, exact
+    at degrees 0 and 1, not x^2 + 2cx + c^2 for some c = O(2)."""
+    ctx = PrecisionContext(2, 4, 3)
+    noise = MultiSeries.from_terms(
+        ctx, 1, {(0,): PadicScalar.zero_at(ctx, 1)}).truncate(0)
+    g = TupleSeries([noise + MultiSeries.variable(ctx, 1, 0)])
+    assert g[0].prec == (1, 4, 4, 4)
+    h = tuple_compose(MultiSeries.from_exact_terms(ctx, 1, {(2,): 1}), g)
+    assert h.prec[:2] == (INFINITE, INFINITE)
+    assert_series_matches(h, {(2,): 1})
+    x = MultiSeries.from_exact_terms(ctx, 1, {(1,): 1})
+    assert tuple_compose(x, g).prec[0] == INFINITE
+
+
 def test_compose_arity_checked(ctx5):
     f = MultiSeries.variable(ctx5, 2, 0)
     g = TupleSeries([MultiSeries.variable(ctx5, 2, 0)])
