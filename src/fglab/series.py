@@ -624,7 +624,7 @@ def _lowered(acc, prec) -> list:
                                                        fillvalue=INFINITE)]
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
 def _product_views(prec, vals, N: int, D: int):
     """A factor's views for ``_min_plus``: (pe, w, v), from its precision
     vector and its (degree, least stored valuation) pairs ``vals``.
