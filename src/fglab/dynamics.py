@@ -22,7 +22,7 @@ from .errors import (
     MixedContext,
     PrecisionExhausted,
 )
-from .padic import INFINITE, ExtScalar, ExtensionModulus, PointTuple
+from .padic import INFINITE, ExtScalar, ExtensionModulus, PointTuple, _vp
 from .series import MultiSeries, TupleSeries, linear_part_matrix, mat_det, ms_eval
 
 
@@ -44,19 +44,21 @@ class Copolygon:
             raise MixedContext("copolygons are defined for 2-variable series")
         if f.is_zero:
             raise BadArgument("copolygon of the zero series")
-        planes = []
-        for exps, c in f.terms():
-            planes.append((exps[0], exps[1], Fraction(c.valuation())))
-        return cls(planes)
+        return cls((*f.unpack(k), _vp(c, f.ctx.p) - f.shift)
+                   for k, c in sorted(f.coeffs.items()))
 
     def evaluate(self, xi1, xi2):
-        """V_f(xi) = min over planes, plus the set of achieving planes."""
-        xi1, xi2 = Fraction(xi1), Fraction(xi2)
-        best = None
+        """V_f(xi) = min over planes, plus the set of achieving planes; an
+        INFINITE coordinate (an exact zero) drops the planes that carry it."""
+        gone = (xi1 == INFINITE, xi2 == INFINITE)
+        xi1, xi2 = (Fraction(0 if g else x) for g, x in zip(gone, (xi1, xi2)))
+        best = INFINITE
         achieving = []
         for i, j, v in self.planes:
+            if i and gone[0] or j and gone[1]:
+                continue
             val = i * xi1 + j * xi2 + v
-            if best is None or val < best:
+            if val < best:
                 best = val
                 achieving = [(i, j)]
             elif val == best:
@@ -87,18 +89,15 @@ def valuation_bound_check(f: MultiSeries, theta: PointTuple,
         raise MixedContext("bound check needs a 2-variable series")
     if len(theta) != 2:
         raise MixedContext("point arity does not match variable count")
-    v1 = theta[0].valuation()
-    v2 = theta[1].valuation()
-    V, _ = Copolygon.from_series(f).evaluate(
-        v1 if v1 is not INFINITE else 10 ** 6,
-        v2 if v2 is not INFINITE else 10 ** 6)
+    V, _ = Copolygon.from_series(f).evaluate(theta[0].valuation(),
+                                             theta[1].valuation())
     value = ms_eval(f, theta, polynomial=polynomial).value
     try:
         vv = value.valuation()
     except ImpreciseValuation:
         vv = None
     if vv is INFINITE:
-        return BoundCheckReport(None, INFINITE, V, True, True)
+        return BoundCheckReport(None, INFINITE, V, True, V != INFINITE)
     if vv is not None:
         return BoundCheckReport(vv, vv, V, vv >= V, vv > V)
     floor = value.precision_floor()
@@ -264,15 +263,6 @@ def _fmt_val(x: ExtScalar) -> str:
     return "inf" if v is INFINITE else str(v)
 
 
-def _poly_coeffs_ext(G: MultiSeries, modulus: ExtensionModulus):
-    """Coefficient list of a 1-variable series as extension elements."""
-    deg = G.degree()
-    out = [ExtScalar.zero(modulus) for _ in range(deg + 1)]
-    for exps, c in G.terms():
-        out[exps[0]] = ExtScalar.from_base(modulus, c)
-    return out
-
-
 def _poly_eval(coeffs, x: ExtScalar) -> ExtScalar:
     acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
@@ -312,14 +302,14 @@ def _newton_lift(coeffs, dcoeffs, x: ExtScalar, max_steps: int):
     return x if _poly_eval(coeffs, x).is_zero else None
 
 
-def _find_small_root(coeffs, modulus, digits, pi, vpi, cap_level,
-                     newton_steps):
+def _find_small_root(coeffs, modulus, digits, pi, cap_level, newton_steps):
     """One root of positive valuation by digit refinement, or None.
 
-    A branch prefix x at level L survives while
-    v(G(x)) >= min(v(G'(x)) + (L+1) v(pi), 2 (L+1) v(pi)) -- every true-root
-    prefix does -- and resolves through Newton once v(G) > 2 v(G') certifies
-    a unique root in the ball.  Returns (root, failures_accumulated).
+    Valuations are integers in powers of pi.  A branch prefix x at level L
+    survives while v(G(x)) >= min(v(G'(x)) + L + 1, 2 (L + 1)) -- every
+    true-root prefix does -- and resolves through Newton once v(G) >
+    2 v(G') certifies a unique root in the ball.  Returns (root,
+    failures_accumulated).
     """
     dcoeffs = _poly_derivative(coeffs)
     failures = 0
@@ -333,19 +323,13 @@ def _find_small_root(coeffs, modulus, digits, pi, vpi, cap_level,
                 gx = _poly_eval(coeffs, cand)
                 if gx.is_zero:
                     return cand, failures
-                gv = gx.valuation()
                 gpx = _poly_eval(dcoeffs, cand)
-                try:
-                    gpv = gpx.valuation()
-                    gp_exact = True
-                except ImpreciseValuation:
-                    gpv = gpx.precision_floor()
-                    gp_exact = False
-                if gpx.is_zero:
-                    gpv, gp_exact = gpx.precision_floor(), False
-                if gv < min(gpv + (L + 1) * vpi, 2 * (L + 1) * vpi):
+                # v(G'(x)), or its floor when G'(x) is zero at its precision
+                gpv = gpx.val if gpx.val is not None else \
+                    INFINITE if gpx.prec is None else gpx.prec
+                if gx.val < min(gpv + L + 1, 2 * (L + 1)):
                     continue    # no root can extend this prefix
-                if gp_exact and gv > 2 * gpv:
+                if gpx.val is not None and gx.val > 2 * gpv:
                     lifted = _newton_lift(coeffs, dcoeffs, cand, newton_steps)
                     if lifted is None:
                         failures += 1
@@ -383,17 +367,18 @@ def torsion_probe_dim1(G: MultiSeries, level: int,
         digits = [ExtScalar.from_poly(modulus, list(rep))
                   for rep in _residue_reps(ctx.p, modulus.res_degree)]
     cap_level = e * (ctx.abs_precision - 1)
-    vpi = Fraction(1, e) if modulus.tag == "eisenstein" else Fraction(1)
     newton_steps = 2 * (ctx.abs_precision * e).bit_length() + 4
 
-    original = _poly_coeffs_ext(G, modulus)
+    original = [ExtScalar.zero(modulus)] * (G.degree() + 1)
+    for (k,), c in G.ext_terms(modulus):
+        original[k] = c
     deriv = _poly_derivative(original)
     work = original
     roots = []
     failures = 0
     while len(work) > 1:
-        root, fails = _find_small_root(work, modulus, digits, pi, vpi,
-                                       cap_level, newton_steps)
+        root, fails = _find_small_root(work, modulus, digits, pi, cap_level,
+                                       newton_steps)
         failures += fails
         if root is None:
             break

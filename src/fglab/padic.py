@@ -666,10 +666,6 @@ class ExtScalar:
             return cls.from_poly(modulus, [0, 1])
         return cls.from_poly(modulus, [modulus.ctx.p])
 
-    @classmethod
-    def from_base(cls, modulus, scalar) -> "ExtScalar":
-        return cls.from_poly(modulus, [scalar])
-
     @property
     def ctx(self):
         return self.modulus.ctx
@@ -847,7 +843,8 @@ class ExtScalar:
             err = one - self * y
         # y's own precision comes from arithmetic, not from convergence:
         # 1/x - y = err/x with x a unit, so y is true only to v(err)
-        return y.cap_precision(err.valuation_lower_bound())
+        bound = err.prec if err.val is None else err.val
+        return ExtScalar._normal(mod, y.shift, y.ints, min(bound, y.prec))
 
     def inverse(self) -> "ExtScalar":
         if self.is_zero:

@@ -333,6 +333,17 @@ class MultiSeries:
         return [(self.unpack(k), self.coefficient(self.unpack(k)))
                 for k in sorted(self.coeffs)]
 
+    def ext_terms(self, modulus) -> list:
+        """(exponent tuple, ExtScalar) pairs in canonical order: a stored c
+        at degree d is c p^-shift + O(pi^(e prec[d])), capped by ``_normal``
+        at e N powers of pi past its valuation, as ``coefficient`` caps it."""
+        self.ctx.require_same(modulus.ctx)
+        e, ds = modulus.ram_index, self.degshift
+        pad = [0] * (modulus.degree - 1)
+        return [(self.unpack(k), ExtScalar._normal(
+            modulus, -self.shift, [c, *pad], e * self.prof(k >> ds)))
+            for k, c in sorted(self.coeffs.items())]
+
     def degree(self) -> int:
         ds = self.degshift
         return max((k >> ds for k in self.coeffs), default=0)
@@ -494,6 +505,8 @@ class MultiSeries:
                 nexps[positions[i]] += e
             nk = tmp.pack(nexps)
             out[nk] = out.get(nk, 0) + c
+        # _normalized keeps an exact series' integers: drop cancelled sums
+        out = {k: c for k, c in out.items() if c}
         return MultiSeries(self.ctx, new_num_vars, self.shift, self.prec,
                            out)._normalized()
 
@@ -1253,8 +1266,7 @@ def ms_eval(f, theta: PointTuple, polynomial=False) -> EvalResult:
     values = []
     for ft in fs:
         acc = ExtScalar.zero(theta.modulus)
-        for exps, coeff in ft.terms():
-            term = ExtScalar.from_base(theta.modulus, coeff)
+        for exps, term in ft.ext_terms(theta.modulus):
             for i, e in enumerate(exps):
                 if e:
                     term = term * power(i, e)

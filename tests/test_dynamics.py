@@ -7,6 +7,7 @@ import pytest
 
 from fglab.errors import DivergentPoint, DivisionByZero
 from fglab.padic import (
+    INFINITE,
     ExtensionModulus,
     ExtScalar,
     PointTuple,
@@ -92,6 +93,52 @@ def test_bound_check_strict_on_cancellation(ctx5):
     assert rep.holds
     assert rep.value_valuation is None      # zero at working precision
     assert rep.value_floor > rep.copolygon_value
+
+
+def test_bound_check_drops_planes_at_an_exactly_zero_coordinate():
+    """f = x1 x2 + x1^2 at theta = (0, 5) and (0, 0): both planes carry x1,
+    so V_f is infinite, not the value a large stand-in for v(0) gives.  At
+    (5, 0) only the x1^2 plane is left."""
+    ctx = PrecisionContext(5, 10, 6)
+    base = ExtensionModulus.base(ctx)
+    zero, five = ExtScalar.zero(base), ExtScalar.from_poly(base, [5])
+    terms = {(1, 1): 1, (2, 0): 1}
+    certified = MultiSeries.from_terms(ctx, 2, terms)
+    exact = MultiSeries.from_exact_terms(ctx, 2, terms)
+    for point in ((zero, five), (zero, zero)):
+        rep = valuation_bound_check(certified, PointTuple(point))
+        assert rep.copolygon_value == INFINITE
+        # f(theta) is certified zero only to a finite floor, short of V_f
+        assert rep.value_floor < INFINITE and not rep.holds
+        rep = valuation_bound_check(exact, PointTuple(point),
+                                    polynomial=True)
+        assert rep.copolygon_value == INFINITE and rep.value_floor == INFINITE
+        assert rep.holds and rep.strict is False
+    rep = valuation_bound_check(certified, PointTuple([five, zero]))
+    assert rep.copolygon_value == 2 and rep.value_valuation == 2
+    assert rep.holds and rep.strict is False
+
+
+def test_eval_probe_and_bound_check_read_stored_integers(monkeypatch):
+    """ms_eval, the torsion probe and the bound check read each series'
+    stored integers straight into the extension: each still returns with
+    MultiSeries.coefficient, and so terms(), refusing every call."""
+    ctx = PrecisionContext(3, 10, 9)
+    mod = cyclotomic_modulus(ctx, 1)
+    pi = ExtScalar.uniformizer(mod)
+    M = multiplicative_law(ctx)
+    mulp = fg_multiplication_map(M, 3).series
+    f = MultiSeries.from_terms(ctx, 2, {(1, 0): 3, (1, 1): Fraction(1, 3),
+                                        (0, 3): 1})
+
+    def refused(self, exps):
+        raise AssertionError(f"coefficient{tuple(exps)} called")
+
+    monkeypatch.setattr(MultiSeries, "coefficient", refused)
+    assert not ms_eval(M.law, PointTuple([pi, pi ** 2])).value.is_zero
+    ts = torsion_probe_dim1(mulp[0], 1, mod, expected=3, polynomial=True)
+    assert ts.verdict == "complete-in-extension"
+    assert valuation_bound_check(f, PointTuple([pi, pi ** 2])).holds
 
 
 def test_orbit_fixed_origin(ctx5):

@@ -15,6 +15,7 @@ import functools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -142,7 +143,7 @@ def test_inverse_of_a_base_field_element_stays_in_the_base_field():
     ctx = PrecisionContext(3, 14, 8)
     mod = cyclotomic_modulus(ctx, 2)
     for c in (1, 7, 9, Fraction(2, 27)):
-        x = ExtScalar.from_base(mod, c)
+        x = ExtScalar.from_poly(mod, [c])
         y = x.inverse()
         assert y.precision_floor() == ref_valuation(1 / Fraction(c), 3) + 14
         exact = qt_inverse(ext_representative(x, 3), cyclotomic_coeffs(3, 2))
@@ -241,6 +242,68 @@ def test_claims_hold_across_the_input_ball(e, N, xs, ys, caps, lifts, terms,
     f = MultiSeries.from_terms(ctx, 2, terms)
     _check(p, lambda: ms_eval(f, PointTuple(theta), polynomial=True).value,
            lambda: _qt_eval(terms, moved, coeffs))
+
+
+def _read_via_terms(f, modulus):
+    """The per-coefficient read: terms() into PadicScalars, each moved into
+    the extension by from_poly."""
+    return [(exps, ExtScalar.from_poly(modulus, [c]))
+            for exps, c in f.terms()]
+
+
+def _drawn_series(kind, ctx, terms):
+    """An exact series with denominators p^k, a certified one with them
+    (shifted), or a certified one whose terms are cut to drawn absolute
+    precisions (jagged)."""
+    p = ctx.p
+    if kind == "jagged":
+        return MultiSeries.from_terms(ctx, 2, {
+            exps: PadicScalar.exact(ctx, c * p ** k).reduce_abs_precision(r)
+            for exps, (c, k, r) in terms.items()})
+    values = {exps: Fraction(c, p ** k) for exps, (c, k, _) in terms.items()}
+    if kind == "exact":
+        return MultiSeries.from_exact_terms(ctx, 2, values)
+    return MultiSeries.from_terms(ctx, 2, values)
+
+
+@pytest.mark.parametrize("kind", ["exact", "shifted", "jagged"])
+@settings(max_examples=40)
+@given(e=st.sampled_from(sorted(P5_FIELDS)), N=st.integers(2, 10),
+       terms=st.dictionaries(
+           st.tuples(st.integers(0, 4), st.integers(0, 4)),
+           st.tuples(st.integers(-50, 50).filter(bool), st.integers(0, 3),
+                     st.integers(1, 12)), min_size=1, max_size=5),
+       xs=st.lists(st.integers(-625, 625), min_size=1, max_size=20),
+       lifts=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       polynomial=st.booleans())
+def test_ms_eval_reads_as_the_per_coefficient_read(kind, e, N, terms, xs,
+                                                   lifts, polynomial):
+    """ms_eval reads each stored integer straight into the extension.  On
+    exact, shifted and jagged certified series in the p = 5 fields with
+    e = 1, 4 and 20 its value is == to the one the per-coefficient read
+    gives, and it raises where that read raises."""
+    coeffs, tag = P5_FIELDS[e]
+    ctx = PrecisionContext(5, N, 8)
+    mod = ExtensionModulus(ctx, coeffs, tag)
+    pi = ExtScalar.uniformizer(mod)
+    try:
+        f = _drawn_series(kind, ctx, terms)
+        x = ExtScalar.from_poly(mod, xs)
+        theta = PointTuple([pi ** lifts[0] * x, pi ** lifts[1]])
+    except FglabError:
+        return
+
+    def outcome(read):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(MultiSeries, "ext_terms", read)
+            try:
+                return ms_eval(f, theta, polynomial=polynomial).value
+            except FglabError as exc:
+                return type(exc)
+
+    got = outcome(MultiSeries.ext_terms)
+    want = outcome(_read_via_terms)
+    assert type(got) is type(want) and got == want, (got, want)
 
 
 @functools.cache

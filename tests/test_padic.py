@@ -330,7 +330,7 @@ def test_sum_reads_a_zero_operand_at_its_own_precision_on_both_sides():
     precision, so both are known to p^12, a's own precision."""
     ctx = PrecisionContext(5, 8, 2)
     base = ExtensionModulus.base(ctx)
-    z, = (ExtScalar.from_base(base, PadicScalar.zero_at(ctx, 5))
+    z, = (ExtScalar.from_poly(base, [PadicScalar.zero_at(ctx, 5)])
           * ExtScalar.from_poly(base, [5 ** 10])).coeffs
     assert z.is_zero and z.known_precision == 15
     a = PadicScalar.exact(ctx, 3 * 5 ** 4)

@@ -874,6 +874,21 @@ def test_exact_constructor_rejects_other_denominators():
     assert ms.prec is None and _exact_value(ms) == {(1,): Fraction(3, 4)}
 
 
+def test_map_variables_drops_an_exact_sum_that_cancels():
+    """x1 - x2 with both variables sent to x1 is the zero series; its
+    cancelled sum must not stay stored (a stored 0 has no valuation, and
+    vmin would loop on it).  The asserts read plain values first: a failing
+    assert on the series itself would print its repr, which reads the
+    stored 0's valuation too."""
+    ctx = PrecisionContext(3, 5, 4)
+    ms = MultiSeries.from_exact_terms(ctx, 2, {(1, 0): 1, (0, 1): -1})
+    out = ms.map_variables(1, [0, 0])
+    coeffs, is_zero = dict(out.coeffs), out.is_zero
+    assert coeffs == {}
+    assert is_zero
+    assert out.vmin == 0
+
+
 def test_compose_associative_up_to_truncation(ctx5):
     rng = random.Random(11)
     for _ in range(6):
