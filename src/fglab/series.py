@@ -221,12 +221,14 @@ class MultiSeries:
         return cls.from_terms(ctx, num_vars, {exps: 1})
 
     def _normalized(self) -> "MultiSeries":
-        """Reduce per-degree, drop certified zeros, minimize the shift."""
-        if not self.coeffs:
-            return MultiSeries(self.ctx, self.num_vars, 0, self.prec, {})
+        """Reduce per-degree, drop zeros, minimize the shift."""
         p = self.ctx.p
         prec = self.prec
-        if prec is not None:
+        if prec is None:
+            # an exact series keeps its integers whole, less those that cancel
+            self.coeffs = {k: c for k, c in self.coeffs.items() if c}
+            self._summ = self._views_c = None
+        else:
             ds = self.degshift
             mods = {}
             out = {}
@@ -247,8 +249,8 @@ class MultiSeries:
                     out[k] = c
             self.coeffs = out
             self._summ = self._views_c = None
-            if not out:
-                return MultiSeries(self.ctx, self.num_vars, 0, prec, {})
+        if not self.coeffs:
+            return MultiSeries(self.ctx, self.num_vars, 0, prec, {})
         if self.shift > 0:
             # the summary's valuation pass also gives the smallest valuation
             # of the stored integers; its v = w - shift survives the rescale
@@ -505,8 +507,6 @@ class MultiSeries:
                 nexps[positions[i]] += e
             nk = tmp.pack(nexps)
             out[nk] = out.get(nk, 0) + c
-        # _normalized keeps an exact series' integers: drop cancelled sums
-        out = {k: c for k, c in out.items() if c}
         return MultiSeries(self.ctx, new_num_vars, self.shift, self.prec,
                            out)._normalized()
 
@@ -621,12 +621,8 @@ def _sum_of_products(terms, cap):
                     break
                 e = ea + kb
                 out[e] = get(e, 0) + ca * cb
-    if prec is None:
-        return MultiSeries(first.ctx, first.num_vars, shift, None, {
-            k: c for k, c in out.items() if c})._normalized()
-    # reducing per degree drops the zeros
-    return MultiSeries(first.ctx, first.num_vars, shift, tuple(prec),
-                       out)._normalized()
+    return MultiSeries(first.ctx, first.num_vars, shift,
+                       None if prec is None else tuple(prec), out)._normalized()
 
 
 def _lowered(acc, prec) -> list:
