@@ -63,7 +63,6 @@ from .padic import (
 )
 from .series import (
     EvalResult,
-    JacobianMatrix,
     MultiSeries,
     TupleSeries,
     coeff_extract,
@@ -78,7 +77,7 @@ __all__ = [
     "AxiomCertificate", "BoundCheckReport", "Copolygon", "EndoSeries",
     "EvalResult", "ExtScalar", "ExtensionModulus",
     "FormalGroupLaw", "HeightReport", "INFINITE", "IntersectionReport",
-    "JacobianMatrix", "Lt2Result", "LubinTate2Params", "MultiSeries",
+    "Lt2Result", "LubinTate2Params", "MultiSeries",
     "OrbitRecord", "PadicScalar", "PointTuple", "PrecisionContext",
     "ReconstructionTrace", "StabilityVerdict", "TorsionLevelSet",
     "TupleSeries", "additive_law", "coeff_extract", "commutant_reconstruct",

@@ -117,24 +117,13 @@ def _load_tuple(path: str) -> TupleSeries:
 
 
 def _load_group(path: str) -> FormalGroupLaw:
-    """The group law of any series document, its axioms checked afresh.
-
-    A group-law document's certificate is not believed: the law is
-    validated again (AxiomViolation for a false law), and a stored
-    certificate that disagrees with the fresh one is a ParseError.
-    """
+    """The group law of any series document, its axioms checked afresh:
+    ``parse`` validates a group-law document, and any other document is
+    validated here (AxiomViolation for a false law)."""
     obj = parse(_read(path))
-    law = fg_validate(_as_tuple(obj))
     if isinstance(obj, FormalGroupLaw):
-        stored, fresh = obj.certificate, law.certificate
-        for name, a, b in (
-                ("dimension", obj.dimension, law.dimension),
-                ("certified-degree", stored.degree, fresh.degree),
-                ("axioms", stored.axioms, fresh.axioms),
-                ("commutative", stored.commutative, fresh.commutative)):
-            if a != b:
-                raise ParseError(0, f"stored {name} disagrees with the law")
-    return law
+        return obj
+    return fg_validate(_as_tuple(obj))
 
 
 def _rationals(spec: str, flag: str) -> list:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     MixedContext,
@@ -32,7 +33,7 @@ from .series import (
     TupleSeries,
     apply_matrix,
     lift_by_degree,
-    linear_part_matrix,
+    jacobian,
     mat_det,
     mat_inverse,
     mat_mul,
@@ -94,6 +95,24 @@ def _monomials_of_degree(m_vars: int, degree: int):
             yield (first,) + rest
 
 
+class _Operator:
+    """The general operator at one degree, built once: its (component,
+    monomial) basis, the basis ``index``, its matrix, and its inverse (None
+    when singular), computed on first use."""
+
+    def __init__(self, basis, index, matrix):
+        self.basis = basis
+        self.index = index
+        self.matrix = matrix
+
+    @cached_property
+    def inverse(self):
+        try:
+            return mat_inverse(self.matrix)
+        except NotInvertible:
+            return None
+
+
 class _DegreeSolver:
     """Solves D(Lambda_in X) - Lambda_out D(X) = r on homogeneous space.
 
@@ -120,7 +139,7 @@ class _DegreeSolver:
             self._groups = list(groups.values())
             self.lams_out = [lam_out[i][i] for i in range(dim)]
             self._factors = {}        # (i, exponent sum per group) -> factor
-        self._inverse_cache = {}
+        self._operators = {}          # degree -> _Operator
 
     def _factor_valuations(self, degree: int):
         """(valuation, multiplicity) of each distinct diagonal factor at one
@@ -147,7 +166,7 @@ class _DegreeSolver:
         if self.diagonal:
             vals = self._factor_valuations(degree)
             return INFINITE if vals is None else sum(v * m for v, m in vals)
-        det = mat_det(self._operator_matrix(degree))
+        det = mat_det(self._operator(degree).matrix)
         if det.is_zero:
             return INFINITE
         return det.valuation()
@@ -156,14 +175,13 @@ class _DegreeSolver:
         """Worst precision loss of one degree solve; INFINITE when singular.
 
         Diagonal case: the largest per-monomial factor valuation.  General
-        case: the inverse operator is computed (and cached for the solve),
-        and the loss is the most negative entry valuation.
+        case: the most negative entry valuation of the inverse operator.
         """
         if self.diagonal:
             vals = self._factor_valuations(degree)
             return INFINITE if vals is None else max(
                 [0, *(v for v, _ in vals)])
-        inv = self._inverse(degree)
+        inv = self._operator(degree).inverse
         if inv is None:
             return INFINITE
         worst = 0
@@ -172,22 +190,6 @@ class _DegreeSolver:
                 if not x.is_zero:
                     worst = max(worst, -min(0, x.valuation()))
         return worst
-
-    def _inverse(self, degree: int):
-        """Inverse of the operator matrix, cached; None when singular."""
-        if degree not in self._inverse_cache:
-            try:
-                inv = mat_inverse(self._operator_matrix(degree))
-            except NotInvertible:
-                inv = None
-            self._inverse_cache[degree] = inv
-        return self._inverse_cache[degree]
-
-    def lams_in_factor(self, exps, i):
-        """lambda_in^I - lambda_out_i, through the factor of I's exponent
-        sums over the groups of identical lambda_j."""
-        return self._factor(i, tuple(sum(exps[j] for j in members)
-                                     for _, members in self._groups))
 
     def _factor(self, i, sums):
         """prod_g lambda_g^(t_g) - lambda_out_i, computed once per key."""
@@ -200,78 +202,66 @@ class _DegreeSolver:
             f = self._factors[(i, sums)] = prod - self.lams_out[i]
         return f
 
-    def _operator_matrix(self, degree: int):
-        """Explicit matrix of the operator on the monomial basis."""
+    def _operator(self, degree: int) -> _Operator:
+        """The explicit operator on the monomial basis, built once per
+        degree."""
+        op = self._operators.get(degree)
+        if op is not None:
+            return op
         monos = list(_monomials_of_degree(self.num_vars, degree))
-        index = {(i, mono): k for k, (i, mono) in enumerate(
-            (i, m) for i in range(self.dim) for m in monos)}
-        n = len(index)
+        basis = [(i, m) for i in range(self.dim) for m in monos]
+        index = {key: k for k, key in enumerate(basis)}
         ctx = self.ctx
         zero = PadicScalar.zero(ctx)
-        cols = []
+        matrix = [[zero] * len(basis) for _ in basis]
         lam_tuple = apply_matrix(self.lam_in,
                                  TupleSeries.identity(ctx, self.num_vars))
-        for i in range(self.dim):
-            for mono in monos:
-                basis = TupleSeries(
-                    [MultiSeries.from_terms(ctx, self.num_vars,
-                                            {mono: 1}) if t == i else
-                     MultiSeries.zero(ctx, self.num_vars)
-                     for t in range(self.dim)])
-                # D(Lambda X)
-                subst = tuple_compose(basis, lam_tuple, cap=degree)
-                # Lambda_out * D
-                lout = apply_matrix(self.lam_out, basis)
-                img = subst - lout
-                col = [zero] * n
-                for t in range(self.dim):
-                    for exps, c in img.components[t].terms():
-                        col[index[(t, tuple(exps))]] = c
-                cols.append(col)
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        for k, (i, mono) in enumerate(basis):
+            b = TupleSeries(
+                [MultiSeries.from_terms(ctx, self.num_vars,
+                                        {mono: 1}) if t == i else
+                 MultiSeries.zero(ctx, self.num_vars)
+                 for t in range(self.dim)])
+            # column k: the image D(Lambda X) - Lambda_out D of basis element k
+            img = tuple_compose(b, lam_tuple, cap=degree) \
+                - apply_matrix(self.lam_out, b)
+            for t in range(self.dim):
+                for exps, c in img.components[t].terms():
+                    matrix[index[(t, exps)]][k] = c
+        op = self._operators[degree] = _Operator(basis, index, matrix)
+        return op
+
+    def _column(self, degree: int, t: int, exps):
+        """The inverse operator's column at (component t, monomial exps),
+        as ((component, monomial), entry) pairs; SingularStep when the
+        operator has no inverse.  A diagonal operator's column is the one
+        entry 1/(lambda^I - lambda_t)."""
+        if self.diagonal:
+            # lambda^I depends on I only through its sum over each group
+            f = self._factor(t, tuple(sum(exps[j] for j in members)
+                                      for _, members in self._groups))
+            if f.is_zero:
+                raise SingularStep(degree)
+            return [((t, exps), f.inverse())]
+        op = self._operator(degree)
+        if op.inverse is None:
+            raise SingularStep(degree)
+        k = op.index[(t, exps)]
+        return [(key, row[k]) for key, row in zip(op.basis, op.inverse)
+                if not row[k].is_exact_zero]
 
     def solve(self, degree: int, rhs: TupleSeries) -> TupleSeries:
-        """Solve for the homogeneous degree-``degree`` correction."""
-        ctx = self.ctx
-        if self.diagonal:
-            comps = []
-            for i in range(self.dim):
-                terms = {}
-                for exps, c in rhs.components[i].terms():
-                    f = self.lams_in_factor(tuple(exps), i)
-                    if f.is_zero:
-                        raise SingularStep(degree)
-                    terms[tuple(exps)] = c / f
-                comps.append(MultiSeries.from_terms(ctx, self.num_vars, terms))
-            return TupleSeries(comps)
-        monos = list(_monomials_of_degree(self.num_vars, degree))
-        order = [(i, m) for i in range(self.dim) for m in monos]
-        index = {key: k for k, key in enumerate(order)}
-        vec = [PadicScalar.zero(ctx)] * len(order)
-        for i in range(self.dim):
-            for exps, c in rhs.components[i].terms():
-                vec[index[(i, tuple(exps))]] = c
-        inv = self._inverse(degree)
-        if inv is None:
-            raise SingularStep(degree)
-        sol = [None] * len(order)
-        for r in range(len(order)):
-            acc = PadicScalar.zero(ctx)
-            for cidx in range(len(order)):
-                if vec[cidx].is_exact_zero:
-                    continue
-                acc = acc + inv[r][cidx] * vec[cidx]
-            sol[r] = acc
-        comps = []
-        for i in range(self.dim):
-            terms = {}
-            for m in monos:
-                val = sol[index[(i, m)]]
-                if not val.is_exact_zero:
-                    terms[m] = val
-            comps.append(MultiSeries.from_terms(ctx, self.num_vars, terms)
-                         if terms else MultiSeries.zero(ctx, self.num_vars))
-        return TupleSeries(comps)
+        """Solve for the homogeneous degree-``degree`` correction: each
+        stored residual term c adds c times the inverse operator's column
+        at its (component, monomial)."""
+        zero = PadicScalar.zero(self.ctx)
+        sol = [{} for _ in range(self.dim)]
+        for t, comp in enumerate(rhs.components):
+            for exps, c in comp.terms():
+                for (i, mono), x in self._column(degree, t, exps):
+                    sol[i][mono] = sol[i].get(mono, zero) + x * c
+        return TupleSeries([MultiSeries.from_terms(self.ctx, self.num_vars,
+                                                   terms) for terms in sol])
 
 
 def _linear_part(u: TupleSeries):
@@ -280,7 +270,7 @@ def _linear_part(u: TupleSeries):
         raise MixedContext("u(0) must be 0")
     if u.num_vars != u.dim:
         raise MixedContext("u must be d-in-d")
-    return linear_part_matrix(u)
+    return jacobian(u)
 
 
 def stability_classify(u: TupleSeries) -> StabilityVerdict:

@@ -23,7 +23,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .padic import INFINITE, ExtScalar, ExtensionModulus, PointTuple, _vp
-from .series import MultiSeries, TupleSeries, linear_part_matrix, mat_det, ms_eval
+from .series import MultiSeries, TupleSeries, jacobian, mat_det, ms_eval
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def orbit_analyze(mapping: TupleSeries, theta0: PointTuple,
         raise MixedContext("orbit map must fix the origin")
     if not theta0.valuation_lower_bound() > 0:
         raise DivergentPoint("orbit start needs positive valuation")
-    lam = linear_part_matrix(mapping)
+    lam = jacobian(mapping)
     det = mat_det(lam)
     nonzero_lam = any(not x.is_zero for row in lam for x in row)
     noninvertible = det.is_zero or det.valuation() > 0

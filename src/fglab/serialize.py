@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError, VersionMismatch
-from .formal_group import AxiomCertificate, FormalGroupLaw
-from .padic import ExtensionModulus, PrecisionContext
+from .errors import BadArgument, ParseError, VersionMismatch
+from .formal_group import FormalGroupLaw, fg_validate
+from .padic import ExtensionModulus, PrecisionContext, _vp
 from .series import Envelope, MultiSeries, TupleSeries
 
 FORMAT_VERSION = "v1"
@@ -63,6 +63,14 @@ def serialize(obj, kind: str | None = None) -> str:
         # each entry with the digits the header certifies at its degree
         env = comp.profile
         if env is None:
+            # an exact entry is written as its unit's N digits, so the unit
+            # must be one of 1 .. p^N - 1 to read back as itself
+            top = ctx.p ** ctx.abs_precision
+            if any(not 0 < c // ctx.p ** _vp(c, ctx.p) < top
+                   for c in comp.coeffs.values()):
+                raise BadArgument(
+                    f"component {idx} has an exact coefficient with no "
+                    f"{ctx.abs_precision}-digit exact form")
             lines.append(f"component {idx} profile exact")
         else:
             lines.append(f"component {idx} profile {env.p0} "
@@ -124,7 +132,9 @@ def parse(text: str):
     """Parse a canonical document back into its object.
 
     Returns a MultiSeries, TupleSeries, or FormalGroupLaw depending on the
-    document kind; parsing then serializing reproduces the bytes.
+    document kind; parsing then serializing reproduces the bytes.  A group
+    law is returned only once ``fg_validate`` confirms it and the
+    certificate the document states.
     """
     r = _Reader(text)
     line, ln = r.next()
@@ -255,9 +265,17 @@ def parse(text: str):
         return tup
     if dimension is None or cert_degree is None or axioms is None:
         raise ParseError(ln, "group-law document missing certificate fields")
-    cert = AxiomCertificate(degree=cert_degree, axioms=axioms,
-                            commutative=commutative)
-    return FormalGroupLaw(dimension, tup, cert)
+    # the stated certificate is not believed: the law is validated afresh
+    # (AxiomViolation for a false law), and must state what that finds
+    law = fg_validate(tup)
+    fresh = law.certificate
+    for name, a, b in (("dimension", dimension, law.dimension),
+                       ("certified-degree", cert_degree, fresh.degree),
+                       ("axioms", axioms, fresh.axioms),
+                       ("commutative", commutative, fresh.commutative)):
+        if a != b:
+            raise ParseError(0, f"stored {name} disagrees with the law")
+    return law
 
 
 # ---------------------------------------------------------------------------

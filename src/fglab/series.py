@@ -350,9 +350,6 @@ class MultiSeries:
         ds = self.degshift
         return max((k >> ds for k in self.coeffs), default=0)
 
-    def constant_term(self) -> PadicScalar:
-        return self.coefficient((0,) * self.num_vars)
-
     # -- ring operations ---------------------------------------------------------
 
     def _require_compatible(self, other: "MultiSeries"):
@@ -557,12 +554,13 @@ def _sum_of_products(terms, cap):
     ea*b + A*eb (A, B the stored parts, ea, eb the uncertainties), so
     degree k is known to the least w_a[i] + pe_b[j] and pe_a[i] + v_b[j]
     over i + j = k (``_product_views``; v_b for w_b drops only pe_a[i] +
-    prec_b[j], which the first bounds).  Reducing the sum once so leaves the residues of the
-    ``_sum`` of each product's ``mul``, except where the sum certifies below
-    p^1 through ``cap``: a product there, formed on its own first, raises
-    PrecisionExhausted for a nonzero coefficient another term cancels.
-    Terms with an exact-zero factor are skipped; a lone addend comes back
-    as it is.
+    prec_b[j], which the first bounds).  Where it returns, reducing the sum
+    once so leaves the residues of the ``_sum`` of each product's ``mul``.
+    The one pass keeps every raw key, even one that cancels or that its
+    product alone would drop as zero at its own precision, so it raises
+    PrecisionExhausted at every degree certified below p^1 where a term
+    stores one.  Terms with an exact-zero factor are skipped; a lone addend
+    comes back as it is.
     """
     live = []
     first = prec = None
@@ -592,10 +590,6 @@ def _sum_of_products(terms, cap):
         return MultiSeries.zero(first.ctx, first.num_vars)
     if len(live) == 1 and live[0][1] is None:
         return live[0][0]
-    if cap is not None and len(live) > 1 and prec is not None \
-            and min(prec[:cap + 1], default=INFINITE) < 1:
-        live = [(a if b is None else _sum_of_products(((a, b),), cap), None)
-                for a, b in live]
     p = first.ctx.p
     shift = max(a.shift + (0 if b is None else b.shift) for a, b in live)
     out = {}
@@ -1022,41 +1016,17 @@ class _RelaxedCompose:
 # Jacobians and linear algebra over scalars
 # ---------------------------------------------------------------------------
 
-class JacobianMatrix:
-    """d1 x d2 matrix of partials; entries are scalars (at 0) or series."""
-
-    __slots__ = ("entries", "at_zero")
-
-    def __init__(self, entries, at_zero):
-        self.entries = [list(row) for row in entries]
-        self.at_zero = at_zero
-
-    @property
-    def shape(self):
-        return (len(self.entries), len(self.entries[0]))
-
-    def block(self, col_start, col_stop) -> "JacobianMatrix":
-        return JacobianMatrix(
-            [row[col_start:col_stop] for row in self.entries], self.at_zero)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def to_rows(self):
-        return [list(row) for row in self.entries]
-
-
-def jacobian(h: TupleSeries, at_zero: bool = True) -> JacobianMatrix:
-    """J(h) = [d h_i / d x_j], symbolic or evaluated at the origin."""
-    rows = []
-    for comp in h.components:
-        row = []
-        for j in range(h.num_vars):
-            d = comp.derivative(j)
-            row.append(d.constant_term() if at_zero else d)
-        rows.append(row)
-    return JacobianMatrix(rows, at_zero)
+def jacobian(h: TupleSeries, at_zero: bool = True) -> list:
+    """J(h) = [d h_i / d x_j] as rows: at the origin the coefficient of x_j
+    in h_i, which is what ``derivative(j)`` keeps as its constant term (the
+    linear integer, certified to prec[1]); otherwise the partial
+    derivative series."""
+    n = h.num_vars
+    if not at_zero:
+        return [[comp.derivative(j) for j in range(n)]
+                for comp in h.components]
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return [[comp.coefficient(e) for e in units] for comp in h.components]
 
 
 def mat_mul(a, b):
@@ -1153,11 +1123,6 @@ def apply_matrix(mat, t: TupleSeries) -> TupleSeries:
                         for row in mat])
 
 
-def linear_part_matrix(h: TupleSeries):
-    """J_0(h) as a plain list-of-lists of scalars."""
-    return jacobian(h, at_zero=True).to_rows()
-
-
 # ---------------------------------------------------------------------------
 # degree-by-degree lifts and the compositional inverse
 # ---------------------------------------------------------------------------
@@ -1197,7 +1162,7 @@ def compositional_inverse(h: TupleSeries) -> TupleSeries:
         raise MixedContext("compositional inverse needs a d-in-d tuple")
     if not h.constant_is_zero():
         raise NonzeroConstantTerm("h(0) != 0")
-    j0 = linear_part_matrix(h)
+    j0 = jacobian(h)
     det = mat_det(j0)
     if det.is_zero:
         raise NotInvertible("linear part has zero determinant at precision")

@@ -324,6 +324,28 @@ def test_general_operator_group_from_jacobian_against_the_fraction_solve():
     assert min(c.prof(6) for c in H) >= 10
 
 
+def test_reconstruct_builds_each_general_operator_once(monkeypatch):
+    """With a non-diagonal J0(u), commutant_reconstruct builds each
+    degree's operator matrix once, one capped composition per (component,
+    monomial) basis element: the solve and the trace's determinant share
+    it."""
+    u, _ = _general_u()
+    caps = []
+    real_compose = cm.tuple_compose
+
+    def counting(f, g, cap=None):
+        if cap is not None:
+            caps.append(cap)
+        return real_compose(f, g, cap=cap)
+
+    monkeypatch.setattr(cm, "tuple_compose", counting)
+    trace = commutant_reconstruct(u, [[2, 0], [0, 2]])
+    assert [k for k, _, _ in trace.steps] == [2, 3, 4, 5, 6]
+    # 2 components times the k + 1 monomials of degree k in 2 variables
+    assert {k: caps.count(k) for k in set(caps)} == \
+        {k: 2 * (k + 1) for k in range(2, 7)}
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_reconstruct_accounts_for_absent_residual_terms():
     """At p=2, N=6, D=3, h commuting with [3]_M with J0(h) = 18/7 has x^3

@@ -224,7 +224,7 @@ def test_multiplication_padic_multiplier():
         binom /= math.factorial(k)
         assert series.coefficient((k,)).same_at_working_precision(binom)
     J = jacobian(endo.series)
-    assert J[0, 0].same_at_working_precision(a)
+    assert J[0][0].same_at_working_precision(a)
 
 
 @pytest.mark.parametrize("pnd", [(3, 12, 6), (2, 14, 8)])
@@ -378,7 +378,7 @@ def test_lt2_build(p, h1, h2):
     for i in range(2):
         for j in range(2):
             want = p if i == j else 0
-            assert J[i, j].same_at_working_precision(want)
+            assert J[i][j].same_at_working_precision(want)
     # height h1 + h2 via the monomial basis count
     rep = height_and_kernel_count(res.group, 1, mul_p=res.mul_p.series)
     assert rep.height == h1 + h2

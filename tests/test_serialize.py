@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fglab.errors import BadArgument, FglabError, ParseError, VersionMismatch
+from fglab.errors import (
+    AxiomViolation,
+    BadArgument,
+    FglabError,
+    ParseError,
+    VersionMismatch,
+)
 from fglab.padic import ExtensionModulus, PrecisionContext
 from fglab.series import MultiSeries
 from fglab.formal_group import (
@@ -171,6 +177,38 @@ def test_exact_profile_document_scales():
             assert out.coefficient(exps).same_at_working_precision(c * s)
     assert serialize(parse(serialize(exact.scale(3)))) == \
         serialize(exact.scale(3))
+
+
+@pytest.mark.parametrize("c", [17, -1])
+def test_serialize_refuses_an_exact_unit_with_no_n_digit_form(c):
+    """An exact entry is written as its unit's N digits, so at p=2, N=4 the
+    coefficient 17 was written as 1 and read back as 1, and -1 read back
+    as 15.  Both are refused; 15, whose unit fits in four digits, still
+    reads back as itself."""
+    ctx = PrecisionContext(2, 4, 3)
+    with pytest.raises(BadArgument):
+        serialize(MultiSeries.from_exact_terms(ctx, 1, {(1,): c}))
+    fits = MultiSeries.from_exact_terms(ctx, 1, {(1,): 15, (2,): 12})
+    assert parse(serialize(fits)).identical(fits)
+
+
+def test_parse_refuses_a_false_law_that_states_a_certificate():
+    """X + 2Y + XY is no group law: its document, carrying the
+    multiplicative law's certificate, is refused by parse itself, not only
+    by the CLI readers that validate it again."""
+    doc = serialize(multiplicative_law(PrecisionContext(5, 12, 8)))
+    false_law = doc.replace("0 1 | 0 | 1 ", "0 1 | 0 | 2 ", 1)
+    assert false_law != doc and "axioms: linear-part" in false_law
+    with pytest.raises(AxiomViolation):
+        parse(false_law)
+
+
+def test_parse_refuses_a_certificate_the_law_does_not_earn():
+    """A true law whose document states another certified degree is a
+    ParseError from parse."""
+    doc = serialize(multiplicative_law(PrecisionContext(5, 12, 8)))
+    with pytest.raises(ParseError, match="certified-degree"):
+        parse(doc.replace("certified-degree: 8", "certified-degree: 7"))
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -48,7 +48,6 @@ from fglab.series import (
     compositional_inverse,
     jacobian,
     lift_by_degree,
-    linear_part_matrix,
     mat_det,
     mat_inverse,
     ms_eval,
@@ -494,8 +493,8 @@ def test_sum_of_products_is_the_fraction_sum_at_the_min_profile(data, p, n,
     (None when all are exact).  Every digit it certifies, stored or absent, agrees
     with the poly_mul and poly_add oracle on any inputs the terms' own
     claims allow.  It is identical to forming each product with ``mul``
-    and taking the ``_sum``, and raises PrecisionExhausted exactly when
-    that does."""
+    and taking the ``_sum``, and raises PrecisionExhausted where that
+    does, and otherwise only at a degree certified below p^1."""
     ctx = PrecisionContext(p, N, D)
     cap = data.draw(st.integers(1, D))
     try:
@@ -511,7 +510,13 @@ def test_sum_of_products_is_the_fraction_sum_at_the_min_profile(data, p, n,
         with pytest.raises(PrecisionExhausted):
             _sum_of_products(terms, cap)
         return
-    got = _sum_of_products(terms, cap)
+    try:
+        got = _sum_of_products(terms, cap)
+    except PrecisionExhausted:
+        # a raw key that a product alone drops, at a degree certified
+        # below p^1
+        assert min(want.prec[:cap + 1]) < 1
+        return
     assert got.identical(want)
     vectors, exact = [], {}
     for a, b in terms:
@@ -564,6 +569,25 @@ def test_sum_of_products_raises_where_a_product_on_its_own_raises():
         a.mul(a)
     with pytest.raises(PrecisionExhausted):
         _sum_of_products([(a, a), (cancel, None)], 2)
+
+
+def test_sum_of_products_raises_on_a_key_a_product_alone_drops():
+    """At p=5, N=6, D=4, cap 2: (x/125)(O(5^2) at degree 1) knows degree 2
+    only to 5^-1 and stores nothing there; x (degree 0 known to 5) times
+    5^5 x (degree 2 known to 5^2) stores 5^5 x^2, which its own precision,
+    5^3, drops.  The sum keeps that raw key at a degree certified below
+    p^1, so it raises PrecisionExhausted."""
+    ctx = PrecisionContext(5, 6, 4)
+    a = MultiSeries.from_exact_terms(ctx, 1, {(1,): Fraction(1, 125)})
+    b = MultiSeries(ctx, 1, 0, (INFINITE, 2), {})
+    x = MultiSeries(ctx, 1, 0, (1,), {}) + \
+        MultiSeries.from_exact_terms(ctx, 1, {(1,): 1})
+    y = MultiSeries(ctx, 1, 0, (INFINITE, INFINITE, 2), {}) + \
+        MultiSeries.from_exact_terms(ctx, 1, {(1,): 5 ** 5})
+    assert a.mul(b, cap=2).prof(2) == -1 and not a.mul(b, cap=2).coeffs
+    assert x.mul(y, cap=2).prof(2) == 3 and not x.mul(y, cap=2).coeffs
+    with pytest.raises(PrecisionExhausted):
+        _sum_of_products([(a, b), (x, y)], 2)
 
 
 def test_compose_and_apply_matrix_never_fold_add(monkeypatch):
@@ -777,7 +801,7 @@ def test_inverse_is_identical_to_the_per_cap_lift(p, d):
     ident = TupleSeries.identity(ctx, d)
     for _ in range(4):
         h = _seeded_invertible(rng, ctx, d)
-        j0inv = mat_inverse(linear_part_matrix(h))
+        j0inv = mat_inverse(jacobian(h))
         want = _per_cap_lift(apply_matrix(j0inv, ident),
                              lambda f, k: ident - tuple_compose(h, f, cap=k),
                              lambda k, r: apply_matrix(j0inv, r))
@@ -796,7 +820,7 @@ def test_inverse_certifies_at_least_the_per_cap_lift(p, d, N):
     ident = TupleSeries.identity(ctx, d)
     for _ in range(3):
         h = _seeded_invertible(rng, ctx, d, lowest=-2)
-        j0inv = mat_inverse(linear_part_matrix(h))
+        j0inv = mat_inverse(jacobian(h))
         try:
             want = _per_cap_lift(
                 apply_matrix(j0inv, ident),
@@ -905,9 +929,9 @@ def test_chain_rule_at_zero(ctx5):
     for _ in range(6):
         f = _random_tuple(ctx5, 2, 2, rng)
         g = _random_tuple(ctx5, 2, 2, rng)
-        j_fg = linear_part_matrix(tuple_compose(f, g))
-        jf = linear_part_matrix(f)
-        jg = linear_part_matrix(g)
+        j_fg = jacobian(tuple_compose(f, g))
+        jf = jacobian(f)
+        jg = jacobian(g)
         prod = [[jf[i][0] * jg[0][j] + jf[i][1] * jg[1][j]
                  for j in range(2)] for i in range(2)]
         for i in range(2):
@@ -918,15 +942,15 @@ def test_chain_rule_at_zero(ctx5):
 def test_jacobian_examples(ctx5):
     ident = TupleSeries.identity(ctx5, 2)
     J = jacobian(ident)
-    assert J[0, 0].same_at_working_precision(1)
-    assert J[0, 1].is_zero
+    assert J[0][0].same_at_working_precision(1)
+    assert J[0][1].is_zero
     # linear part (p x1, p x2) has Jacobian diag(p, p)
     u = TupleSeries([MultiSeries.from_terms(ctx5, 2, {(1, 0): 5}),
                      MultiSeries.from_terms(ctx5, 2, {(0, 1): 5})])
     Ju = jacobian(u)
-    assert Ju[0, 0].same_at_working_precision(5)
-    assert Ju[1, 1].same_at_working_precision(5)
-    assert Ju[0, 1].is_zero and Ju[1, 0].is_zero
+    assert Ju[0][0].same_at_working_precision(5)
+    assert Ju[1][1].same_at_working_precision(5)
+    assert Ju[0][1].is_zero and Ju[1][0].is_zero
     # h = (x1 + x2^2, x2 + x1 x2) -> identity at 0
     h = TupleSeries([MultiSeries.from_terms(ctx5, 2, {(1, 0): 1, (0, 2): 1}),
                      MultiSeries.from_terms(ctx5, 2, {(0, 1): 1, (1, 1): 1})])
@@ -934,9 +958,9 @@ def test_jacobian_examples(ctx5):
     for i in range(2):
         for j in range(2):
             if i == j:
-                assert Jh[i, j].same_at_working_precision(1)
+                assert Jh[i][j].same_at_working_precision(1)
             else:
-                assert Jh[i, j].is_zero
+                assert Jh[i][j].is_zero
 
 
 def test_jacobian_symbolic_blocks(ctx5):
@@ -946,14 +970,48 @@ def test_jacobian_symbolic_blocks(ctx5):
                                          (0, 1, 0, 1): 1}),
         MultiSeries.from_terms(ctx5, 4, {(0, 1, 0, 0): 1, (0, 0, 0, 1): 1})])
     J = jacobian(F, at_zero=False)
-    assert J.shape == (2, 4)
-    bx = jacobian(F).block(0, 2)
-    by = jacobian(F).block(2, 4)
+    assert (len(J), len(J[0])) == (2, 4)
+    bx = [row[0:2] for row in jacobian(F)]
+    by = [row[2:4] for row in jacobian(F)]
     for i in range(2):
         for j in range(2):
             want = 1 if i == j else 0
-            assert bx[i, j].same_at_working_precision(want)
-            assert by[i, j].same_at_working_precision(want)
+            assert bx[i][j].same_at_working_precision(want)
+            assert by[i][j].same_at_working_precision(want)
+
+
+def _jacobian_by_derivatives(h):
+    """J0(h) read as each component's derivative, then its constant
+    coefficient."""
+    n = h.num_vars
+    return [[comp.derivative(j).coefficient((0,) * n) for j in range(n)]
+            for comp in h.components]
+
+
+@settings(max_examples=200)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5]), n=st.integers(1, 3),
+       d=st.integers(1, 3), N=st.integers(2, 8), D=st.integers(2, 5))
+def test_jacobian_at_zero_is_the_derivative_read(data, p, n, d, N, D):
+    """jacobian(h) reads each entry straight from the coefficient of x_j:
+    on exact components, certified ones and ones with p-power
+    denominators (a shift), each entry is identical to the derivative's
+    constant coefficient, or both raise the same error."""
+    ctx = PrecisionContext(p, N, D)
+    try:
+        h = TupleSeries([_drawn_addend(data, ctx, n) for _ in range(d)])
+    except FglabError:
+        return
+    try:
+        want = _jacobian_by_derivatives(h)
+    except FglabError as exc:
+        with pytest.raises(type(exc)):
+            jacobian(h)
+        return
+    got = jacobian(h)
+    assert [len(row) for row in got] == [n] * d
+    for row_got, row_want in zip(got, want):
+        for x, y in zip(row_got, row_want):
+            assert x.identical(y)
 
 
 def test_compositional_inverse_identity(ctx5):
@@ -1095,7 +1153,7 @@ def test_mat_inverse_keeps_an_inexact_zero_factor():
         MultiSeries.from_terms(ctx, 2, {(0, 1): 4}),
         MultiSeries.from_terms(ctx, 2, {(1, 0): 18, (0, 1): 17,
                                         (2, 0): Fraction(-4, 25)})])
-    j0 = linear_part_matrix(h)
+    j0 = jacobian(h)
     assert j0[0][0].is_zero and not j0[0][0].is_exact_zero
     inv = mat_inverse(j0)
     assert inv[1][1].is_zero and not inv[1][1].is_exact_zero
