@@ -20,6 +20,7 @@ to documented exit codes so scripts can dispatch without scraping text:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -154,7 +155,11 @@ def _fmt_val(v) -> str:
     return "inf" if v is INFINITE else str(v)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused:
+    ``parse_args`` makes a fresh namespace each time, and no default is
+    mutable."""
     ap = argparse.ArgumentParser(
         prog="fglab",
         description="exact p-adic formal groups and nonarchimedean dynamics")
@@ -245,8 +250,11 @@ def main(argv=None) -> int:
     sp.add_argument("--group", required=True)
     sp.add_argument("--level", type=int, default=1)
     add_fmt(sp)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except FglabError as exc:

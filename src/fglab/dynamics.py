@@ -160,6 +160,8 @@ def orbit_analyze(mapping: TupleSeries, theta0: PointTuple,
     strict valuation increase of the orbit is checked at every step.
     ``polynomial`` asserts the map is exact (see ms_eval).
     """
+    if budget < 0:
+        raise BadArgument("budget must be >= 0")
     if mapping.num_vars != mapping.dim:
         raise MixedContext("orbit map must be d-in-d")
     if not mapping.constant_is_zero():

@@ -1,12 +1,15 @@
 """End-to-end command-line runs, exit codes, machine-readable reports."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from fglab.cli import main
+from fglab.cli import _parser, main
 from fglab.formal_group import fg_multiplication_map
 from fglab.padic import ExtensionModulus, PrecisionContext
 from fglab.serialize import parse, serialize, serialize_extension
@@ -17,6 +20,7 @@ from fglab.padic import teichmuller
 from conftest import assert_series_matches, cyclotomic_modulus
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -418,6 +422,8 @@ def docs(tmp_path_factory):
     (("mul-map", "--in", "M5", "--a", "1/5"), 1),
     (("mul-map", "--in", "M5", "--a", "1,2"), 1),
     (("orbit", "--map", "U", "--extension", "EXT", "--point", "q"), 1),
+    (("orbit", "--map", "U", "--extension", "EXT", "--point", "5",
+      "--budget", "-1"), 1),
     (("copolygon", "--in", "F", "--xi", "a,b"), 1),
     (("copolygon", "--in", "F", "--xi", "1"), 1),
     (("copolygon", "--in", "LAW2", "--xi", "1,1"), 1),
@@ -490,3 +496,98 @@ def test_readers_refuse_a_disagreeing_certificate(docs, tmp_path, capsys,
     code, out, err = run(capsys, *reader, str(path))
     assert code == 13 and out == ""
     assert err.startswith("fglab: line 0: stored ")
+
+
+def run_to_exit(capsys, *argv):
+    """Like ``run``, for command lines on which argparse itself exits
+    (usage errors, ``--help``)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_parser_is_built_once():
+    assert _parser() is _parser()
+
+
+@pytest.mark.parametrize("bare, extra", [
+    (("build-lt2", "--p", "2", "--h1", "1", "--h2", "1"),
+     ("--degree", "5", "--precision", "13", "--out-group", "G",
+      "--out-log", "L", "--out-mulp", "M", "--format", "machine",
+      "--out", "O")),
+    (("orbit", "--map", "U", "--extension", "EXT", "--point", "5"),
+     ("--polynomial", "--budget", "3", "--format", "machine", "--out", "O")),
+], ids=["build-lt2", "orbit"])
+def test_flags_do_not_leak_into_the_next_call(docs, tmp_path, capsys, bare,
+                                              extra):
+    """One process, one parser: a call that sets every optional flag leaves
+    nothing behind for the bare command that follows it."""
+    paths = {k: str(tmp_path / k) for k in ("G", "L", "M", "O")}
+    paths.update(docs)
+    bare = [paths.get(a, a) for a in bare]
+    extra = [paths.get(a, a) for a in extra]
+    _parser.cache_clear()
+    first = run(capsys, *bare)
+    full = run(capsys, *bare, *extra)
+    assert full != first
+    assert run(capsys, *bare) == first
+    assert run(capsys, *bare, *extra) == full
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("--help",), 0),
+    (("build-lt2", "--help"), 0),
+    (("build-lt2", "--p", "2"), 2),
+    (("no-such-command",), 2),
+], ids=["help", "build-lt2-help", "missing-flag", "unknown-command"])
+def test_usage_and_help_repeat_byte_for_byte(capsys, monkeypatch, argv, want):
+    """argparse's own exits print the same bytes on a fresh parser and on
+    the cached one, also when the terminal width changes in between."""
+    _parser.cache_clear()
+    first = run_to_exit(capsys, *argv)
+    assert first[0] == want
+    assert (first[1] if want == 0 else first[2]).startswith("usage: fglab")
+    assert run_to_exit(capsys, *argv) == first
+    monkeypatch.setenv("COLUMNS", "50")
+    cached = run_to_exit(capsys, *argv)
+    _parser.cache_clear()
+    assert run_to_exit(capsys, *argv) == cached
+
+
+def _cli_process(cwd, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "fglab.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_one_shot_process(tmp_path, capsys, monkeypatch):
+    """``python -m fglab.cli`` in a fresh interpreter: the golden law byte
+    for byte, argparse's exit 2, and a parse error's exit 13 with the
+    stderr of the in-process call."""
+    monkeypatch.setenv("COLUMNS", "80")   # usage wraps alike in both runs
+    proc = _cli_process(tmp_path, "build-lt2", "--p", "2", "--h1", "1",
+                        "--h2", "1", "--out-group", "F")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "F").read_bytes() == \
+        (GOLDEN / "lt2_p2_h11_group.doc").read_bytes()
+
+    missing = ("build-lt2", "--p", "2")
+    proc = _cli_process(tmp_path, *missing)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        run_to_exit(capsys, *missing)
+
+    bad = tmp_path / "truncated.doc"
+    bad.write_text("".join(
+        (GOLDEN / "multiplicative_p5.doc").read_text().splitlines(True)[:5]))
+    argv = ("validate-group", "--in", str(bad))
+    proc = _cli_process(tmp_path, *argv)
+    assert proc.returncode == 13 and proc.stdout == ""
+    assert proc.stderr.startswith("fglab: ")
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fglab.errors import DivergentPoint, DivisionByZero
+from fglab.errors import BadArgument, DivergentPoint, DivisionByZero
 from fglab.padic import (
     INFINITE,
     ExtensionModulus,
@@ -194,6 +194,20 @@ def test_orbit_inconclusive_on_budget(ctx5):
     pi = ExtScalar.uniformizer(cyclotomic_modulus(ctx5, 1))
     rec = orbit_analyze(two, PointTuple([pi]), budget=3, polynomial=True)
     assert rec.status == "inconclusive"
+
+
+def test_orbit_rejects_a_negative_budget(ctx5):
+    """A negative budget is outside the flag's domain, even at the origin,
+    whose orbit needs no step; budget 0 is a valid empty run."""
+    M = multiplicative_law(ctx5)
+    two = fg_multiplication_map(M, 2).series
+    mod = cyclotomic_modulus(ctx5, 1)
+    for start in (ExtScalar.uniformizer(mod), ExtScalar.zero(mod)):
+        with pytest.raises(BadArgument, match="budget must be >= 0"):
+            orbit_analyze(two, PointTuple([start]), budget=-1)
+    rec = orbit_analyze(two, PointTuple([ExtScalar.uniformizer(mod)]),
+                        budget=0)
+    assert rec.status == "inconclusive" and rec.budget == 0
 
 
 def test_orbit_rejects_unit_start(ctx5):
