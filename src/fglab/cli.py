@@ -165,11 +165,15 @@ def _parser() -> argparse.ArgumentParser:
         description="exact p-adic formal groups and nonarchimedean dynamics")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_fmt(sp):
-        sp.add_argument("--format", choices=("table", "machine"),
-                        default="table")
+    def add_out(sp):
         sp.add_argument("--out", default=None,
                         help="output path ('-' for stdout)")
+
+    def add_fmt(sp):
+        """--out, and --format for a command that prints a report."""
+        sp.add_argument("--format", choices=("table", "machine"),
+                        default="table")
+        add_out(sp)
 
     sp = sub.add_parser("build-lt2", help="2-dimensional Lubin-Tate build")
     sp.add_argument("--p", type=int, required=True)
@@ -188,26 +192,26 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("negation", help="negation series of a group law")
     sp.add_argument("--in", dest="infile", required=True)
-    add_fmt(sp)
+    add_out(sp)
 
     sp = sub.add_parser("mul-map", help="[a]_F multiplication series")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--a", required=True,
                     help="integer or rational in Z_p (e.g. 3 or 1/7)")
-    add_fmt(sp)
+    add_out(sp)
 
     sp = sub.add_parser("reconstruct",
                         help="commuting series from its Jacobian at 0")
     sp.add_argument("--u", required=True, help="tuple-series document")
     sp.add_argument("--j0", required=True, help="matrix 'a,b;c,d'")
-    add_fmt(sp)
+    add_out(sp)
 
     sp = sub.add_parser("group-from-jacobian",
                         help="two-block reconstruction (group law from u)")
     sp.add_argument("--u", required=True)
     sp.add_argument("--bx", default=None, help="X-block matrix (default Id)")
     sp.add_argument("--by", default=None, help="Y-block matrix (default Id)")
-    add_fmt(sp)
+    add_out(sp)
 
     sp = sub.add_parser("stability", help="stability classification")
     sp.add_argument("--u", required=True)

@@ -131,10 +131,10 @@ class _DegreeSolver:
         if self.diagonal:
             # input variables whose lambda_j are identical form one group:
             # lambda^I depends only on the exponent sum over each group
-            groups = {}               # stored (v, unit, rel) -> (lambda, vars)
+            groups = {}               # stored (v, unit, prec) -> (lambda, vars)
             for j in range(num_vars):
                 lam = lam_in[j][j]
-                key = (lam.v, lam.unit, lam.rel)
+                key = (lam.v, lam.unit, lam.prec)
                 groups.setdefault(key, (lam, []))[1].append(j)
             self._groups = list(groups.values())
             self.lams_out = [lam_out[i][i] for i in range(dim)]

@@ -230,7 +230,7 @@ def fg_multiplication_map(F: FormalGroupLaw, a) -> EndoSeries:
         raise BadArgument(
             "a p-adic multiplier needs a law with p-integral coefficients")
     D = F.ctx.degree_cap
-    known = min(a.known_precision, F.ctx.abs_precision)
+    known = min(a.prec, F.ctx.abs_precision)
     target = known - _vp_factorial(D, F.ctx.p)
     if target < 1:
         raise PrecisionExhausted(
@@ -447,13 +447,22 @@ def _check_lt2_congruences(mulp: TupleSeries, params) -> dict:
         terms = {comp.unpack(k): c for k, c in comp.coeffs.items()}
         lin_ok &= {e: c for e, c in terms.items() if sum(e) <= 1} \
             == {(int(i == 0), int(i == 1)): p}
-        modp_ok &= {e: c % p for e, c in terms.items() if c % p} \
-            == {want_exp: 1}
+        modp_ok &= _residues(comp) == {want_exp: 1}
     return {
         "linear_part_is_p_times_identity": lin_ok,
         "frobenius_shape_mod_p": modp_ok,
         "frobenius_exponents": (p ** params.h1, p ** params.h2),
     }
+
+
+def _residues(comp: MultiSeries) -> dict:
+    """{exponents: coefficient mod p} over the nonzero residues of a
+    series with p-integral coefficients.  Every constructor leaves the
+    least shift, so a positive shift means a non-integral coefficient."""
+    if comp.shift > 0:
+        raise UnsupportedShape("[p]_F has a non-integral coefficient")
+    p = comp.ctx.p
+    return {comp.unpack(k): c % p for k, c in comp.coeffs.items() if c % p}
 
 
 # ---------------------------------------------------------------------------
@@ -476,24 +485,15 @@ def height_and_kernel_count(F: FormalGroupLaw, level: int = 1,
     u2 x_b^e2) mod p and counts the monomial basis of the residue ring over
     the image subring.  Anything else is UnsupportedShape.
     """
-    if level < 1:
-        raise BadArgument("level must be >= 1")
+    # from level N on, p^level is 0 modulo p^N: no certified digit tells
+    # the level apart from N, and p^(h level) stays a printable integer
+    if not 1 <= level <= F.ctx.abs_precision:
+        raise BadArgument(f"level must be in 1..{F.ctx.abs_precision}")
     d = F.dimension
     p = F.ctx.p
     series = mul_p if mul_p is not None else \
         fg_multiplication_map(F, p).series
-    residues = []
-    for comp in series.components:
-        entries = {}
-        for exps, c in comp.terms():
-            try:
-                r = c.residue(1)
-            except ValueError:
-                raise UnsupportedShape(
-                    "[p]_F has a non-integral coefficient") from None
-            if r:
-                entries[tuple(exps)] = r
-        residues.append(entries)
+    residues = [_residues(comp) for comp in series.components]
     if d == 1:
         entries = residues[0]
         if not entries:

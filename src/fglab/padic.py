@@ -1,7 +1,7 @@
 """Exact p-adic base-field and extension-field arithmetic.
 
-A scalar is stored as valuation + unit digits together with the number of
-certified digits, so every result advertises exactly how much of it is
+A scalar is stored as valuation + unit digits together with its certified
+absolute precision, so every result advertises exactly how much of it is
 trustworthy.  Division by p consumes absolute precision and operations fail
 loudly (PrecisionExhausted) instead of degrading silently; the distinction
 between an exact zero and "zero as far as we can see" is kept explicit
@@ -103,26 +103,23 @@ class PrecisionContext:
 
 
 class PadicScalar:
-    """An element of Q_p known to a certified precision.
+    """An element of Q_p known to a certified absolute precision.
 
-    Three states:
-
-    * exact zero            -- ``v is None and rel is None``
-    * zero at precision k   -- ``v is None, rel = k`` (value is 0 mod p^k)
-    * nonzero               -- value = p^v * unit, unit a unit mod p^rel,
-                               certified modulo p^(v + rel)
-
-    The relative precision ``rel`` never exceeds the context cap N, so a
-    division by p^k lowers the certified absolute precision by exactly k.
+    A scalar is p^v * unit known modulo p^k, stored as ``(v, unit, prec)``
+    with ``prec`` = k, the absolute precision that series and extension
+    elements carry too.  A zero at precision k has ``v is None`` and keeps
+    its k; the exact zero is the zero at ``INFINITE``.  A nonzero scalar is
+    known to at most N digits past its valuation, ``prec <= v + N``, so a
+    division by p^j lowers the certified absolute precision by exactly j.
     """
 
-    __slots__ = ("ctx", "v", "unit", "rel")
+    __slots__ = ("ctx", "v", "unit", "prec")
 
-    def __init__(self, ctx, v, unit, rel):
+    def __init__(self, ctx, v, unit, prec):
         self.ctx = ctx
         self.v = v
         self.unit = unit
-        self.rel = rel
+        self.prec = prec
 
     # -- constructors ------------------------------------------------------
 
@@ -135,35 +132,35 @@ class PadicScalar:
         q = Fraction(value)
         if q == 0:
             return cls.zero(ctx)
-        N = ctx.abs_precision
-        return cls._build(ctx, *_split(q, ctx.p, N), N)
+        v, unit = _split(q, ctx.p, ctx.abs_precision)
+        return cls._build(ctx, v, unit, v + ctx.abs_precision)
 
     @classmethod
     def zero(cls, ctx: PrecisionContext) -> "PadicScalar":
-        return cls(ctx, None, 0, None)
+        return cls(ctx, None, 0, INFINITE)
 
     @classmethod
-    def zero_at(cls, ctx: PrecisionContext, prec: int) -> "PadicScalar":
-        """Zero modulo p^prec with nothing certified beyond, capped at p^N."""
+    def zero_at(cls, ctx: PrecisionContext, prec) -> "PadicScalar":
+        """Zero modulo p^prec with nothing certified beyond; the exact zero
+        at prec = INFINITE."""
         if prec < 1:
             raise PrecisionExhausted(
                 f"zero certified only modulo p^{prec}: no digits remain")
-        N = ctx.abs_precision
-        return cls(ctx, None, 0, prec if prec < N else N)
+        return cls(ctx, None, 0, prec)
 
     @classmethod
-    def _build(cls, ctx, v, unit, rel) -> "PadicScalar":
-        """Normalized nonzero scalar, rel capped at N; raises if no
+    def _build(cls, ctx, v, unit, prec) -> "PadicScalar":
+        """Normalized nonzero scalar, prec capped at v + N; raises if no
         certified digit remains."""
-        if rel > ctx.abs_precision:
-            rel = ctx.abs_precision
-        if rel < 1:
+        if prec > v + ctx.abs_precision:
+            prec = v + ctx.abs_precision
+        if prec <= v:
             raise PrecisionExhausted(
-                f"result at valuation {v} retains {rel} certified digits")
-        if v + rel < 1:
+                f"result at valuation {v} retains {prec - v} certified digits")
+        if prec < 1:
             raise PrecisionExhausted(
-                f"known precision p^{v + rel} dropped below p^1")
-        return cls(ctx, v, unit % ctx.p ** rel, rel)
+                f"known precision p^{prec} dropped below p^1")
+        return cls(ctx, v, unit % ctx.p ** (prec - v), prec)
 
     # -- predicates and accessors -----------------------------------------
 
@@ -174,16 +171,7 @@ class PadicScalar:
 
     @property
     def is_exact_zero(self) -> bool:
-        return self.v is None and self.rel is None
-
-    @property
-    def known_precision(self):
-        """Certified absolute precision: value is known modulo p^this."""
-        if self.is_exact_zero:
-            return INFINITE
-        if self.v is None:
-            return self.rel
-        return self.v + self.rel
+        return self.prec == INFINITE
 
     def valuation(self):
         """Exact additive valuation; INFINITE for exact zero.
@@ -191,42 +179,34 @@ class PadicScalar:
         Raises ImpreciseValuation for a zero-at-precision element, whose
         valuation is only known to exceed the certified precision.
         """
-        if self.is_exact_zero:
-            return INFINITE
-        if self.v is None:
+        if self.v is None and self.prec != INFINITE:
             raise ImpreciseValuation(
-                f"zero modulo p^{self.rel} but not certified zero")
-        return self.v
+                f"zero modulo p^{self.prec} but not certified zero")
+        return self.valuation_lower_bound()
 
     def valuation_lower_bound(self):
         """Certified lower bound on the valuation; always available."""
-        if self.is_exact_zero:
-            return INFINITE
-        if self.v is None:
-            return self.rel
-        return self.v
+        return self.prec if self.v is None else self.v
 
     def digits(self) -> list:
-        """Little-endian base-p digits of the unit part (rel of them)."""
+        """Little-endian base-p digits of the unit part (prec - v of them)."""
         if self.v is None:
             return []
         p, u, out = self.ctx.p, self.unit, []
-        for _ in range(self.rel):
+        for _ in range(self.prec - self.v):
             u, r = divmod(u, p)
             out.append(r)
         return out
 
     def residue(self, k: int = 1) -> int:
         """Value modulo p^k as an integer in [0, p^k); needs v >= 0."""
-        if self.v is None:
-            if self.rel is not None and self.rel < k:
-                raise PrecisionExhausted(f"only certified modulo p^{self.rel}")
-            return 0
-        if self.v < 0:
+        if self.v is not None and self.v < 0:
             raise ValueError("negative valuation has no integer residue")
-        if self.known_precision < k:
+        if self.prec < k:
             raise PrecisionExhausted(
-                f"known modulo p^{self.known_precision}, requested p^{k}")
+                f"known modulo p^{self.prec}, requested p^{k}")
+        if self.v is None:
+            return 0
         return self.unit * self.ctx.p ** self.v % self.ctx.p ** k
 
     def lift(self) -> Fraction:
@@ -248,11 +228,9 @@ class PadicScalar:
     def _add(self, b: "PadicScalar", sign: int) -> "PadicScalar":
         """self + sign * b, known to the weaker of the two precisions, each
         operand read at its own, so the sum is symmetric."""
-        if b.rel is None:
-            return self
         ctx = self.ctx
         p = ctx.p
-        prec = min(self.known_precision, b.known_precision)
+        prec = self.prec if self.prec < b.prec else b.prec
         # a zero, or a digit at or beyond prec, adds nothing modulo p^prec
         va = prec if self.v is None else self.v
         vb = prec if b.v is None else b.v
@@ -268,7 +246,7 @@ class PadicScalar:
         if r == 0:
             return PadicScalar.zero_at(ctx, prec)
         w = _vp(r, p)
-        return PadicScalar._build(ctx, v + w, r // p ** w, prec - v - w)
+        return PadicScalar._build(ctx, v + w, r // p ** w, prec)
 
     def __add__(self, other):
         b = self._coerce(other)
@@ -282,7 +260,8 @@ class PadicScalar:
         if self.v is None:
             return self
         return PadicScalar(self.ctx, self.v,
-                           -self.unit % self.ctx.p ** self.rel, self.rel)
+                           -self.unit % self.ctx.p ** (self.prec - self.v),
+                           self.prec)
 
     def __sub__(self, other):
         b = self._coerce(other)
@@ -300,25 +279,23 @@ class PadicScalar:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        ctx = self.ctx
-        if self.rel is None or b.rel is None:
-            return PadicScalar.zero(ctx)
         # a product is known to min(k_a + v(b), k_b + v(a)), v read as a
-        # lower bound: p^(v_a + v_b) times the smaller relative precision
+        # lower bound, which is k_a + k_b for a zero factor
         if self.v is None or b.v is None:
-            return PadicScalar.zero_at(ctx, self.valuation_lower_bound()
+            return PadicScalar.zero_at(self.ctx, self.valuation_lower_bound()
                                        + b.valuation_lower_bound())
-        return PadicScalar._build(ctx, self.v + b.v, self.unit * b.unit,
-                                  self.rel if self.rel < b.rel else b.rel)
+        pa, pb = self.prec + b.v, b.prec + self.v
+        return PadicScalar._build(self.ctx, self.v + b.v, self.unit * b.unit,
+                                  pa if pa < pb else pb)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "PadicScalar":
         if self.v is None:
             raise DivisionByZero("inverse of zero at working precision")
-        mod = self.ctx.p ** self.rel
-        return PadicScalar._build(self.ctx, -self.v,
-                                  pow(self.unit, -1, mod), self.rel)
+        mod = self.ctx.p ** (self.prec - self.v)
+        return PadicScalar._build(self.ctx, -self.v, pow(self.unit, -1, mod),
+                                  self.prec - 2 * self.v)
 
     def __truediv__(self, other):
         b = self._coerce(other)
@@ -326,10 +303,8 @@ class PadicScalar:
             return NotImplemented
         if b.v is None:
             raise DivisionByZero("divisor is zero at working precision")
-        if self.is_exact_zero:
-            return self
         if self.v is None:
-            return PadicScalar.zero_at(self.ctx, self.rel - b.v)
+            return PadicScalar.zero_at(self.ctx, self.prec - b.v)
         return self * b.inverse()
 
     def __rtruediv__(self, other):
@@ -353,22 +328,19 @@ class PadicScalar:
         return out
 
     def shift(self, k: int) -> "PadicScalar":
-        """Multiply by p^k exactly (relabels digits; rel unchanged)."""
+        """Multiply by p^k exactly (relabels digits; the unit is unchanged)."""
         if self.v is None:
-            if self.rel is None:
-                return self
-            return PadicScalar.zero_at(self.ctx, self.rel + k)
-        return PadicScalar._build(self.ctx, self.v + k, self.unit, self.rel)
+            return PadicScalar.zero_at(self.ctx, self.prec + k)
+        return PadicScalar._build(self.ctx, self.v + k, self.unit,
+                                  self.prec + k)
 
     def reduce_abs_precision(self, prec: int) -> "PadicScalar":
         """Forget digits beyond absolute precision p^prec (no-op if weaker)."""
-        if self.known_precision <= prec:
+        if self.prec <= prec:
             return self
-        if self.v is None:
+        if self.v is None or self.v >= prec:
             return PadicScalar.zero_at(self.ctx, prec)
-        if self.v >= prec:
-            return PadicScalar.zero_at(self.ctx, prec)
-        return PadicScalar._build(self.ctx, self.v, self.unit, prec - self.v)
+        return PadicScalar._build(self.ctx, self.v, self.unit, prec)
 
     # -- comparisons -------------------------------------------------------
 
@@ -380,7 +352,7 @@ class PadicScalar:
     def identical(self, other: "PadicScalar") -> bool:
         """Bitwise identity of the stored representation."""
         return (self.ctx == other.ctx and self.v == other.v
-                and self.unit == other.unit and self.rel == other.rel)
+                and self.unit == other.unit and self.prec == other.prec)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -398,8 +370,8 @@ class PadicScalar:
         if self.is_exact_zero:
             return "0"
         if self.v is None:
-            return f"O({p}^{self.rel})"
-        return f"{self.unit}*{p}^{self.v} + O({p}^{self.v + self.rel})"
+            return f"O({p}^{self.prec})"
+        return f"{self.unit}*{p}^{self.v} + O({p}^{self.prec})"
 
 
 def teichmuller(r: int, ctx: PrecisionContext) -> PadicScalar:
@@ -501,8 +473,7 @@ class ExtensionModulus:
         lead = scalars[-1]
         if lead.is_zero or not lead.same_at_working_precision(1):
             raise BadModulus("modulus must be monic")
-        if any(c.v is None and c.rel is not None
-               or c.v is not None and c.rel < ctx.abs_precision
+        if any(c.prec < c.valuation_lower_bound() + ctx.abs_precision
                for c in scalars):
             raise BadModulus("modulus coefficients must be known to N digits")
         self.coeffs = scalars
@@ -640,10 +611,9 @@ class ExtScalar:
         ctx = modulus.ctx
         p, e, step = ctx.p, modulus.ram_index, modulus._step
         scalars = [PadicScalar.exact(ctx, c) for c in coeffs]
-        prec = min((e * c.known_precision + i * step
-                    for i, c in enumerate(scalars) if c.rel is not None),
-                   default=None)
-        if prec is None:
+        prec = min((e * c.prec + i * step for i, c in enumerate(scalars)),
+                   default=INFINITE)
+        if prec == INFINITE:
             return cls.zero(modulus)
         shift = min((c.v for c in scalars if c.v is not None), default=0)
         ints = [0 if c.v is None else c.unit * p ** (c.v - shift)
@@ -689,7 +659,7 @@ class ExtScalar:
                 out.append(PadicScalar(ctx, None, 0, k))
             else:
                 unit = a // p ** (v - self.shift) % p ** (k - v)
-                out.append(PadicScalar(ctx, v, unit, k - v))
+                out.append(PadicScalar(ctx, v, unit, k))
         return tuple(out)
 
     # -- state -------------------------------------------------------------

@@ -168,9 +168,7 @@ class MultiSeries:
             if d > D:
                 continue
             c = PadicScalar.exact(ctx, c)
-            if c.is_exact_zero:
-                continue
-            least[d] = min(least[d], c.known_precision)
+            least[d] = min(least[d], c.prec)
             if c.v is not None:
                 entries.append((exps, c))
                 vmin = min(vmin, c.v)
@@ -319,16 +317,12 @@ class MultiSeries:
             raise ValueError("exponent beyond degree cap")
         key = self.pack(exps)
         c = self.coeffs.get(key)
-        pf = self.prof(d)
         if c is None:
-            if pf == INFINITE:
-                return PadicScalar.zero(self.ctx)
-            return PadicScalar.zero_at(self.ctx, pf)
+            return PadicScalar.zero_at(self.ctx, self.prof(d))
         p = self.ctx.p
         w = _vp(c, p)
-        v = w - self.shift
-        rel = min(pf - v, self.ctx.abs_precision)
-        return PadicScalar._build(self.ctx, v, c // p ** w, rel)
+        return PadicScalar._build(self.ctx, w - self.shift, c // p ** w,
+                                  self.prof(d))
 
     def terms(self):
         """(exponent tuple, PadicScalar) pairs in canonical order."""
@@ -428,7 +422,7 @@ class MultiSeries:
             if s.is_exact_zero:
                 return MultiSeries.zero(ctx, n)
             v, u = (0, 0) if s.v is None else (s.v, s.unit)
-            prec = (s.known_precision,)
+            prec = (s.prec,)
         else:
             q = Fraction(s)
             if q == 0:
@@ -1016,15 +1010,11 @@ class _RelaxedCompose:
 # Jacobians and linear algebra over scalars
 # ---------------------------------------------------------------------------
 
-def jacobian(h: TupleSeries, at_zero: bool = True) -> list:
-    """J(h) = [d h_i / d x_j] as rows: at the origin the coefficient of x_j
+def jacobian(h: TupleSeries) -> list:
+    """J(h) = [d h_i / d x_j] at the origin, as rows: the coefficient of x_j
     in h_i, which is what ``derivative(j)`` keeps as its constant term (the
-    linear integer, certified to prec[1]); otherwise the partial
-    derivative series."""
+    linear integer, certified to prec[1])."""
     n = h.num_vars
-    if not at_zero:
-        return [[comp.derivative(j) for j in range(n)]
-                for comp in h.components]
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     return [[comp.coefficient(e) for e in units] for comp in h.components]
 
@@ -1065,8 +1055,6 @@ def mat_det(rows) -> PadicScalar:
             bound = det.valuation() + sum(
                 min(m[r][c].valuation_lower_bound() for r in range(col, n))
                 for c in range(col, n))
-            if bound == INFINITE:
-                return PadicScalar.zero(ctx)
             return PadicScalar.zero_at(ctx, bound)
         if piv != col:
             m[col], m[piv] = m[piv], m[col]

@@ -107,7 +107,7 @@ def qt_inverse(a: list, e: list) -> list:
 
 def ext_representative(x, p: int) -> list:
     """The stored representative p^v * unit of each coefficient, read off
-    the (v, unit, rel) fields."""
+    the (v, unit, prec) fields."""
     return [Fraction(0) if c.v is None else Fraction(c.unit) * Fraction(p) ** c.v
             for c in x.coeffs]
 
@@ -118,14 +118,8 @@ def assert_ext_certified(x, exact: list, p: int):
     coefficient claims."""
     for i, (got, want) in enumerate(zip(ext_representative(x, p), exact)):
         c = x.coeffs[i]
-        if c.v is None and c.rel is None:
-            known = math.inf
-        elif c.v is None:
-            known = c.rel
-        else:
-            known = c.v + c.rel
         diff = want - got
-        assert diff == 0 or ref_valuation(diff, p) >= known, \
+        assert diff == 0 or ref_valuation(diff, p) >= c.prec, \
             f"coefficient {i}: claims {c!r}, exact value {want}"
 
 
@@ -388,7 +382,7 @@ def ref_scale_prec(ms, s) -> list:
     and the product keeps at most N digits past its data."""
     p, N, D = ms.ctx.p, ms.ctx.abs_precision, ms.ctx.degree_cap
     if isinstance(s, PadicScalar):
-        vq, s_abs = s.valuation(), s.v + s.rel
+        vq, s_abs = s.valuation(), s.prec
     else:
         q = Fraction(s)
         vq = ref_valuation(q, p)

@@ -1,5 +1,6 @@
 """End-to-end command-line runs, exit codes, machine-readable reports."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -431,6 +432,11 @@ def docs(tmp_path_factory):
     (("group-from-jacobian", "--u", "U", "--bx", "x"), 1),
     (("stability", "--u", "M5"), 1),
     (("height", "--group", "M5", "--level", "0"), 1),
+    (("height", "--group", "M5", "--level", "10000"), 1),
+    (("torsion", "--group", "M5", "--level", "10000", "--extension", "EXT"),
+     1),
+    (("intersect", "--group", "M5", "--group2", "M5", "--level", "10000",
+      "--extension", "EXT"), 1),
     (("build-lt2", "--p", "4", "--h1", "1", "--h2", "1"), 1),
     (("build-lt2", "--p", "2", "--h1", "0", "--h2", "1"), 1),
     (("validate-group", "--in", "MISSING"), 1),
@@ -535,6 +541,24 @@ def test_flags_do_not_leak_into_the_next_call(docs, tmp_path, capsys, bare,
     assert full != first
     assert run(capsys, *bare) == first
     assert run(capsys, *bare, *extra) == full
+
+
+REPORTERS = ("build-lt2", "validate-group", "stability", "copolygon",
+             "bound-check", "orbit", "torsion", "intersect", "height")
+
+
+def test_only_report_commands_take_format(docs, capsys):
+    """--format shapes a report; the commands that write a document take
+    --out only, and refuse --format as a usage error."""
+    sub, = (a for a in _parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    for name, sp in sub.choices.items():
+        assert ("--format" in sp._option_string_actions) == \
+            (name in REPORTERS), name
+        assert "--out" in sp._option_string_actions, name
+    code, out, err = run_to_exit(capsys, "negation", "--in", docs["M5"],
+                                 "--format", "machine")
+    assert code == 2 and out == "" and err.startswith("usage: fglab")
 
 
 @pytest.mark.parametrize("argv, want", [

@@ -170,8 +170,8 @@ def _moved(x, move, p):
     out = []
     for c, r in zip(x.coeffs, move):
         q = c.lift()
-        if c.known_precision != INFINITE:
-            q += r * Fraction(p) ** c.known_precision
+        if c.prec != INFINITE:
+            q += r * Fraction(p) ** c.prec
         out.append(q)
     return out
 

@@ -313,6 +313,26 @@ def test_height_multiplicative(ctx5):
     assert rep2.kernel_order == 25
 
 
+def test_height_level_stays_within_the_digit_cap(ctx5):
+    """From level N on, p^level vanishes modulo p^N: no certified digit
+    tells the level apart from N, so a larger level is refused before any
+    [p^level]_F is built."""
+    M = multiplicative_law(ctx5)
+    N = ctx5.abs_precision
+    assert height_and_kernel_count(M, N).kernel_order == 5 ** N
+    for level in (0, N + 1, 10000):
+        with pytest.raises(BadArgument):
+            height_and_kernel_count(M, level)
+
+
+def test_height_refuses_a_non_integral_mul_p(ctx5):
+    M = multiplicative_law(ctx5)
+    fake = TupleSeries([MultiSeries.from_terms(
+        ctx5, 1, {(1,): 5, (2,): Fraction(1, 5), (5,): 1})])
+    with pytest.raises(UnsupportedShape):
+        height_and_kernel_count(M, 1, mul_p=fake)
+
+
 def test_height_additive_infinite(ctx5):
     A = additive_law(ctx5, 1)
     rep = height_and_kernel_count(A, 1)

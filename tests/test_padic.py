@@ -69,9 +69,9 @@ def test_mixed_context_rejected():
 
 def test_division_by_p_power_consumes_precision(ctx5):
     x = PadicScalar.exact(ctx5, 7)
-    assert x.known_precision == ctx5.abs_precision
+    assert x.prec == ctx5.abs_precision
     y = x / PadicScalar.exact(ctx5, 5 ** 3)
-    assert y.known_precision == ctx5.abs_precision - 3
+    assert y.prec == ctx5.abs_precision - 3
 
 
 def test_precision_exhausted_is_loud():
@@ -236,7 +236,7 @@ def test_ultrametric_inequality(a, b):
     s = a + b
     lower = min(a.valuation(), b.valuation())
     if s.is_zero:
-        assert s.rel >= lower
+        assert s.prec >= lower
     else:
         assert s.valuation() >= lower
         if a.valuation() != b.valuation():
@@ -255,15 +255,15 @@ def moved_scalars(draw, ctx, zero_top=None):
     """(x, y): x an inexact scalar (a value with an absolute precision, a
     zero at a precision up to p^zero_top, default p^N, or the exact zero)
     and y a rational anywhere in the class x certifies, y = lift(x) + p^k t
-    with t a p-adic integer.  A zero above p^N is built directly, as
-    ``ExtScalar.coeffs`` builds one."""
+    with t a p-adic integer.  A zero keeps its precision above p^N, as a
+    coefficient from ``ExtScalar.coeffs`` does."""
     p, N = ctx.p, ctx.abs_precision
     kind = draw(st.sampled_from(["value", "value", "zero_at", "exact_zero"]))
     if kind == "exact_zero":
         return PadicScalar.zero(ctx), Fraction(0)
     coprime = st.integers(1, 60).filter(lambda n: n % p)
     if kind == "zero_at":
-        x = PadicScalar(ctx, None, 0, draw(st.integers(1, zero_top or N)))
+        x = PadicScalar.zero_at(ctx, draw(st.integers(1, zero_top or N)))
     else:
         # a scalar certifies at least one digit: v + rel >= 1
         v = draw(st.integers(max(-3, 1 - N), 4))
@@ -272,12 +272,12 @@ def moved_scalars(draw, ctx, zero_top=None):
         x = PadicScalar.exact(ctx, unit * Fraction(p) ** v) \
             .reduce_abs_precision(v + draw(st.integers(max(1, 1 - v), N)))
     t = Fraction(draw(st.integers(-10 ** 6, 10 ** 6)), draw(coprime))
-    return x, x.lift() + Fraction(p) ** x.known_precision * t
+    return x, x.lift() + Fraction(p) ** x.prec * t
 
 
 def _certifies(out, exact):
     """Every digit ``out`` certifies agrees with the rational ``exact``."""
-    k = out.known_precision
+    k = out.prec
     diff = exact - out.lift()
     if k is INFINITE:
         return diff == 0
@@ -302,12 +302,12 @@ def test_scalar_arithmetic_certifies_only_true_digits(pair):
     operation may instead raise an FglabError (no digit left, a divisor
     that is zero at its precision).
 
-    +, -, * and negation also lose no digit: a sum is known to
-    min(k_a, k_b), a product to min(k_a + lb(b), k_b + lb(a)) with k the
-    known precision and lb the valuation lower bound, and then a nonzero
-    result is capped at v + N and a zero one at N."""
+    +, -, * and negation also lose no digit: with k a scalar's absolute
+    precision and lb its valuation lower bound, a sum is known to
+    min(k_a, k_b) and a product to min(k_a + lb(b), k_b + lb(a)).  A
+    nonzero result is then capped at v + N; a zero keeps its k uncapped."""
     (a, x), (b, y) = pair
-    ka, kb = a.known_precision, b.known_precision
+    ka, kb = a.prec, b.prec
     la, lb = a.valuation_lower_bound(), b.valuation_lower_bound()
     cases = [(lambda: a + b, lambda: x + y, min(ka, kb)),
              (lambda: a - b, lambda: x - y, min(ka, kb)),
@@ -321,7 +321,7 @@ def test_scalar_arithmetic_certifies_only_true_digits(pair):
             continue
         assert _certifies(out, exact()), (a, b, out, exact())
         if k is not None:
-            assert out.known_precision == _capped(out, k), (a, b, out, k)
+            assert out.prec == _capped(out, k), (a, b, out, k)
 
 
 def test_sum_reads_a_zero_operand_at_its_own_precision_on_both_sides():
@@ -332,20 +332,70 @@ def test_sum_reads_a_zero_operand_at_its_own_precision_on_both_sides():
     base = ExtensionModulus.base(ctx)
     z, = (ExtScalar.from_poly(base, [PadicScalar.zero_at(ctx, 5)])
           * ExtScalar.from_poly(base, [5 ** 10])).coeffs
-    assert z.is_zero and z.known_precision == 15
+    assert z.is_zero and z.prec == 15
     a = PadicScalar.exact(ctx, 3 * 5 ** 4)
     for left, right in ((a + z, z + a), (a - z, -(z - a))):
-        assert (left.v, left.unit, left.rel) == (right.v, right.unit,
-                                                 right.rel) == (4, 3, 8)
+        assert (left.v, left.unit, left.prec) == (right.v, right.unit,
+                                                  right.prec) == (4, 3, 12)
+
+
+def test_a_zero_keeps_its_precision_past_the_digit_cap():
+    """(125 - 125) + 25 and (125 + 25) - 125 at p = 5, N = 4: the zero
+    125 - 125 is known modulo 5^7, so both orders read 25 + O(5^6)."""
+    ctx = PrecisionContext(5, 4, 2)
+    a, b = PadicScalar.exact(ctx, 125), PadicScalar.exact(ctx, 25)
+    z = a - a
+    assert z.is_zero and z.prec == 7
+    for out in ((a - a) + b, (a + b) - a):
+        assert (out.v, out.unit, out.prec) == (2, 1, 6)
+
+
+@st.composite
+def base_field_pairs(draw):
+    """Two scalars of one context, each an exact zero, a zero at 1..2N or
+    a value with moved precision."""
+    ctx = PrecisionContext(draw(st.sampled_from([2, 3, 5])),
+                           draw(st.sampled_from([3, 6])), 2)
+    top = 2 * ctx.abs_precision
+    return (draw(moved_scalars(ctx, top))[0],
+            draw(moved_scalars(ctx, top))[0])
+
+
+def _outcome(op):
+    """(v, unit, prec) of op's scalar result, or the FglabError it raised."""
+    try:
+        out = op()
+    except FglabError as exc:
+        return type(exc)
+    if isinstance(out, ExtScalar):
+        out, = out.coeffs
+    return out.v, out.unit, out.prec
+
+
+@given(base_field_pairs())
+@settings(max_examples=300, deadline=None)
+def test_scalar_arithmetic_agrees_with_the_base_field_extension(pair):
+    """+, -, * and / of PadicScalars give the valuation, unit and absolute
+    precision that ExtScalar arithmetic over ExtensionModulus.base gives,
+    zeros included; / is compared where both sides succeed."""
+    a, b = pair
+    base = ExtensionModulus.base(a.ctx)
+    x, y = (ExtScalar.from_poly(base, [c]) for c in pair)
+    for op in (lambda s, t: s + t, lambda s, t: s - t,
+               lambda s, t: s * t):
+        assert _outcome(lambda: op(a, b)) == _outcome(lambda: op(x, y)), \
+            (a, b)
+    got, want = _outcome(lambda: a / b), _outcome(lambda: x / y)
+    if isinstance(got, tuple) and isinstance(want, tuple):
+        assert got == want, (a, b)
 
 
 def _capped(out, k):
-    """k under the relative cap: v + N for a nonzero scalar, N for a zero
-    at a precision; an exact zero has no cap."""
-    N = out.ctx.abs_precision
-    if out.is_exact_zero:
+    """k under the relative cap: v + N for a nonzero scalar; a zero has no
+    cap."""
+    if out.v is None:
         return k
-    return min(k, N if out.v is None else out.v + N)
+    return min(k, out.v + out.ctx.abs_precision)
 
 
 def test_digits_little_endian(ctx5):
