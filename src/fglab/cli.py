@@ -152,7 +152,7 @@ def _parse_point(spec: str, modulus) -> PointTuple:
 
 
 def _fmt_val(v) -> str:
-    return "inf" if v is INFINITE else str(v)
+    return "inf" if v == INFINITE else str(v)
 
 
 @functools.cache

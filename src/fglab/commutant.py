@@ -295,7 +295,7 @@ def stability_classify(u: TupleSeries) -> StabilityVerdict:
         power = mat_mul(power, lam)
     solver = _DegreeSolver(ctx, lam, lam, u.num_vars, u.dim)
     for m in range(1, D):
-        if solver.det_valuation(m + 1) is INFINITE:
+        if solver.det_valuation(m + 1) == INFINITE:
             if order is not None:
                 return StabilityVerdict(False, reason="root-of-unity",
                                         order=order, degree=m + 1)
@@ -310,8 +310,7 @@ def stability_classify(u: TupleSeries) -> StabilityVerdict:
 def _normalize_matrix(ctx, mat, d):
     rows = []
     for row in mat:
-        rows.append([x if isinstance(x, PadicScalar)
-                     else PadicScalar.exact(ctx, x) for x in row])
+        rows.append([PadicScalar.exact(ctx, x) for x in row])
     if len(rows) != d or any(len(r) != d for r in rows):
         raise MixedContext(f"expected a {d}x{d} matrix")
     return rows
@@ -352,7 +351,7 @@ def _lift_commuting(u: TupleSeries, start: TupleSeries, right: TupleSeries,
     total = 0
     for k in range(2, ctx.degree_cap + 1):
         loss = solver.solve_loss(k)
-        if loss is INFINITE:
+        if loss == INFINITE:
             raise SingularStep(k)
         total += loss
     if total >= ctx.abs_precision - 1:

@@ -92,16 +92,14 @@ def valuation_bound_check(f: MultiSeries, theta: PointTuple,
     V, _ = Copolygon.from_series(f).evaluate(theta[0].valuation(),
                                              theta[1].valuation())
     value = ms_eval(f, theta, polynomial=polynomial).value
+    if value.is_exact_zero:
+        return BoundCheckReport(None, INFINITE, V, True, V != INFINITE)
     try:
         vv = value.valuation()
     except ImpreciseValuation:
-        vv = None
-    if vv is INFINITE:
-        return BoundCheckReport(None, INFINITE, V, True, V != INFINITE)
-    if vv is not None:
-        return BoundCheckReport(vv, vv, V, vv >= V, vv > V)
-    floor = value.precision_floor()
-    return BoundCheckReport(None, floor, V, floor >= V, None)
+        floor = value.precision_floor()
+        return BoundCheckReport(None, floor, V, floor >= V, None)
+    return BoundCheckReport(vv, vv, V, vv >= V, vv > V)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +260,7 @@ def _fmt_val(x: ExtScalar) -> str:
         v = x.valuation()
     except ImpreciseValuation:
         return f">= {x.precision_floor()}"
-    return "inf" if v is INFINITE else str(v)
+    return "inf" if v == INFINITE else str(v)
 
 
 def _poly_eval(coeffs, x: ExtScalar) -> ExtScalar:
@@ -327,8 +325,7 @@ def _find_small_root(coeffs, modulus, digits, pi, cap_level, newton_steps):
                     return cand, failures
                 gpx = _poly_eval(dcoeffs, cand)
                 # v(G'(x)), or its floor when G'(x) is zero at its precision
-                gpv = gpx.val if gpx.val is not None else \
-                    INFINITE if gpx.prec is None else gpx.prec
+                gpv = gpx.prec if gpx.val is None else gpx.val
                 if gx.val < min(gpv + L + 1, 2 * (L + 1)):
                     continue    # no root can extend this prefix
                 if gpx.val is not None and gx.val > 2 * gpv:
@@ -405,7 +402,7 @@ def torsion_probe_dim1(G: MultiSeries, level: int,
                                residual_floor=floor))
     if expected is None:
         verdict = "unknown-height"
-    elif expected is INFINITE:
+    elif expected == INFINITE:
         verdict = "complete-in-extension" if len(out) == 1 else "partial"
     else:
         verdict = "complete-in-extension" if len(out) == expected else "partial"

@@ -334,8 +334,15 @@ class PadicScalar:
         return PadicScalar._build(self.ctx, self.v + k, self.unit,
                                   self.prec + k)
 
-    def reduce_abs_precision(self, prec: int) -> "PadicScalar":
-        """Forget digits beyond absolute precision p^prec (no-op if weaker)."""
+    def cap_precision(self, tau) -> "PadicScalar":
+        """Forget everything beyond valuation tau (no-op if weaker).
+
+        A fractional tau rounds up, since no digit of Q_p lies strictly
+        between two integer valuations; an infinite tau forgets nothing.
+        """
+        if tau == INFINITE:
+            return self
+        prec = math.ceil(tau)
         if self.prec <= prec:
             return self
         if self.v is None or self.v >= prec:
@@ -550,8 +557,8 @@ class ExtScalar:
     """p^shift * sum(ints[i] t^i) in Z_p[t]/(e(t)), known modulo pi^prec.
 
     ``prec`` is one absolute precision in powers of the uniformizer pi,
-    that is in units of 1/e of valuation; it is None only for the exact
-    zero.  The ints are held modulo p^(ceil(prec / e) - shift), and
+    that is in units of 1/e of valuation; it is ``INFINITE`` only for the
+    exact zero.  The ints are held modulo p^(ceil(prec / e) - shift), and
     ``shift`` is their least valuation.  ``val`` is the valuation in powers
     of pi, None when the element is zero at its precision.  A nonzero
     element is known to at most e N powers of pi beyond its valuation, so
@@ -572,25 +579,24 @@ class ExtScalar:
         # a digit at or beyond pi^prec gives a term of valuation >= prec,
         # so the ints need no reduction to find the valuation below prec
         best = None
-        if prec is not None:
-            low = e * shift
-            for i, a in enumerate(ints):
-                if best is not None and low + i * step >= best:
-                    break
-                if a:
-                    w = low + i * step if a % p else \
-                        low + e * _vp(a, p) + i * step
-                    if best is None or w < best:
-                        best = w
-            if best is not None and best < prec:
-                cap = best + e * modulus.ctx.abs_precision
-                if cap < prec:
-                    prec = cap
-            else:
-                best = None
-            if prec < 1:
-                raise PrecisionExhausted(
-                    f"known only modulo pi^{prec}: no certified digit remains")
+        low = e * shift
+        for i, a in enumerate(ints):
+            if best is not None and low + i * step >= best:
+                break
+            if a:
+                w = low + i * step if a % p else \
+                    low + e * _vp(a, p) + i * step
+                if best is None or w < best:
+                    best = w
+        if best is not None and best < prec:
+            cap = best + e * modulus.ctx.abs_precision
+            if cap < prec:
+                prec = cap
+        else:
+            best = None
+        if prec < 1:
+            raise PrecisionExhausted(
+                f"known only modulo pi^{prec}: no certified digit remains")
         if best is None:
             out.shift, out.ints, out.prec, out.val = \
                 0, (0,) * modulus.degree, prec, None
@@ -613,6 +619,7 @@ class ExtScalar:
         scalars = [PadicScalar.exact(ctx, c) for c in coeffs]
         prec = min((e * c.prec + i * step for i, c in enumerate(scalars)),
                    default=INFINITE)
+        # the exact zero returns here: INFINITE // e below would be nan
         if prec == INFINITE:
             return cls.zero(modulus)
         shift = min((c.v for c in scalars if c.v is not None), default=0)
@@ -623,7 +630,7 @@ class ExtScalar:
 
     @classmethod
     def zero(cls, modulus) -> "ExtScalar":
-        return cls._normal(modulus, 0, [0] * modulus.degree, None)
+        return cls._normal(modulus, 0, [0] * modulus.degree, INFINITE)
 
     @classmethod
     def one(cls, modulus) -> "ExtScalar":
@@ -648,7 +655,8 @@ class ExtScalar:
         k = 0 (i >= prec, so prec < e) a coefficient is known only as an
         integer: it reads as zero modulo p^0, or by its digits below p^0."""
         ctx = self.modulus.ctx
-        if self.prec is None:
+        # the general branch would read INFINITE // e, which is nan
+        if self.prec == INFINITE:
             return tuple(PadicScalar.zero(ctx) for _ in self.ints)
         p, e, step = ctx.p, self.modulus.ram_index, self.modulus._step
         out = []
@@ -670,7 +678,7 @@ class ExtScalar:
 
     @property
     def is_exact_zero(self) -> bool:
-        return self.prec is None
+        return self.prec == INFINITE
 
     def valuation(self):
         """Exact valuation as a Fraction (denominator | e), or INFINITE.
@@ -679,22 +687,19 @@ class ExtScalar:
         fractional valuations, and the residue field argument covers an
         unramified one, so the minimum over the terms is exact.
         """
-        if self.prec is None:
-            return INFINITE
-        if self.val is None:
+        if self.val is None and self.prec != INFINITE:
             raise ImpreciseValuation(
                 f"zero modulo precision floor {self.precision_floor()}")
-        return Fraction(self.val, self.modulus.ram_index)
+        return self.valuation_lower_bound()
 
     def valuation_lower_bound(self):
-        if self.prec is None:
-            return INFINITE
-        return Fraction(self.prec if self.val is None else self.val,
-                        self.modulus.ram_index)
+        if self.val is None:
+            return self.precision_floor()
+        return Fraction(self.val, self.modulus.ram_index)
 
     def precision_floor(self):
         """Certified valuation floor of the representation's uncertainty."""
-        if self.prec is None:
+        if self.prec == INFINITE:
             return INFINITE
         return Fraction(self.prec, self.modulus.ram_index)
 
@@ -710,10 +715,6 @@ class ExtScalar:
 
     def _add(self, b: "ExtScalar", sign: int) -> "ExtScalar":
         """self + sign * b, known to the weaker of the two precisions."""
-        if b.prec is None:
-            return self
-        if self.prec is None:
-            return b if sign > 0 else -b
         p = self.modulus.ctx.p
         s, t = self.shift, b.shift
         if s <= t:
@@ -735,8 +736,6 @@ class ExtScalar:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.prec is None:
-            return self
         return ExtScalar._normal(self.modulus, self.shift,
                                  [-a for a in self.ints], self.prec)
 
@@ -754,8 +753,6 @@ class ExtScalar:
         if b is None:
             return NotImplemented
         mod = self.modulus
-        if self.prec is None or b.prec is None:
-            return ExtScalar.zero(mod)
         # x y - x0 y0 = x0 dy + dx y0 + dx dy has valuation at least
         # min(P_x + v(y), P_y + v(x)), with v read as a lower bound
         px = self.prec + (b.prec if b.val is None else b.val)
@@ -869,7 +866,7 @@ class ExtScalar:
         if prec < 1:
             raise PrecisionExhausted(
                 f"cap at valuation {tau} leaves no certified digit")
-        if self.prec is not None and self.prec <= prec:
+        if self.prec <= prec:
             return self
         return ExtScalar._normal(self.modulus, self.shift, self.ints, prec)
 
@@ -890,8 +887,6 @@ class ExtScalar:
     __hash__ = None
 
     def __repr__(self):
-        if self.prec is None:
-            return "0"
         terms = " + ".join(f"{a}*t^{i}" for i, a in enumerate(self.ints) if a)
         head = f"{self.ctx.p}^{self.shift}*({terms}) + " if terms else ""
         return f"{head}O(pi^{self.prec})"
@@ -939,12 +934,7 @@ class PointTuple:
 
     def valuation(self):
         """min over coordinate valuations; INFINITE when all exactly zero."""
-        vals = []
-        for c in self.coords:
-            v = c.valuation()
-            if v is not INFINITE:
-                vals.append(v)
-        return min(vals) if vals else INFINITE
+        return min(c.valuation() for c in self.coords)
 
     def valuation_lower_bound(self):
         return min(c.valuation_lower_bound() for c in self.coords)

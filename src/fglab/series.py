@@ -1033,21 +1033,29 @@ def mat_mul(a, b):
     return out
 
 
-def mat_det(rows) -> PadicScalar:
-    """Determinant by Gaussian elimination with min-valuation pivoting."""
+def _pivot(m, col):
+    """The row, from ``col`` down, whose entry in column ``col`` has the
+    least valuation, or None when every such entry is zero at its
+    precision."""
+    piv, pivval = None, None
+    for r in range(col, len(m)):
+        x = m[r][col]
+        if x.is_zero:
+            continue
+        v = x.valuation()
+        if pivval is None or v < pivval:
+            piv, pivval = r, v
+    return piv
+
+
+def mat_det(rows):
+    """Determinant by Gaussian elimination with min-valuation pivoting,
+    in the entries' own scalar type."""
     m = [list(r) for r in rows]
     n = len(m)
-    ctx = m[0][0].ctx
-    det = PadicScalar.exact(ctx, 1)
+    det = m[0][0] ** 0
     for col in range(n):
-        piv, pivval = None, None
-        for r in range(col, n):
-            x = m[r][col]
-            if x.is_zero:
-                continue
-            v = x.valuation()
-            if pivval is None or v < pivval:
-                piv, pivval = r, v
+        piv = _pivot(m, col)
         if piv is None:
             # each term of the remaining minor takes one entry from every
             # column, so its valuation is at least the sum of the columns'
@@ -1055,7 +1063,7 @@ def mat_det(rows) -> PadicScalar:
             bound = det.valuation() + sum(
                 min(m[r][c].valuation_lower_bound() for r in range(col, n))
                 for c in range(col, n))
-            return PadicScalar.zero_at(ctx, bound)
+            return (det * 0).cap_precision(bound)
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             det = -det
@@ -1072,22 +1080,14 @@ def mat_det(rows) -> PadicScalar:
 
 
 def mat_inverse(rows):
-    """Gauss-Jordan inverse; raises NotInvertible on certified singularity."""
+    """Gauss-Jordan inverse in the entries' own scalar type; raises
+    NotInvertible on certified singularity."""
     n = len(rows)
-    m = [list(r) for r in rows]
-    ctx = m[0][0].ctx
-    aug = [row + [PadicScalar.exact(ctx, 1) if i == j else
-                  PadicScalar.zero(ctx) for j in range(n)]
-           for i, row in enumerate(m)]
+    one, zero = rows[0][0] ** 0, rows[0][0] * 0
+    aug = [list(row) + [one if i == j else zero for j in range(n)]
+           for i, row in enumerate(rows)]
     for col in range(n):
-        piv, pivval = None, None
-        for r in range(col, n):
-            x = aug[r][col]
-            if x.is_zero:
-                continue
-            v = x.valuation()
-            if pivval is None or v < pivval:
-                piv, pivval = r, v
+        piv = _pivot(aug, col)
         if piv is None:
             raise NotInvertible(f"no usable pivot in column {col}")
         if piv != col:
@@ -1220,13 +1220,7 @@ def ms_eval(f, theta: PointTuple, polynomial=False) -> EvalResult:
                 if e:
                     term = term * power(i, e)
             acc = acc + term
-        cap = tail
-        fl = ft.floor
-        if fl != INFINITE:
-            cap = fl if cap == INFINITE else min(cap, Fraction(fl))
-        if cap != INFINITE:
-            acc = acc.cap_precision(cap)
-        values.append(acc)
+        values.append(acc.cap_precision(min(tail, ft.floor)))
     return EvalResult(values, tail)
 
 

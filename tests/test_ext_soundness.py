@@ -6,12 +6,13 @@ Fractions from the inputs' stored representatives.  A typed FglabError is
 an acceptable outcome; a false certified digit is not.
 
 The second half moves each input to another point of the ball it claims
-before the oracle reads it: a claim about x + y, x * y, x / y, ``ms_eval``
-or a torsion root's residual must hold for every value the inputs may
-stand for, not only for their stored representatives.
+before the oracle reads it: a claim about x + y, x * y, x / y, ``ms_eval``,
+``mat_det`` or a torsion root's residual must hold for every value the
+inputs may stand for, not only for their stored representatives.
 """
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from fglab.padic import (
     PointTuple,
     PrecisionContext,
 )
-from fglab.series import MultiSeries, ms_eval
+from fglab.series import MultiSeries, mat_det, ms_eval
 
 from conftest import (
     assert_ext_certified,
@@ -244,6 +245,102 @@ def test_claims_hold_across_the_input_ball(e, N, xs, ys, caps, lifts, terms,
            lambda: _qt_eval(terms, moved, coeffs))
 
 
+def _leibniz_det(rows, e):
+    """Determinant of a matrix over Q[t]/(e(t)) by the Leibniz formula."""
+    n, d = len(rows), len(e) - 1
+    det = [Fraction(0)] * d
+    for perm in itertools.permutations(range(n)):
+        term = [Fraction(1)] + [Fraction(0)] * (d - 1)
+        for i, j in enumerate(perm):
+            term = qt_mul(term, rows[i][j], e)
+        odd = sum(perm[i] > perm[j]
+                  for i in range(n) for j in range(i + 1, n)) % 2
+        det = (qt_sub if odd else qt_add)(det, term)
+    return det
+
+
+# an entry: its integer coefficients (all zero for a zero entry), a cap
+# on its precision (None for none) and a move within its ball
+matrix_entry = st.tuples(st.one_of(st.just([0]), element),
+                         st.one_of(st.none(), st.integers(1, 12)), moves)
+
+
+@settings(max_examples=100)
+@given(e=st.sampled_from([4, 20]), N=st.integers(4, 10),
+       entries=st.integers(1, 3).flatmap(
+           lambda n: st.lists(st.lists(matrix_entry, min_size=n, max_size=n),
+                              min_size=n, max_size=n)))
+# a first column zero at v = 3 beside 1/30: the minor's bound is 3 - 1,
+# and the moved determinant -(25/6)(1 + t + t^2 + t^3) attains it
+@example(e=4, N=6, entries=[[([0], 3, [0] * 20), ([1], None, [0] * 20)],
+                            [([0], 3, [1] * 20), ([30], None, [0] * 20)]])
+def test_mat_det_certifies_only_true_digits(e, N, entries):
+    """mat_det over the p = 5 cyclotomic fields with e = 4 and e = 20, on
+    1x1 to 3x3 matrices with zero, capped and negative-valuation entries,
+    certifies only digits of the Leibniz determinant of every matrix in
+    the entries' balls."""
+    p = 5
+    coeffs, tag = P5_FIELDS[e]
+    mod = ExtensionModulus(PrecisionContext(p, N, 8), coeffs, tag)
+    rows = []
+    try:
+        for row in entries:
+            rows.append([])
+            for xs, cap, move in row:
+                x = ExtScalar.from_poly(mod, [Fraction(c, 30) for c in xs])
+                if cap is not None:
+                    x = x.cap_precision(Fraction(cap))
+                rows[-1].append(x)
+    except FglabError:
+        return
+    moved = [[_moved(x, move, p) for x, (_, _, move) in zip(row, erow)]
+             for row, erow in zip(rows, entries)]
+    _check(p, lambda: mat_det(rows), lambda: _leibniz_det(moved, coeffs))
+
+
+@settings(max_examples=150)
+@given(e=st.sampled_from(sorted(P5_FIELDS)),
+       kinds=st.tuples(*[st.sampled_from(["exact", "zero_at", "value"])] * 2),
+       xs=element, ys=element, caps=st.tuples(st.integers(1, 12),
+                                              st.integers(1, 12)),
+       n=st.integers(0, 3))
+def test_zeros_keep_a_number_for_their_precision(e, kinds, xs, ys, caps, n):
+    """No ExtScalar operation over exact zeros, zeros at a precision and
+    values reports a nan precision, and a result that is exactly zero
+    reports INFINITE for its precision, its floors and its coefficients."""
+    coeffs, tag = P5_FIELDS[e]
+    mod = ExtensionModulus(PrecisionContext(5, 6, 8), coeffs, tag)
+
+    def operand(kind, ints, cap):
+        if kind == "exact":
+            return ExtScalar.zero(mod)
+        if kind == "zero_at":
+            return ExtScalar.zero(mod).cap_precision(Fraction(cap, e))
+        return ExtScalar.from_poly(mod, ints).cap_precision(Fraction(cap))
+
+    try:
+        x, y = operand(kinds[0], xs, caps[0]), operand(kinds[1], ys, caps[1])
+    except FglabError:
+        return
+    ex, ey = x.is_exact_zero, y.is_exact_zero
+    cases = [(lambda: x + y, ex and ey), (lambda: x - y, ex and ey),
+             (lambda: x * y, ex or ey), (lambda: -x, ex),
+             (lambda: x / y, ex), (lambda: x ** n, ex and n > 0),
+             (lambda: x.cap_precision(INFINITE), ex),
+             (lambda: x.cap_precision(Fraction(caps[1], e)), False)]
+    for op, exact_zero in cases:
+        try:
+            out = op()
+        except FglabError:
+            continue
+        precs = [out.prec, out.precision_floor(), out.valuation_lower_bound(),
+                 *(c.prec for c in out.coeffs)]
+        assert not any(math.isnan(k) for k in precs), (x, y, out)
+        if exact_zero:
+            assert out.is_exact_zero and out.valuation() == INFINITE
+            assert all(k == INFINITE for k in precs), (x, y, out)
+
+
 def _read_via_terms(f, modulus):
     """The per-coefficient read: terms() into PadicScalars, each moved into
     the extension by from_poly."""
@@ -258,7 +355,7 @@ def _drawn_series(kind, ctx, terms):
     p = ctx.p
     if kind == "jagged":
         return MultiSeries.from_terms(ctx, 2, {
-            exps: PadicScalar.exact(ctx, c * p ** k).reduce_abs_precision(r)
+            exps: PadicScalar.exact(ctx, c * p ** k).cap_precision(r)
             for exps, (c, k, r) in terms.items()})
     values = {exps: Fraction(c, p ** k) for exps, (c, k, _) in terms.items()}
     if kind == "exact":

@@ -248,7 +248,7 @@ def test_padic_multiplier_zero_only_at_precision(ctx5):
     its map is the zero series certified to at most 5^3; an exact zero still
     gives the exact zero."""
     M = multiplicative_law(ctx5)
-    a = PadicScalar.exact(ctx5, 125).reduce_abs_precision(3)
+    a = PadicScalar.exact(ctx5, 125).cap_precision(3)
     zero = fg_multiplication_map(M, a).series[0]
     assert zero.is_zero and zero.profile is not None
     assert all(zero.prof(d) <= 3 for d in range(ctx5.degree_cap + 1))
@@ -288,7 +288,7 @@ def test_padic_multiplier_computes_one_integer_multiple(ctx5, monkeypatch):
     monkeypatch.setattr(fg, "_int_multiple", counting)
     M = multiplicative_law(ctx5)
     for a in (Fraction(1, 7), Fraction(3132, 7),
-              PadicScalar.exact(ctx5, Fraction(1, 7)).reduce_abs_precision(6)):
+              PadicScalar.exact(ctx5, Fraction(1, 7)).cap_precision(6)):
         calls.clear()
         fg_multiplication_map(M, a)
         assert len(calls) == 1

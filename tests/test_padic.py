@@ -24,6 +24,7 @@ from fglab.padic import (
     ext_construct,
     teichmuller,
 )
+from fglab.series import mat_det, mat_inverse
 
 from conftest import cyclotomic_modulus, ref_valuation
 
@@ -146,7 +147,7 @@ def test_ext_construct_bad_modulus(ctx5):
         ext_construct([5, 2, 1], [1], ctx5, "bogus-tag")
     # a coefficient known to fewer than N digits, or only as zero modulo
     # p^k, would leave the modulus itself less certain than its elements
-    for c in (PadicScalar.exact(ctx5, 5).reduce_abs_precision(3),
+    for c in (PadicScalar.exact(ctx5, 5).cap_precision(3),
               PadicScalar.zero_at(ctx5, 4)):
         with pytest.raises(BadModulus, match="known to N digits"):
             ext_construct([5, c, 1], [1], ctx5, "eisenstein")
@@ -270,7 +271,7 @@ def moved_scalars(draw, ctx, zero_top=None):
         unit = Fraction(draw(coprime) * draw(st.sampled_from([1, -1])),
                         draw(coprime))
         x = PadicScalar.exact(ctx, unit * Fraction(p) ** v) \
-            .reduce_abs_precision(v + draw(st.integers(max(1, 1 - v), N)))
+            .cap_precision(v + draw(st.integers(max(1, 1 - v), N)))
     t = Fraction(draw(st.integers(-10 ** 6, 10 ** 6)), draw(coprime))
     return x, x.lift() + Fraction(p) ** x.prec * t
 
@@ -279,7 +280,7 @@ def _certifies(out, exact):
     """Every digit ``out`` certifies agrees with the rational ``exact``."""
     k = out.prec
     diff = exact - out.lift()
-    if k is INFINITE:
+    if k == INFINITE:
         return diff == 0
     return diff == 0 or ref_valuation(diff, out.ctx.p) >= k
 
@@ -361,15 +362,21 @@ def base_field_pairs(draw):
             draw(moved_scalars(ctx, top))[0])
 
 
+def _fields(x):
+    """(v, unit, prec) of a scalar, read off the one coefficient of an
+    ExtScalar over the base field."""
+    if isinstance(x, ExtScalar):
+        x, = x.coeffs
+    return x.v, x.unit, x.prec
+
+
 def _outcome(op):
-    """(v, unit, prec) of op's scalar result, or the FglabError it raised."""
+    """_fields of op's scalar result, or the FglabError it raised."""
     try:
         out = op()
     except FglabError as exc:
         return type(exc)
-    if isinstance(out, ExtScalar):
-        out, = out.coeffs
-    return out.v, out.unit, out.prec
+    return _fields(out)
 
 
 @given(base_field_pairs())
@@ -388,6 +395,56 @@ def test_scalar_arithmetic_agrees_with_the_base_field_extension(pair):
     got, want = _outcome(lambda: a / b), _outcome(lambda: x / y)
     if isinstance(got, tuple) and isinstance(want, tuple):
         assert got == want, (a, b)
+
+
+@st.composite
+def base_field_matrices(draw):
+    """A 1x1 to 3x3 matrix of scalars of one context, each entry drawn as
+    base_field_pairs draws one."""
+    ctx = PrecisionContext(draw(st.sampled_from([2, 3, 5])),
+                           draw(st.sampled_from([3, 6])), 2)
+    n = draw(st.integers(1, 3))
+    top = 2 * ctx.abs_precision
+    return [[draw(moved_scalars(ctx, top))[0] for _ in range(n)]
+            for _ in range(n)]
+
+
+def _entry_outcomes(op, kind):
+    """_fields of each entry of op's result, a scalar or a matrix whose
+    entries must all be of type ``kind``, or the FglabError it raised."""
+    try:
+        out = op()
+    except FglabError as exc:
+        return type(exc)
+    rows = out if isinstance(out, list) else [[out]]
+    assert all(isinstance(x, kind) for row in rows for x in row), rows
+    return [[_fields(x) for x in row] for row in rows]
+
+
+@given(base_field_matrices())
+@settings(max_examples=300, deadline=None)
+def test_matrix_routines_agree_with_the_base_field_extension(rows):
+    """mat_det and mat_inverse over ExtScalars on ExtensionModulus.base
+    return ExtScalars with the valuation, unit and absolute precision,
+    entry for entry, that they give over the PadicScalars, or raise the
+    same error."""
+    base = ExtensionModulus.base(rows[0][0].ctx)
+    ext = [[ExtScalar.from_poly(base, [c]) for c in row] for row in rows]
+    for routine in (mat_det, mat_inverse):
+        assert _entry_outcomes(lambda: routine(rows), PadicScalar) == \
+            _entry_outcomes(lambda: routine(ext), ExtScalar), rows
+
+
+def test_cap_precision_rounds_a_fractional_cap_up():
+    """No digit of Q_p lies strictly between two integer valuations: a cap
+    at 79/2 keeps all 40 digits of 5^39 - 2 and a cap at 7/2 keeps 4, each
+    with an integer unit and precision."""
+    ctx = PrecisionContext(5, 40, 2)
+    x = PadicScalar.exact(ctx, 5 ** 39 - 2)
+    assert x.cap_precision(Fraction(79, 2)) is x
+    y = x.cap_precision(Fraction(7, 2))
+    assert (y.v, y.unit, y.prec) == (0, (5 ** 39 - 2) % 5 ** 4, 4)
+    assert type(y.unit) is int and type(y.prec) is int
 
 
 def _capped(out, k):

@@ -70,7 +70,7 @@ def series_in(ctx, m):
             unit = draw(st.integers(1, p ** 3).filter(lambda u: u % p))
             sign = draw(st.sampled_from((1, -1)))
             c = PadicScalar.exact(ctx, sign * Fraction(unit) * Fraction(p) ** v)
-            c = c.reduce_abs_precision(
+            c = c.cap_precision(
                 draw(st.integers(max(1, v + 1), v + N)))
             terms[draw(degrees)] = c
         return MultiSeries.from_terms(ctx, m, terms)
@@ -178,7 +178,7 @@ def test_scale_profile_matches_reference(cm, data):
     q = data.draw(st.integers(1, p ** 2).filter(lambda u: u % p)) \
         * Fraction(p) ** data.draw(st.integers(-2, 2))
     s = data.draw(st.sampled_from((
-        q, q / (p + 1), PadicScalar.exact(ctx, q).reduce_abs_precision(
+        q, q / (p + 1), PadicScalar.exact(ctx, q).cap_precision(
             ctx.abs_precision // 2 + 1))))
     want = ref_scale_prec(a, s)
     try:

@@ -269,7 +269,7 @@ def _drawn_part(data, ctx, n, j, lossy):
             data.draw(st.integers(-60, 60).filter(bool)))
             * Fraction(ctx.p) ** data.draw(st.integers(-1, 2)))
         if lossy:
-            c = c.reduce_abs_precision(
+            c = c.cap_precision(
                 data.draw(st.integers(0, ctx.abs_precision)))
         terms[tuple(exps) + (left,)] = c
     return MultiSeries.from_terms(ctx, n, terms)
@@ -324,7 +324,7 @@ def test_relaxed_compose_certifies_only_true_digits(data, p, m, n, N, D):
                              for t in outer])
         else:
             f = TupleSeries([MultiSeries.from_terms(ctx, m, {
-                e: PadicScalar.exact(ctx, q).reduce_abs_precision(
+                e: PadicScalar.exact(ctx, q).cap_precision(
                     data.draw(st.integers(1, N + 2)))
                 for e, q in t.items()}) for t in outer])
         parts = [None] + [TupleSeries([_drawn_part(data, ctx, n, j, lossy)
@@ -369,7 +369,7 @@ def _drawn_addend(data, ctx, n):
         return MultiSeries.from_exact_terms(ctx, n, terms)
     top = ctx.abs_precision + 2
     return MultiSeries.from_terms(ctx, n, {
-        e: PadicScalar.exact(ctx, q).reduce_abs_precision(
+        e: PadicScalar.exact(ctx, q).cap_precision(
             data.draw(st.integers(-1, top)))
         for e, q in terms.items()})
 
@@ -420,7 +420,7 @@ def _drawn_certified(data, ctx, n, size=None):
     size = size or data.draw(st.integers(1, 6))
     terms = _drawn_terms(data, ctx.p, n, size, -2, ctx.degree_cap, True)
     if data.draw(st.booleans()):
-        terms = {e: PadicScalar.exact(ctx, q).reduce_abs_precision(
+        terms = {e: PadicScalar.exact(ctx, q).cap_precision(
             data.draw(st.integers(1, ctx.abs_precision + 2)))
             for e, q in terms.items()}
     return MultiSeries.from_terms(ctx, n, terms)
@@ -459,7 +459,7 @@ def test_capped_mul_reads_a_factors_uncertainty_from_degree_0():
     value = {(0,): Fraction(1), (1,): Fraction(1, 2)}
     a = MultiSeries.from_exact_terms(ctx, 1, value)
     b = MultiSeries.from_terms(ctx, 1, {
-        (1,): PadicScalar.exact(ctx, 2).reduce_abs_precision(2)})
+        (1,): PadicScalar.exact(ctx, 2).cap_precision(2)})
     got = a.mul(b, cap=1)
     for lift in ({(1,): 2}, {(0,): 4, (1,): 2}):
         assert_series_certified(got, poly_mul(value, lift, 1), 1)
@@ -677,7 +677,7 @@ def test_scale_raises_where_no_digit_is_left():
                                             for d in range(4)})
     with pytest.raises(PrecisionExhausted):
         half.scale(PadicScalar.zero_at(ctx2, 1))
-    four = PadicScalar.exact(ctx, 4).reduce_abs_precision(3)
+    four = PadicScalar.exact(ctx, 4).cap_precision(3)
     got = MultiSeries.from_terms(ctx, 1, {(1,): four}).scale(Fraction(93, 4))
     assert got.prof(1) == 1 and got.coefficient((1,)).residue() == 1
 
@@ -1303,6 +1303,19 @@ def test_mat_det_without_pivot_bounds_the_whole_minor():
     # has det 5 * (5 * 5 - 25 * 0) = 5^3
     assert det.is_zero and det.prec == 3
     assert mat_det([[one, one], [zero, zero]]).is_exact_zero
+
+
+def test_mat_det_without_pivot_stays_in_the_extension():
+    """Over Q_5(zeta_5), a first column that is O(pi^5) bounds the
+    determinant by v = 5/4: the result is the extension's own zero
+    O(pi^5), not a base-field zero at the fractional precision 5/4."""
+    ctx = PrecisionContext(5, 6, 4)
+    mod = cyclotomic_modulus(ctx, 1)
+    z = ExtScalar.zero(mod).cap_precision(Fraction(5, 4))
+    pi, one = ExtScalar.uniformizer(mod), ExtScalar.one(mod)
+    det = mat_det([[z, pi], [z, one]])
+    assert isinstance(det, ExtScalar)
+    assert det.is_zero and det.prec == 5
 
 
 def test_positive_valuation_fraction_coefficient_digits():
