@@ -1,10 +1,20 @@
 """Reconstruction of commuting series from their Jacobian at zero.
 
 Given a stable u (linear part neither zero nor of finite multiplicative
-order), the series h commuting with u is determined degree by degree: the
-homogeneous correction D of degree m+1 solves the linear equation
+order) and k Jacobian blocks B_1, ..., B_k, each commuting with J0(u), the
+d-component series h in k blocks of d variables with linear part
+sum_b B_b X_b and
 
-    D(J0(u) X) - J0(u) D(X)  =  (u o g_m - g_m o u)_(m+1).
+    u(h(X_1, ..., X_k))  =  h(u(X_1), ..., u(X_k))
+
+is determined degree by degree: the homogeneous correction D of degree m+1
+solves the linear equation
+
+    D(Lambda_in X) - J0(u) D(X)  =  (u o h_m - h_m o (u, ..., u))_(m+1),
+
+where Lambda_in is k copies of J0(u) down the diagonal.  One block is the
+commutant h o u = u o h (``commutant_reconstruct``); two blocks rebuild a
+group law from one stable endomorphism (``group_from_jacobian``).
 
 For diagonal J0(u) the operator is diagonal with per-monomial factors
 lambda^I - lambda_i (the scalar case reduces to lambda^(m+1) - lambda); for
@@ -72,17 +82,8 @@ def _matrix_is_zero(mat) -> bool:
 
 
 def _matrix_is_identity(mat) -> bool:
-    d = len(mat)
-    for i in range(d):
-        for j in range(d):
-            want_one = i == j
-            x = mat[i][j]
-            if want_one:
-                if x.is_zero or not x.same_at_working_precision(1):
-                    return False
-            elif not x.is_zero:
-                return False
-    return True
+    return all((x - int(i == j)).is_zero
+               for i, row in enumerate(mat) for j, x in enumerate(row))
 
 
 def _monomials_of_degree(m_vars: int, degree: int):
@@ -114,30 +115,30 @@ class _Operator:
 
 
 class _DegreeSolver:
-    """Solves D(Lambda_in X) - Lambda_out D(X) = r on homogeneous space.
+    """Solves D(Lambda_in X) - lam D(X) = r on homogeneous space.
 
-    ``lam_in`` acts on the (possibly wider) input variables, ``lam_out`` on
-    the d output components; reconstruction uses lam_in = lam_out = J0(u),
-    the two-block variant uses lam_in = diag(J0, J0).
+    ``lam`` = J0(u) is d x d and acts on the d output components; the input
+    variables form ``blocks`` blocks of d, and Lambda_in is ``blocks``
+    copies of ``lam`` down the diagonal, so the solver reads ``lam`` alone.
     """
 
-    def __init__(self, ctx, lam_in, lam_out, num_vars, dim):
+    def __init__(self, ctx, lam, blocks):
         self.ctx = ctx
-        self.lam_in = lam_in
-        self.lam_out = lam_out
-        self.num_vars = num_vars
-        self.dim = dim
-        self.diagonal = _is_diagonal(lam_in) and _is_diagonal(lam_out)
+        self.lam = lam
+        self.blocks = blocks
+        self.dim = d = len(lam)
+        self.num_vars = blocks * d
+        self.diagonal = _is_diagonal(lam)
         if self.diagonal:
             # input variables whose lambda_j are identical form one group:
             # lambda^I depends only on the exponent sum over each group
             groups = {}               # stored (v, unit, prec) -> (lambda, vars)
-            for j in range(num_vars):
-                lam = lam_in[j][j]
-                key = (lam.v, lam.unit, lam.prec)
-                groups.setdefault(key, (lam, []))[1].append(j)
+            for j in range(self.num_vars):
+                lam_j = lam[j % d][j % d]
+                key = (lam_j.v, lam_j.unit, lam_j.prec)
+                groups.setdefault(key, (lam_j, []))[1].append(j)
             self._groups = list(groups.values())
-            self.lams_out = [lam_out[i][i] for i in range(dim)]
+            self.lams_out = [lam[i][i] for i in range(d)]
             self._factors = {}        # (i, exponent sum per group) -> factor
         self._operators = {}          # degree -> _Operator
 
@@ -214,17 +215,18 @@ class _DegreeSolver:
         ctx = self.ctx
         zero = PadicScalar.zero(ctx)
         matrix = [[zero] * len(basis) for _ in basis]
-        lam_tuple = apply_matrix(self.lam_in,
-                                 TupleSeries.identity(ctx, self.num_vars))
+        lam_tuple = _side_by_side(
+            apply_matrix(self.lam, TupleSeries.identity(ctx, self.dim)),
+            self.blocks)
         for k, (i, mono) in enumerate(basis):
             b = TupleSeries(
                 [MultiSeries.from_terms(ctx, self.num_vars,
                                         {mono: 1}) if t == i else
                  MultiSeries.zero(ctx, self.num_vars)
                  for t in range(self.dim)])
-            # column k: the image D(Lambda X) - Lambda_out D of basis element k
+            # column k: the image D(Lambda_in X) - lam D of basis element k
             img = tuple_compose(b, lam_tuple, cap=degree) \
-                - apply_matrix(self.lam_out, b)
+                - apply_matrix(self.lam, b)
             for t in range(self.dim):
                 for exps, c in img.components[t].terms():
                     matrix[index[(t, exps)]][k] = c
@@ -264,6 +266,16 @@ class _DegreeSolver:
                                                    terms) for terms in sol])
 
 
+def _side_by_side(t: TupleSeries, copies: int) -> TupleSeries:
+    """``copies`` copies of the d-in-d tuple t, copy b in the variables
+    b*d .. b*d+d-1 of copies*d; t itself for one copy."""
+    if copies == 1:
+        return t
+    d = t.num_vars
+    return TupleSeries([c for b in range(copies) for c in t.map_variables(
+        copies * d, range(b * d, (b + 1) * d))])
+
+
 def _linear_part(u: TupleSeries):
     """J0(u) of a d-in-d series u with u(0) = 0."""
     if not u.constant_is_zero():
@@ -285,15 +297,17 @@ def stability_classify(u: TupleSeries) -> StabilityVerdict:
     D = ctx.degree_cap
     if _matrix_is_zero(lam):
         return StabilityVerdict(False, reason="zero-jacobian")
-    bound = max(D, ctx.p ** min(4, u.dim * 2))
-    power = lam
     order = None
-    for k in range(1, bound + 1):
-        if _matrix_is_identity(power):
-            order = k
-            break
-        power = mat_mul(power, lam)
-    solver = _DegreeSolver(ctx, lam, lam, u.num_vars, u.dim)
+    det = mat_det(lam)
+    # a J0 of finite order has a root of unity, a unit, for determinant
+    if not det.is_zero and det.valuation() == 0:
+        power = lam
+        for k in range(1, max(D, ctx.p ** min(4, u.dim * 2)) + 1):
+            if _matrix_is_identity(power):
+                order = k
+                break
+            power = mat_mul(power, lam)
+    solver = _DegreeSolver(ctx, lam, 1)
     for m in range(1, D):
         if solver.det_valuation(m + 1) == INFINITE:
             if order is not None:
@@ -378,27 +392,38 @@ def _lift_commuting(u: TupleSeries, start: TupleSeries, right: TupleSeries,
     return h, corrections
 
 
+def _reconstruct(u: TupleSeries, blocks):
+    """The d-component series h in len(blocks) blocks of d variables with
+    linear part sum_b B_b X_b and u(h(X_1, ...)) = h(u(X_1), ...).
+
+    Raises NonCommutingTarget before any lift unless every block B_b
+    commutes with J0(u).  Returns h, the degree solver and the lift's
+    (degree, correction) pairs.
+    """
+    lam = _linear_part(u)
+    ctx, d, k = u.ctx, u.dim, len(blocks)
+    blocks = [_normalize_matrix(ctx, b, d) for b in blocks]
+    if not all(_matrices_commute(lam, b) for b in blocks):
+        raise NonCommutingTarget(
+            "every Jacobian block must commute with J0(u)")
+    solver = _DegreeSolver(ctx, lam, k)
+    # sum_b B_b X_b is the d x kd matrix [B_1 ... B_k] applied to X
+    start = apply_matrix([sum(rows, []) for rows in zip(*blocks)],
+                         TupleSeries.identity(ctx, k * d))
+    h, corrections = _lift_commuting(u, start, _side_by_side(u, k), solver)
+    return h, solver, corrections
+
+
 def commutant_reconstruct(u: TupleSeries, j0_target) -> ReconstructionTrace:
     """The unique h with h(0)=0, J0(h) = target, and u o h = h o u.
 
     Built degree-by-degree; raises SingularStep at the first degree where
     the difference operator degenerates (the root-of-unity counterexample
-    mechanism), NonCommutingTarget when the degree-1 equation is already
-    unsolvable, and VerificationFailure if the post-hoc commutation check
-    fails.
+    mechanism), NonCommutingTarget when the target does not commute with
+    J0(u), so that the degree-1 equation is already unsolvable, and
+    VerificationFailure if the post-hoc commutation check fails.
     """
-    lam = _linear_part(u)
-    d = u.dim
-    ctx = u.ctx
-    target = _normalize_matrix(ctx, j0_target, d)
-    identity_like = _is_diagonal(lam) and all(
-        lam[i][i].same_at_working_precision(lam[0][0]) for i in range(d))
-    if not identity_like and not _matrices_commute(lam, target):
-        raise NonCommutingTarget(
-            "Jacobian target must commute with J0(u) when J0(u) is not scalar")
-    solver = _DegreeSolver(ctx, lam, lam, d, d)
-    h, corrections = _lift_commuting(
-        u, apply_matrix(target, TupleSeries.identity(ctx, d)), u, solver)
+    h, solver, corrections = _reconstruct(u, [j0_target])
     steps = [(k, solver.det_valuation(k),
               min((c.vmin for c in delta.components if not c.is_zero),
                   default=None))
@@ -412,22 +437,6 @@ def group_from_jacobian(u: TupleSeries, block_x, block_y) -> TupleSeries:
     H has d components in 2d variables and satisfies
     u(H(X1, X2)) = H(u(X1), u(X2)) mod deg D+1; with identity blocks this
     reconstructs the group law F from its stable endomorphism u alone.
+    Both blocks must commute with J0(u) (NonCommutingTarget otherwise).
     """
-    lam = _linear_part(u)
-    d = u.dim
-    ctx = u.ctx
-    bx = _normalize_matrix(ctx, block_x, d)
-    by = _normalize_matrix(ctx, block_y, d)
-    zero = PadicScalar.zero(ctx)
-    lam2 = [[lam[i % d][j % d] if (i < d) == (j < d) else zero
-             for j in range(2 * d)] for i in range(2 * d)]
-    solver = _DegreeSolver(ctx, lam2, lam, 2 * d, d)
-    ident_x = TupleSeries.identity(ctx, d, num_vars=2 * d, offset=0)
-    ident_y = TupleSeries.identity(ctx, d, num_vars=2 * d, offset=d)
-    u_blocks = TupleSeries(
-        list(u.map_variables(2 * d, list(range(d))).components)
-        + list(u.map_variables(2 * d, list(range(d, 2 * d))).components))
-    H, _ = _lift_commuting(
-        u, apply_matrix(bx, ident_x) + apply_matrix(by, ident_y), u_blocks,
-        solver)
-    return H
+    return _reconstruct(u, [block_x, block_y])[0]

@@ -123,6 +123,24 @@ def test_group_from_jacobian_command(capsys, blocks):
     assert_series_matches(H[0], {(1, 0): 1, (0, 1): 1, (1, 1): 1})
 
 
+def test_group_from_jacobian_refuses_a_block_that_does_not_commute(
+        tmp_path, capsys):
+    """A block that does not commute with J0(u) = diag(5, 10) exits 1 with
+    no document, and stderr names the commuting condition: the lift never
+    runs, so no precision exhaustion is reported."""
+    ctx = PrecisionContext(5, 8, 5)
+    u = TupleSeries([MultiSeries.from_terms(ctx, 2, {(1, 0): 5, (0, 2): 1}),
+                     MultiSeries.from_terms(ctx, 2, {(0, 1): 10, (1, 1): 1})])
+    upath = tmp_path / "u.doc"
+    upath.write_text(serialize(u, kind="tuple"))
+    out_path = tmp_path / "H.doc"
+    code, out, err = run(capsys, "group-from-jacobian", "--u", str(upath),
+                         "--bx", "1,1;0,1", "--out", str(out_path))
+    assert code == 1 and out == "" and not out_path.exists()
+    assert "commute with J0(u)" in err
+    assert "precision exhaustion" not in err
+
+
 @pytest.mark.parametrize("argv, want", [
     (("negation",), [-1, 1, -1, 1, -1, 1]),
     (("mul-map", "--a", "3"), [3, 3, 1, 0, 0, 0]),

@@ -129,6 +129,54 @@ def test_non_commuting_target_rejected(ctx5):
         commutant_reconstruct(u, [[0, 1], [0, 0]])
 
 
+def _non_commuting_fixture():
+    """u = (5x + y^2, 10y + xy) at p=5, N=8, D=5, and a block that does not
+    commute with J0(u) = diag(5, 10)."""
+    ctx = PrecisionContext(5, 8, 5)
+    u = TupleSeries([MultiSeries.from_terms(ctx, 2, {(1, 0): 5, (0, 2): 1}),
+                     MultiSeries.from_terms(ctx, 2, {(0, 1): 10, (1, 1): 1})])
+    return u, [[1, 1], [0, 1]]
+
+
+@pytest.mark.parametrize("which", ["reconstruct", "x-block", "y-block"])
+def test_a_block_that_does_not_commute_is_refused_before_any_lift(
+        monkeypatch, which):
+    """Both reconstructions refuse a Jacobian block that does not commute
+    with J0(u) with NonCommutingTarget, before any lift.  The two-block
+    reconstruction once ran the whole lift and then reported precision
+    exhaustion (VerificationFailure)."""
+    u, block = _non_commuting_fixture()
+    ident = [[1, 0], [0, 1]]
+
+    def no_lift(*args):
+        raise AssertionError("lift started")
+
+    monkeypatch.setattr(cm, "_lift_commuting", no_lift)
+    call = {"reconstruct": lambda: commutant_reconstruct(u, block),
+            "x-block": lambda: group_from_jacobian(u, block, ident),
+            "y-block": lambda: group_from_jacobian(u, ident, block)}[which]
+    with pytest.raises(NonCommutingTarget):
+        call()
+
+
+def test_stability_of_a_non_invertible_jacobian_skips_the_order_search(
+        monkeypatch):
+    """J0(u) = 101 is not invertible over Z_101, so it has no finite order:
+    the root-of-unity search, which once multiplied J0 up to 101^2 times,
+    does not run."""
+    ctx = PrecisionContext(101, 8, 6)
+    calls = []
+    real_mul = cm.mat_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(cm, "mat_mul", counting)
+    assert stability_classify(scaled_identity(ctx, 1, [101])).stable
+    assert calls == []
+
+
 def test_commuting_target_for_non_scalar_jacobian(ctx5):
     u = scaled_identity(ctx5, 2, [2, 3])
     trace = commutant_reconstruct(u, [[4, 0], [0, 9]])
@@ -360,13 +408,14 @@ def test_reconstruct_accounts_for_absent_residual_terms():
     assert_series_certified(h[0], want, 3)
 
 
-def _brute_force_valuations(ctx, lams, degree):
-    """Per-monomial valuations of prod_j lambda_j^(e_j) - lambda_i."""
+def _brute_force_valuations(ctx, lams_in, lams_out, degree):
+    """Per-monomial valuations of prod_j lambda_j^(e_j) - lambda_i, j over
+    the input lambdas and i over the output lambdas."""
     vals = []
-    for exps in cm._monomials_of_degree(len(lams), degree):
-        for lam_i in lams:
+    for exps in cm._monomials_of_degree(len(lams_in), degree):
+        for lam_i in lams_out:
             f = PadicScalar.exact(ctx, 1)
-            for lam, e in zip(lams, exps):
+            for lam, e in zip(lams_in, exps):
                 for _ in range(e):
                     f = f * lam
             f = f - lam_i
@@ -374,21 +423,28 @@ def _brute_force_valuations(ctx, lams, degree):
     return vals
 
 
-@pytest.mark.parametrize("lams", [(5, 5, 5), (5, 5, 10), (5, 25, 10),
-                                  (5, 5, 125)])
-def test_diagonal_solver_valuations_match_per_monomial_factors(lams):
+DIAGONAL_LAMS = [(5, 5, 5), (5, 5, 10), (5, 25, 10), (5, 5, 125)]
+
+
+# one-block cases keep their ids lams0..lams3
+@pytest.mark.parametrize("lams, blocks", [
+    pytest.param(lams, blocks,
+                 id=f"lams{i}" + ("" if blocks == 1 else "-two-blocks"))
+    for blocks in (1, 2) for i, lams in enumerate(DIAGONAL_LAMS)])
+def test_diagonal_solver_valuations_match_per_monomial_factors(lams, blocks):
     """det_valuation and solve_loss of diagonal solvers with 1, 2 and 3
     groups of identical lambda equal the sum and the max of the
     per-monomial factor valuations, INFINITE from the resonant degree 3
-    on for (5, 5, 125)."""
+    on for (5, 5, 125).  With two blocks the monomials run over 6 input
+    variables, each lambda repeated, against the 3 output lambdas."""
     ctx = PrecisionContext(5, 30, 8)
     scalars = [PadicScalar.exact(ctx, x) for x in lams]
     zero = PadicScalar.zero(ctx)
     lam = [[x if i == j else zero for j, x in enumerate(scalars)]
            for i in range(3)]
-    solver = cm._DegreeSolver(ctx, lam, lam, 3, 3)
+    solver = cm._DegreeSolver(ctx, lam, blocks)
     assert len(solver._groups) == len(set(lams))
     for degree in range(2, 9):
-        vals = _brute_force_valuations(ctx, scalars, degree)
+        vals = _brute_force_valuations(ctx, scalars * blocks, scalars, degree)
         assert solver.det_valuation(degree) == sum(vals)
         assert solver.solve_loss(degree) == max(0, *vals)
