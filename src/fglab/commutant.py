@@ -285,6 +285,51 @@ def _linear_part(u: TupleSeries):
     return jacobian(u)
 
 
+def _finite_order(lam, bound):
+    """The order of J0 = lam, a matrix with unit determinant, if lam^order
+    is the identity at working precision; None when it has no finite order.
+
+    For entries integral and known mod q = p (q = 4 when p = 2) the search
+    runs on plain integers: the first m with lam^m = I mod q divides any
+    finite order of lam, and lam^m lies in 1 + q M_d(Z_p), which has no
+    torsion; so lam has finite order exactly when lam^m = I, tested once.
+    Other entries are multiplied up to ``bound`` powers.
+    """
+    p = lam[0][0].ctx.p
+    k = 2 if p == 2 else 1
+    q = p ** k
+    if all(x.prec >= k and (x.v is None or x.v >= 0)
+           for row in lam for x in row):
+        ints = [[0 if x.v is None else x.unit * p ** x.v % q for x in row]
+                for row in lam]
+        one = [[int(i == j) for j in range(len(lam))]
+               for i in range(len(lam))]
+        power, m = ints, 1
+        while power != one:       # ints is invertible mod q: this ends
+            power = [[sum(a * b for a, b in zip(row, col)) % q
+                      for col in zip(*ints)] for row in power]
+            m += 1
+        return m if _matrix_is_identity(_mat_power(lam, m)) else None
+    power = lam
+    for k in range(1, bound + 1):
+        if _matrix_is_identity(power):
+            return k
+        power = mat_mul(power, lam)
+    return None
+
+
+def _mat_power(a, e: int):
+    """a^e, e >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if e & 1:
+            out = a if out is None else mat_mul(out, a)
+        e >>= 1
+        if not e:
+            return out
+        a = mat_mul(a, a)
+
+
 def stability_classify(u: TupleSeries) -> StabilityVerdict:
     """Operational stability test for the reconstruction recursion.
 
@@ -301,12 +346,7 @@ def stability_classify(u: TupleSeries) -> StabilityVerdict:
     det = mat_det(lam)
     # a J0 of finite order has a root of unity, a unit, for determinant
     if not det.is_zero and det.valuation() == 0:
-        power = lam
-        for k in range(1, max(D, ctx.p ** min(4, u.dim * 2)) + 1):
-            if _matrix_is_identity(power):
-                order = k
-                break
-            power = mat_mul(power, lam)
+        order = _finite_order(lam, max(D, ctx.p ** min(4, u.dim * 2)))
     solver = _DegreeSolver(ctx, lam, 1)
     for m in range(1, D):
         if solver.det_valuation(m + 1) == INFINITE:

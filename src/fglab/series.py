@@ -822,12 +822,17 @@ def tuple_compose(f, g, cap=None):
     once per monomial of f, the outermost once per distinct exponent, so
     the dense products run a few times instead of once per exponent
     prefix.  Each level is one ``_sum_of_products`` of the inner levels
-    times cached powers of its g_i, normalized once and certified to the
-    pointwise min of each product's own precision.  The order only changes
-    how the same terms are grouped: each level is sound on its own, so any
-    order certifies only true digits; the precision it reaches can differ
-    slightly from that of another order.  A certified f adds the bound of
-    its unstored monomials (``_tail``).
+    times cached powers of its g_i, normalized once.
+
+    A certified f adds the bound of its unstored monomials (``_tail``).
+    Where that tail decides the precision (``_tail_decides``), f's stored
+    integers are composed exactly, through exact powers, and certified
+    once, at the tail; this gives the same series as the certified path.
+    Elsewhere each level is certified to the pointwise min of each
+    product's own precision.  The order only changes how the same terms
+    are grouped: each level is sound on its own, so any order certifies
+    only true digits; the precision it reaches can differ slightly from
+    that of another order.
     """
     single = isinstance(f, MultiSeries)
     fs = [f] if single else list(f.components)
@@ -846,32 +851,102 @@ def tuple_compose(f, g, cap=None):
     D = ctx.degree_cap if cap is None else min(cap, ctx.degree_cap)
     target_vars = gs[0].num_vars
     caches = [_PowerCache(comp, D) for comp in gs]
+    exact_caches = None
+    slope = _slope(gs, D)
     out = []
     for ft in fs:
-        res = _compose_one(ft, caches, D, target_vars)
-        if ft.prec is not None:
-            res = res._with_precision(_tail(ft, gs, D))
-        out.append(res)
+        if ft.prec is None:
+            out.append(_compose_one(ft, caches, D, target_vars))
+            continue
+        tail = _tail(ft, slope, D)
+        if _tail_decides(ft, gs, slope, tail):
+            if exact_caches is None:
+                exact_caches = [_PowerCache(_exact_view(c), D) for c in gs]
+            res = _compose_one(_exact_view(ft), exact_caches, D, target_vars)
+        else:
+            res = _compose_one(ft, caches, D, target_vars)
+        out.append(res._with_precision(tail))
     return out[0] if single else TupleSeries(out)
 
 
-def _tail(f: MultiSeries, inner, cap: int) -> tuple:
-    """Precision through ``cap`` of f's unstored monomials composed with
-    the ``inner`` series: one of degree d >= 1 lands at degrees k >= d,
-    where inner products have valuation >= g*k, g the least w[j]/j over
-    inner degrees j = 1..cap; so degree k reads the least prec(d), 1 <= d
-    <= k, plus floor(g*k) (exact if every inner series is)."""
-    gn = gd = None                  # g = gn/gd
+def _slope(inner, cap):
+    """(gn, gd) with g = gn/gd the least w[j]/j over the ``inner`` series'
+    degrees j = 1..cap (w as ``_product_views`` gives), so every inner
+    series is known to valuation >= g*j at degree j; None when no inner
+    series has a finite entry there."""
+    gn = gd = None
     for s in inner:
         for j, x in s._views()[1][0]:
             if 0 < j <= cap and (gn is None or x * gd < gn * j):
                 gn, gd = x, j
+    return None if gn is None else (gn, gd)
+
+
+def _tail(f: MultiSeries, slope, cap: int) -> tuple:
+    """Precision through ``cap`` of f's unstored monomials composed with
+    inner series of ``_slope`` g: one of degree d >= 1 lands at degrees
+    k >= d, where inner products have valuation >= g*k; so degree k reads
+    the least prec(d), 1 <= d <= k, plus floor(g*k) (exact if the inner
+    series are)."""
     out = [f.prof(0)]
     least = INFINITE
     for k in range(1, cap + 1):
         least = min(least, f.prof(k))
-        out.append(INFINITE if gn is None else least + gn * k // gd)
+        out.append(INFINITE if slope is None
+                   else least + slope[0] * k // slope[1])
     return tuple(out)
+
+
+def _tail_decides(f: MultiSeries, inner, slope, tail) -> bool:
+    """True when composing f with ``inner`` level by level
+    (``_compose_one``) would certify exactly ``tail`` and raise nowhere, so
+    that composing the exact stored parts and reducing once at the tail
+    gives the same series.
+
+    Let g be the slope and delta the least pe[j] - g*j over the certified
+    inner series and j = 1..cap, capped at N (pe = min(prec, N + vals) as
+    in ``_product_views``).  Every power of an inner series is then stored
+    at valuation >= g*k and certified to delta + g*k at degree k, and a
+    level holding c x^I is certified at degree k to at least min(v(c) +
+    delta + g*k, prec_f(|I|) + g*k): the inner uncertainty acting on c, or
+    the N-digit cap on c's data, and c's own precision, which the tail
+    already bounds.  So the top level reaches the tail where v(c) + delta +
+    g*k does, v(c) the least valuation f stores at degrees 1..k.  A level
+    below the top, or a power, raises PrecisionExhausted where it stores a
+    term certified below p^1, which the one pass would not: its bounds,
+    taken over every stored monomial, must be >= 1 at degrees 1 and cap
+    (they are linear in k), as must the tail.
+    """
+    if slope is None or min(tail) < 1:
+        return False
+    vals = [(d, v) for d, v in f._summary()[1] if d]
+    if not vals:
+        return True
+    (gn, gd), cap = slope, len(tail) - 1
+    N = f.ctx.abs_precision
+    dn = N * gd                                      # delta * gd
+    for s in inner:
+        if s.prec is not None:
+            sv = dict(s._summary()[1])
+            for j in range(1, cap + 1):
+                pe = min(s.prof(j), N + sv.get(j, INFINITE))
+                dn = min(dn, pe * gd - gn * j)
+    lo = min(min(v for _, v in vals) * gd + dn, dn,
+             min(f.prof(d) for d, _ in vals) * gd)
+    if min(lo + gn, lo + gn * cap) < gd:
+        return False
+    least = INFINITE
+    stored = dict(vals)
+    for k in range(1, cap + 1):
+        least = min(least, stored.get(k, INFINITE))
+        if least * gd + dn + gn * k < tail[k] * gd:
+            return False
+    return True
+
+
+def _exact_view(s: MultiSeries) -> MultiSeries:
+    """s's stored integers as an exact series."""
+    return MultiSeries(s.ctx, s.num_vars, s.shift, None, s.coeffs)
 
 
 def _constant(f: MultiSeries, degree: int, c: int, target_vars: int):
@@ -901,12 +976,11 @@ def _compose_one(f: MultiSeries, caches, cap, target_vars) -> MultiSeries:
         for exps, c in entries:
             groups.setdefault(exps[var], []).append((exps, c))
 
-        terms = []
-        for e in sorted(groups, reverse=True):
-            part = rec(groups[e], level + 1)
-            terms.append((part, caches[var].get(e)
-                          if e and not part.is_zero else None))
-        return _sum_of_products(terms, cap)
+        # a part that is zero at its precision is still multiplied: its
+        # uncertainty reaches f o g only through the power
+        return _sum_of_products(
+            [(rec(groups[e], level + 1), caches[var].get(e) if e else None)
+             for e in sorted(groups, reverse=True)], cap)
 
     out = rec(items, 0)
     del rec     # its closure refers to it: free the power caches now
@@ -993,6 +1067,7 @@ class _RelaxedCompose:
         return _sum_of_products(terms, k)
 
     def at(self, k: int) -> TupleSeries:
+        slope = _slope(self._inner, k)
         out = []
         for fc, leaves in zip(self.f, self._leaves):
             terms = [(self.zero, None)]
@@ -1001,7 +1076,7 @@ class _RelaxedCompose:
             if fc.prec is not None:
                 terms.append((MultiSeries(
                     fc.ctx, self.zero.num_vars, 0,
-                    _tail(fc, self._inner, k), {}), None))
+                    _tail(fc, slope, k), {}), None))
             out.append(_sum_of_products(terms, k)._only_at(k))
         return TupleSeries(out)
 

@@ -20,6 +20,7 @@ from fglab.formal_group import (
     multiplicative_law,
 )
 import fglab.commutant as cm
+import fglab.series as series
 from fglab.commutant import (
     commutant_reconstruct,
     group_from_jacobian,
@@ -159,12 +160,8 @@ def test_a_block_that_does_not_commute_is_refused_before_any_lift(
         call()
 
 
-def test_stability_of_a_non_invertible_jacobian_skips_the_order_search(
-        monkeypatch):
-    """J0(u) = 101 is not invertible over Z_101, so it has no finite order:
-    the root-of-unity search, which once multiplied J0 up to 101^2 times,
-    does not run."""
-    ctx = PrecisionContext(101, 8, 6)
+def _counting_mat_mul(monkeypatch):
+    """The list that gets one entry per ``commutant.mat_mul`` call."""
     calls = []
     real_mul = cm.mat_mul
 
@@ -173,8 +170,53 @@ def test_stability_of_a_non_invertible_jacobian_skips_the_order_search(
         return real_mul(a, b)
 
     monkeypatch.setattr(cm, "mat_mul", counting)
+    return calls
+
+
+def test_stability_of_a_non_invertible_jacobian_skips_the_order_search(
+        monkeypatch):
+    """J0(u) = 101 is not invertible over Z_101, so it has no finite order:
+    the root-of-unity search, which once multiplied J0 up to 101^2 times,
+    does not run."""
+    ctx = PrecisionContext(101, 8, 6)
+    calls = _counting_mat_mul(monkeypatch)
     assert stability_classify(scaled_identity(ctx, 1, [101])).stable
     assert calls == []
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_stability_searches_the_order_on_integers_mod_p(monkeypatch, d):
+    """J0(u) = 1010 = 1 + 1009 is a unit of infinite order in Z_1009: its
+    order mod p is 1, and 1010 is not 1, so it has no finite order.  The
+    order search, which once multiplied J0 up to 1009^2 (d=1) or 1009^4
+    (d=2) times, makes no matrix product."""
+    ctx = PrecisionContext(1009, 8, 6)
+    calls = _counting_mat_mul(monkeypatch)
+    assert stability_classify(scaled_identity(ctx, d, [1010] * d)).stable
+    assert calls == []
+
+
+def test_stability_finds_a_root_of_unity_of_large_order(monkeypatch):
+    """The Teichmueller lift of 11 mod 1009 has order 1008: found on the
+    integers mod p, then confirmed by one power of J0 by squaring."""
+    ctx = PrecisionContext(1009, 8, 4)
+    calls = _counting_mat_mul(monkeypatch)
+    verdict = stability_classify(
+        scaled_identity(ctx, 1, [teichmuller(11, ctx)]))
+    assert not verdict.stable and verdict.reason == "root-of-unity"
+    assert verdict.order == 1008
+    assert len(calls) <= 2 * (1008).bit_length()
+
+
+@pytest.mark.parametrize("p,lam", [(2, 3), (2, 5), (3, 5)])
+def test_stability_does_not_take_an_order_mod_p_to_the_n_for_a_root_of_unity(
+        p, lam):
+    """At N=4, lam^k = 1 mod p^4 for k = 4 (3 and 5 at p=2) or 54 (5 at
+    p=3), yet neither Z_2 nor Z_3 has a root of unity but 1 and -1.  The
+    difference operator is invertible through D=4, so u = lam X is
+    stable."""
+    ctx = PrecisionContext(p, 4, 4)
+    assert stability_classify(scaled_identity(ctx, 1, [lam])).stable
 
 
 def test_commuting_target_for_non_scalar_jacobian(ctx5):
@@ -319,6 +361,42 @@ def test_group_from_jacobian_composes_u_after_h_only_in_the_final_check(
     assert len(after_h) == 1 and after_h[0][0] is H
     assert len([f for f, _, _ in calls if f is H]) == 1
     assert H.same_at_working_precision(res.group.law)
+
+
+def test_the_lift_composes_with_right_in_one_pass(monkeypatch):
+    """On the (2,1,2) lift every composition with right = (u(X1), u(X2)),
+    the running sum's start o right and delta_k o right, k = 2..D, and the
+    final check's h o right, is decided by its tail bound: it makes no
+    ``series._min_plus`` call.  The final check's u o h is not, and still
+    certifies the vector of the Horner levels."""
+    p, h1, h2 = 2, 1, 2
+    D = p ** (h1 + h2)
+    ctx = PrecisionContext(p, lt2_min_precision(h1, h2, p, D), D)
+    u = lt2_build(LubinTate2Params(h1, h2, ctx)).mul_p.series
+    count = [0]
+    real_min_plus = series._min_plus
+
+    def counting(*args):
+        count[0] += 1
+        return real_min_plus(*args)
+
+    calls = []
+
+    def recording_compose(f, g, cap=None):
+        count[0] = 0
+        out = tuple_compose(f, g, cap=cap)
+        calls.append((f, g, count[0], out))
+        return out
+
+    monkeypatch.setattr(series, "_min_plus", counting)
+    monkeypatch.setattr(cm, "tuple_compose", recording_compose)
+    H = group_from_jacobian(u, [[1, 0], [0, 1]], [[1, 0], [0, 1]])
+    with_right = [(f, n) for f, g, n, _ in calls if f is not u]
+    assert [n for _, n in with_right] == [0] * (D + 1)
+    assert with_right[-1][0] is H
+    (n, u_h), = [(n, out) for f, g, n, out in calls if f is u]
+    assert n > 0
+    assert [c.prec for c in u_h] == [(17, 17, 17, 17, 17, 16, 15, 14, 13)] * 2
 
 
 @pytest.mark.parametrize("p,h1,h2", [(2, 1, 1), (2, 1, 2), (3, 1, 1)])

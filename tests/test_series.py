@@ -255,6 +255,68 @@ def test_compose_certifies_only_true_digits(data, p, m, n, N, D):
         assert_series_certified(out, exact, cap)
 
 
+def _drawn_jagged(data, ctx, n, terms):
+    """``terms`` as a certified series: each coefficient capped at a drawn
+    absolute precision, then, when drawn, weakened to a drawn jagged
+    vector with entries -1..N+2."""
+    N = ctx.abs_precision
+    ms = MultiSeries.from_terms(ctx, n, {
+        e: PadicScalar.exact(ctx, q).cap_precision(
+            data.draw(st.integers(1, N + 2))) for e, q in terms.items()})
+    if data.draw(st.booleans()):
+        ms = ms._with_precision(tuple(data.draw(st.integers(-1, N + 2))
+                                      for _ in range(ctx.degree_cap + 1)))
+    return ms
+
+
+def _compose_outcome(run):
+    """(shift, vector, integers) of the series run() returns, or the class
+    of the FglabError it raises."""
+    try:
+        out = run()
+    except FglabError as exc:
+        return type(exc)
+    return out.shift, out.prec, out.coeffs
+
+
+@settings(max_examples=300)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5]), m=st.integers(1, 3),
+       n=st.integers(1, 3), N=st.integers(4, 12), D=st.integers(2, 7))
+def test_compose_in_one_pass_where_the_tail_decides(data, p, m, n, N, D):
+    """Wherever ``_tail_decides`` admits a certified outer series f,
+    tuple_compose composes the exact stored parts and reduces once at
+    f's tail; that gives what the Horner levels of ``_compose_one`` give
+    with the tail added: the same shift, vector and integers, or the same
+    error class.
+
+    f has coefficients of valuation down to -2 and a jagged vector; the
+    inner series are exact or certified, mixed, with p-power denominators.
+    """
+    ctx = PrecisionContext(p, N, D)
+    cap = data.draw(st.integers(1, D))
+    try:
+        f = _drawn_jagged(data, ctx, m, _drawn_terms(
+            data, p, m, data.draw(st.integers(1, 8)), -2, D, True))
+        inner = [MultiSeries.from_exact_terms(ctx, n, t)
+                 if data.draw(st.booleans()) else _drawn_jagged(
+                     data, ctx, n, t)
+                 for t in (_drawn_inner(data, p, n, D) for _ in range(m))]
+    except FglabError:
+        return
+    if f.prec is None:
+        return
+    slope = series._slope(inner, cap)
+    tail = series._tail(f, slope, cap)
+    if not series._tail_decides(f, inner, slope, tail):
+        return
+    one_pass = _compose_outcome(
+        lambda: tuple_compose(f, TupleSeries(inner), cap=cap))
+    levels = _compose_outcome(lambda: series._compose_one(
+        f, [series._PowerCache(c, cap) for c in inner], cap,
+        n)._with_precision(tail))
+    assert one_pass == levels
+
+
 def _drawn_part(data, ctx, n, j, lossy):
     """A series exactly homogeneous of degree j in n variables: up to four
     monomials (a p-power denominator allowed) whose coefficients carry
@@ -620,6 +682,24 @@ def test_compose_tail_amplified_by_negative_inner_valuation():
                          inners, 4)
     assert_series_certified(out, exact, 4)
     assert out.prof(2) <= 4
+
+
+@pytest.mark.parametrize("y", [Fraction(1), Fraction(1, 25)])
+def test_compose_carries_a_part_zero_at_its_precision_through_its_power(y):
+    """x = O(5) t stores nothing, so the Horner part x of f = x*y is zero
+    at its precision; composed with y = t (or t/25) it still leaves
+    x*y = O(5) t^2 (O(5^-1) t^2).  The part once entered f o g as an
+    addend at its own degree, which certified degree 2 to 5^4 (5^0): x =
+    5t gives 5 t^2 (t^2/5)."""
+    ctx = PrecisionContext(5, 4, 3)
+    f = MultiSeries.from_terms(ctx, 2, {(1, 1): 1})
+    x = MultiSeries.from_terms(ctx, 1, {(1,): PadicScalar.zero_at(ctx, 1)})
+    g = TupleSeries([x, MultiSeries.from_exact_terms(ctx, 1, {(1,): y})])
+    out = tuple_compose(f, g)
+    assert out.prof(2) == 1 + ref_valuation(y, 5)
+    for xc in (0, 5, -10):
+        assert_series_certified(out, poly_compose(
+            {(1, 1): Fraction(1)}, [{(1,): Fraction(xc)}, {(1,): y}], 3), 3)
 
 
 # ---------------------------------------------------------------------------
